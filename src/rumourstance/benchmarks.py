@@ -6,33 +6,6 @@ tools that are not redistributable, so measured values on substitute
 resources will differ. Accuracies are percentages.
 """
 
-EVENT_NAMES = {
-    "ottawa": "Ottawa shooting",
-    "ferguson": "Ferguson riots",
-    "charliehebdo": "Charlie Hebdo",
-    "sydneysiege": "Sydney siege",
-}
-
-# per-event rumour thread counts and stance label counts (S, D, Q, C)
-EVENT_LABEL_COUNTS = {
-    "ottawa": {"rumours": 58, "support": 161, "deny": 76, "query": 64,
-               "comment": 481},
-    "ferguson": {"rumours": 46, "support": 192, "deny": 83, "query": 94,
-                 "comment": 685},
-    "charliehebdo": {"rumours": 74, "support": 236, "deny": 56, "query": 51,
-                     "comment": 710},
-    "sydneysiege": {"rumours": 71, "support": 89, "deny": 4, "query": 99,
-                    "comment": 713},
-}
-
-# fixed-split benchmark accuracies, with and without the confidence features
-SPLIT_ACCURACY = {
-    "tree": {"all": 74.16, "without_af": 72.25},
-    "forest": {"all": 79.02, "without_af": 76.54},
-    "knn": {"all": 75.59, "without_af": 73.02},
-}
-SPLIT_BEST_EXTERNAL = {"name": "Turing", "accuracy": 78.4}
-
 # leave-one-rumour-out benchmark accuracies per event, all features
 LOO_ACCURACY = {
     "knn": {"ottawa": 70.31, "ferguson": 72.35, "charliehebdo": 78.33,
@@ -53,23 +26,9 @@ LOO_ACCURACY_WITHOUT_AF = {
                "sydneysiege": 72.57, "macro": 71.03},
 }
 
-# external baselines reported on the same leave-one-out protocol
-LOO_EXTERNAL_BASELINES = {
-    "GP": {"ottawa": 62.28, "ferguson": 64.31, "charliehebdo": 70.66,
-           "sydneysiege": 65.04, "macro": 65.57},
-    "HP": {"ottawa": 67.77, "ferguson": 68.44, "charliehebdo": 72.93,
-           "sydneysiege": 68.59, "macro": 69.43},
-}
-
 # random-forest ablation ladder on the fixed split (confidence features
 # removed one at a time, then all together)
 ABLATION_LADDER = {
-    "all": 79.02,
-    "AF": 76.54,
-    "AF_ITS": 78.55,
-    "AF_SS": 77.59,
-    "AF_SPS": 78.16,
-    "AF_DS": 78.36,
-    "AF_NDS": 77.59,
-    "AF_IQ": 78.64,
+    "forest": {"all": 79.02, "AF": 76.54, "AF_ITS": 78.55, "AF_SS": 77.59,
+               "AF_SPS": 78.16, "AF_DS": 78.36, "AF_NDS": 77.59, "AF_IQ": 78.64},
 }

@@ -29,14 +29,16 @@ from .evaluation import (
 from .features import (
     GROUPS,
     FeatureDictionaries,
-    build_dictionaries,
     build_schema,
-    assemble,
+    assemble,  # noqa: F401  (bound here for the perfbench tracer test)
+    corpus_dictionaries,
+    featurize,
+    resolve_now,
     write_schema_file,
     write_vectors,
 )
 from .ingest import ingest_file
-from .learners import predict_many
+from .learners import LEARNERS, predict_many
 from .learners.io import load_model, save_model
 from .reports import (
     ablation_report_json,
@@ -171,6 +173,12 @@ def _write_config_echo(out: Path, config: dict) -> None:
            json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
+def _write_eval_report(out: Path, report) -> None:
+    _write(out / "report.json", eval_report_json(report))
+    _write(out / "report.txt", eval_report_text(report))
+    _write_config_echo(out, report.config)
+
+
 # --- commands ---------------------------------------------------------------------
 
 
@@ -190,19 +198,23 @@ def _load_inputs(ns: argparse.Namespace, file_cfg: dict):
     return load_dataset(dataset_path), load_bundle(bundle_path)
 
 
+def _featurize_corpus(dataset, resources, config: RunConfig, tweets) -> tuple:
+    """(dictionaries, schema, now, vectors of `tweets`) for a command that
+    builds its vocabulary from the whole corpus."""
+    dictionaries = corpus_dictionaries(dataset, resources)
+    schema = build_schema(dictionaries, resources, config.groups)
+    now = resolve_now(config.now, dataset)
+    vectors = featurize(tweets, thread_index(build_threads(dataset)),
+                        dictionaries, resources, schema, now)
+    return dictionaries, schema, now, vectors
+
+
 def cmd_featurize(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     out = _out_dir(ns, file_cfg)
-    rumours = [r for rs in dataset.events.values() for r in rs]
-    dictionaries = build_dictionaries(dataset.tweets, resources,
-                                      provenance=rumours)
-    schema = build_schema(dictionaries, resources, config.groups)
-    now = config.now if config.now is not None else dataset.max_created_at()
-    threads = thread_index(build_threads(dataset))
-    vectors = [assemble(t, threads[t.rumour_id], dictionaries, resources,
-                        schema, now)
-               for t in dataset.tweets]
+    _, schema, now, vectors = _featurize_corpus(dataset, resources, config,
+                                                dataset.tweets)
     write_schema_file(schema, out / "schema.tsv")
     write_vectors(vectors, out / "vectors.tsv")
     _write_config_echo(out, {
@@ -222,18 +234,11 @@ def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     out = _out_dir(ns, file_cfg)
-    rumours = [r for rs in dataset.events.values() for r in rs]
-    dictionaries = build_dictionaries(dataset.tweets, resources,
-                                      provenance=rumours)
-    schema = build_schema(dictionaries, resources, config.groups)
-    now = config.now if config.now is not None else dataset.max_created_at()
-    threads = thread_index(build_threads(dataset))
-    labelled = [t for t in dataset.tweets if t.label is not None]
+    labelled = dataset.labelled()
     if not labelled:
         raise StanceError("no labelled tweets to train on")
-    vectors = [assemble(t, threads[t.rumour_id], dictionaries, resources,
-                        schema, now)
-               for t in labelled]
+    dictionaries, schema, now, vectors = _featurize_corpus(
+        dataset, resources, config, labelled)
     model = fit_classifier(config.classifier, vectors, schema, config.params,
                            config.seed)
     model.context.update({
@@ -277,9 +282,7 @@ def cmd_eval_loo(ns: argparse.Namespace, file_cfg: dict) -> int:
     out = _out_dir(ns, file_cfg)
     report = run_loo(dataset, resources, config,
                      scope=protocol.removeprefix("loo_"))
-    _write(out / "report.json", eval_report_json(report))
-    _write(out / "report.txt", eval_report_text(report))
-    _write_config_echo(out, report.config)
+    _write_eval_report(out, report)
     print(f"headline accuracy {report.headline_accuracy:.4f} "
           f"({protocol}, {len(report.per_fold)} folds) -> {out}")
     return 0
@@ -294,9 +297,7 @@ def cmd_eval_split(ns: argparse.Namespace, file_cfg: dict) -> int:
     out = _out_dir(ns, file_cfg)
     report = run_split(load_dataset(train_path), load_dataset(test_path),
                        load_bundle(bundle_path), config)
-    _write(out / "report.json", eval_report_json(report))
-    _write(out / "report.txt", eval_report_text(report))
-    _write_config_echo(out, report.config)
+    _write_eval_report(out, report)
     print(f"headline accuracy {report.headline_accuracy:.4f} (split) -> {out}")
     return 0
 
@@ -344,14 +345,14 @@ def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
         raise StanceError(
             "rebuilt feature schema does not match the model "
             f"(model {model.schema_fingerprint}, rebuilt {schema.fingerprint})")
+    if model.n_features != len(schema):
+        raise StanceError(
+            f"model has {model.n_features} columns but its feature schema "
+            f"has {len(schema)}")
     dataset = load_dataset(input_path)
-    now = context.get("now")
-    if now is None:
-        now = dataset.max_created_at()
-    threads = thread_index(build_threads(dataset))
-    vectors = [assemble(t, threads[t.rumour_id], dictionaries, resources,
-                        schema, float(now))
-               for t in dataset.tweets]
+    now = float(resolve_now(context.get("now"), dataset))
+    vectors = featurize(dataset.tweets, thread_index(build_threads(dataset)),
+                        dictionaries, resources, schema, now)
     lines = []
     for tweet, (label, scores) in zip(dataset.tweets,
                                       predict_many(model, vectors)):
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--dataset", help="normalized JSONL corpus")
     experiment.add_argument("--bundle", help="resource bundle directory "
                                              "(default: built-in)")
-    experiment.add_argument("--classifier", choices=("tree", "forest", "knn"))
+    experiment.add_argument("--classifier", choices=tuple(LEARNERS))
     experiment.add_argument("--params", dest="classifier_params",
                             help="classifier parameters as a JSON object")
     experiment.add_argument("--groups", dest="feature_groups",

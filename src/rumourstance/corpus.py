@@ -147,13 +147,6 @@ class Dataset:
                 return event_id
         raise KeyError(rumour_id)
 
-    def label_counts(self) -> dict:
-        counts = {label: 0 for label in CLASS_ORDER}
-        for t in self.tweets:
-            if t.label is not None:
-                counts[t.label] += 1
-        return counts
-
     def labelled(self) -> list:
         return [t for t in self.tweets if t.label is not None]
 
@@ -221,7 +214,7 @@ def _parse_record(obj: dict) -> TweetRecord:
     )
 
 
-def load_dataset(path, format: str = "jsonl", name: Optional[str] = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load and validate a JSONL dataset.
 
     Each line holds one tweet object:
@@ -231,8 +224,6 @@ def load_dataset(path, format: str = "jsonl", name: Optional[str] = None) -> Dat
     Dangling in_reply_to references (parent id absent from the file) are
     repaired to point at the rumour's source tweet.
     """
-    if format != "jsonl":
-        raise CorpusError(f"unsupported dataset format: {format!r}")
     path = Path(path)
     records = []
     seen_lines = {}
@@ -254,7 +245,7 @@ def load_dataset(path, format: str = "jsonl", name: Optional[str] = None) -> Dat
                     f"(first seen on line {seen_lines[record.tweet_id]})")
             seen_lines[record.tweet_id] = lineno
             records.append(record)
-    return _build_dataset(records, name or path.stem)
+    return _build_dataset(records, path.stem)
 
 
 def _build_dataset(records: list, name: str) -> Dataset:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from hashlib import blake2b
 from typing import Optional
 
@@ -23,24 +23,16 @@ from .features import (
     GROUPS,
     FeatureDictionaries,
     build_dictionaries,
+    assemble,  # noqa: F401  (bound here for the perfbench tracer test)
     build_schema,
-    assemble,
+    corpus_dictionaries,
+    featurize,
+    resolve_now,
 )
-from .learners import (
-    ForestParams,
-    KnnParams,
-    TreeParams,
-    fit_forest,
-    fit_knn,
-    fit_tree,
-    predict_many,
-)
+from .learners import LEARNERS, predict_many
 from .resources import ResourceBundle
 
 log = logging.getLogger(__name__)
-
-CLASSIFIERS = ("tree", "forest", "knn")
-PROTOCOLS = ("loo_by_event", "loo_global", "split")
 
 # components whose published-tool counterparts are replaced by native
 # stand-ins; echoed in every report so numbers are read with that in mind
@@ -78,9 +70,13 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.classifier not in CLASSIFIERS:
+        if self.classifier not in LEARNERS:
             raise EvalError(f"unknown classifier {self.classifier!r}; "
-                            f"expected one of {CLASSIFIERS}")
+                            f"expected one of {tuple(LEARNERS)}")
+        try:
+            LEARNERS[self.classifier].params(self.params, self.seed)
+        except (TypeError, ValueError) as exc:
+            raise EvalError(f"bad {self.classifier} params {self.params!r}: {exc}") from None
         if self.seed < 0:
             raise EvalError("seed must be non-negative")
         if self.jobs < 1:
@@ -106,19 +102,9 @@ class EvalReport:
     notes: tuple = SUBSTITUTED_COMPONENTS
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "per_fold": self.per_fold,
-            "per_event": self.per_event,
-            "macro_mean": self.macro_mean,
-            "overall_accuracy": self.overall_accuracy,
-            "headline_accuracy": self.headline_accuracy,
-            "confusion": self.confusion,
-            "precision": self.precision,
-            "recall": self.recall,
-            "config": self.config,
-            "substituted_components": list(self.notes),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "notes"}
+        out["substituted_components"] = list(self.notes)
+        return out
 
 
 @dataclass
@@ -302,21 +288,12 @@ def fold_seed(seed: int, fold_id: str) -> int:
 
 
 def fit_classifier(classifier: str, vectors, schema, params: dict, seed: int):
-    if classifier == "tree":
-        return fit_tree(vectors, params=TreeParams(**params), schema=schema)
-    if classifier == "forest":
-        return fit_forest(vectors, params=ForestParams(seed=seed, **params),
-                          schema=schema)
-    return fit_knn(vectors, params=KnnParams(**params), schema=schema)
+    learner = LEARNERS[classifier]
+    return learner.fit(vectors, learner.params(params, seed), schema)
 
 
 def _labelled(records) -> list:
     return [t for t in records if t.label is not None]
-
-
-def _featurize(records, threads, dictionaries, resources, schema, now) -> list:
-    return [assemble(t, threads[t.rumour_id], dictionaries, resources, schema, now)
-            for t in records]
 
 
 def _resolved_config(config: RunConfig, dataset: Dataset,
@@ -339,6 +316,26 @@ def _empty_confusion() -> list:
     return [[0 for _ in CLASS_ORDER] for _ in CLASS_ORDER]
 
 
+_LABEL_INDEX = {label.value: i for i, label in enumerate(CLASS_ORDER)}
+
+
+def _fold_result(fold_id: str, event_id: str, test_rumours, records,
+                 predictions) -> dict:
+    confusion = _empty_confusion()
+    for record, (predicted, _) in zip(records, predictions):
+        confusion[_LABEL_INDEX[record.label.value]][_LABEL_INDEX[predicted]] += 1
+    correct = sum(confusion[i][i] for i in range(len(CLASS_ORDER)))
+    return {
+        "fold_id": fold_id,
+        "event_id": event_id,
+        "test_rumours": list(test_rumours),
+        "n_test": len(records),
+        "n_correct": correct,
+        "accuracy": correct / len(records),
+        "confusion": confusion,
+    }
+
+
 def _evaluate_fold(dataset, threads, resources, config, fold, now):
     dictionaries = build_fold_dictionaries(dataset, fold, resources)
     check_leakage(dictionaries, fold)
@@ -351,29 +348,16 @@ def _evaluate_fold(dataset, threads, resources, config, fold, now):
         raise EvalError(f"fold {fold.fold_id}: no labelled training tweets")
     if not test:
         raise EvalError(f"fold {fold.fold_id}: no labelled test tweets")
-    train_vectors = _featurize(train, threads, dictionaries, resources, schema, now)
-    test_vectors = _featurize(test, threads, dictionaries, resources, schema, now)
+    train_vectors = featurize(train, threads, dictionaries, resources, schema, now)
+    test_vectors = featurize(test, threads, dictionaries, resources, schema, now)
     model = fit_classifier(config.classifier, train_vectors, schema, config.params,
-                 fold_seed(config.seed, fold.fold_id))
+                           fold_seed(config.seed, fold.fold_id))
     predictions = predict_many(model, test_vectors)
-    label_index = {label.value: i for i, label in enumerate(CLASS_ORDER)}
-    confusion = _empty_confusion()
-    correct = 0
-    for record, (predicted, _) in zip(test, predictions):
-        confusion[label_index[record.label.value]][label_index[predicted]] += 1
-        correct += predicted == record.label.value
     events = {dataset.event_of_rumour(r) for r in fold.test_rumour_ids}
     if len(events) != 1:
         raise EvalError(f"fold {fold.fold_id}: test rumours span events {sorted(events)}")
-    return {
-        "fold_id": fold.fold_id,
-        "event_id": events.pop(),
-        "test_rumours": list(fold.test_rumour_ids),
-        "n_test": len(test),
-        "n_correct": correct,
-        "accuracy": correct / len(test),
-        "confusion": confusion,
-    }
+    return _fold_result(fold.fold_id, events.pop(), fold.test_rumour_ids, test,
+                        predictions)
 
 
 def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
@@ -395,12 +379,7 @@ def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
     per_event = {}
     for event in sorted(by_event):
         bucket = by_event[event]
-        per_event[event] = {
-            "n_test": bucket["n_test"],
-            "n_correct": bucket["n_correct"],
-            "n_folds": bucket["n_folds"],
-            "accuracy": bucket["n_correct"] / bucket["n_test"],
-        }
+        per_event[event] = {**bucket, "accuracy": bucket["n_correct"] / bucket["n_test"]}
     macro = sum(e["accuracy"] for e in per_event.values()) / len(per_event)
     total = sum(sum(row) for row in confusion)
     overall = sum(confusion[i][i] for i in range(len(CLASS_ORDER))) / total
@@ -432,7 +411,7 @@ def run_loo(dataset: Dataset, resources: ResourceBundle,
     """Leave-one-rumour-out over the dataset. Folds evaluate independently,
     possibly in parallel; the reduction is ordered by fold list position."""
     folds = make_loo_folds(dataset, scope)
-    now = config.now if config.now is not None else dataset.max_created_at()
+    now = resolve_now(config.now, dataset)
     threads = thread_index(build_threads(dataset))
     protocol = f"loo_{scope}"
 
@@ -457,48 +436,31 @@ def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
     if overlap:
         raise EvalError(f"train and test share {len(overlap)} tweet id(s), "
                         f"e.g. {sorted(overlap)[:3]}")
-    now_source = max(train.max_created_at(), test.max_created_at())
-    now = config.now if config.now is not None else now_source
-    train_rumours = [r for rumours in train.events.values() for r in rumours]
-    train_records = _labelled(train.tweets)
+    now = resolve_now(config.now, train, test)
+    train_records = train.labelled()
     if not train_records:
         raise EvalError("no labelled training tweets")
     # vocabularies need no labels, so unlabelled training tweets count too
-    dictionaries = build_dictionaries(train.tweets, resources,
-                                      provenance=train_rumours)
+    dictionaries = corpus_dictionaries(train, resources)
     schema = build_schema(dictionaries, resources, config.groups)
-    train_threads = thread_index(build_threads(train))
-    test_threads = thread_index(build_threads(test))
-    train_vectors = _featurize(train_records, train_threads, dictionaries,
-                               resources, schema, now)
-    test_records = _labelled(test.tweets)
+    train_vectors = featurize(train_records, thread_index(build_threads(train)),
+                              dictionaries, resources, schema, now)
+    test_records = test.labelled()
     if not test_records:
         raise EvalError("no labelled test tweets")
-    test_vectors = _featurize(test_records, test_threads, dictionaries,
-                              resources, schema, now)
+    test_vectors = featurize(test_records, thread_index(build_threads(test)),
+                             dictionaries, resources, schema, now)
     model = fit_classifier(config.classifier, train_vectors, schema, config.params,
-                 fold_seed(config.seed, "split"))
-    predictions = predict_many(model, test_vectors)
-    label_index = {label.value: i for i, label in enumerate(CLASS_ORDER)}
+                           fold_seed(config.seed, "split"))
     by_event: dict = {}
-    for record, (predicted, _) in zip(test_records, predictions):
-        bucket = by_event.setdefault(record.event_id, _empty_confusion())
-        bucket[label_index[record.label.value]][label_index[predicted]] += 1
+    for record, prediction in zip(test_records, predict_many(model, test_vectors)):
+        by_event.setdefault(record.event_id, []).append((record, prediction))
     results = []
     for event in sorted(by_event):
-        confusion = by_event[event]
-        n_test = sum(sum(row) for row in confusion)
-        correct = sum(confusion[i][i] for i in range(len(CLASS_ORDER)))
-        results.append({
-            "fold_id": f"split/{event}",
-            "event_id": event,
-            "test_rumours": sorted({r.rumour_id for r in test_records
-                                    if r.event_id == event}),
-            "n_test": n_test,
-            "n_correct": correct,
-            "accuracy": correct / n_test,
-            "confusion": confusion,
-        })
+        records, predictions = zip(*by_event[event])
+        results.append(_fold_result(f"split/{event}", event,
+                                    sorted({r.rumour_id for r in records}),
+                                    records, predictions))
     echo = _resolved_config(config, train, resources, "split", now)
     echo["test_dataset"] = test.name
     echo["n_test_tweets"] = len(test)
@@ -540,11 +502,7 @@ def ablate(dataset: Dataset, resources: ResourceBundle,
     for spec in removals:
         label, removed = _expand_removal(spec)
         kept = tuple(g for g in base_groups if g not in removed)
-        ablated_config = RunConfig(classifier=config.classifier,
-                                   params=config.params, groups=kept,
-                                   seed=config.seed, now=config.now,
-                                   jobs=config.jobs)
-        report = run_loo(dataset, resources, ablated_config, scope)
+        report = run_loo(dataset, resources, replace(config, groups=kept), scope)
         row = {
             "removed": label,
             "removed_groups": list(removed),

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from hashlib import blake2b
 from typing import Optional
 
-from .corpus import StanceLabel, Thread, TweetRecord, parse_stance_label
+from .corpus import Dataset, StanceLabel, Thread, TweetRecord, parse_stance_label
 from .errors import SchemaError
 from .resources import (
     BROWN_CLUSTER_COUNT,
@@ -95,11 +95,6 @@ class FeatureSchema:
     @cached_property
     def fingerprint(self) -> int:
         return fingerprint64(self)
-
-    def group_indices(self, group: str) -> list:
-        if group not in GROUPS:
-            raise SchemaError(f"unknown feature group: {group}")
-        return [i for i, (_, g) in enumerate(self.columns) if g == group]
 
 
 @dataclass(frozen=True)
@@ -293,7 +288,7 @@ def _lexical_forms(tokens) -> list:
     return forms
 
 
-def extract_content(t: TweetRecord, d: FeatureDictionaries,
+def extract_content(t: TweetRecord, tokens, d: FeatureDictionaries,
                     r: ResourceBundle) -> dict:
     """Name -> value map for the tweet-content features: BOW and POS n-gram
     frequencies, Brown cluster indicators, sentiment bucket, entity flags,
@@ -302,7 +297,6 @@ def extract_content(t: TweetRecord, d: FeatureDictionaries,
     Vocabulary-backed names appear only when nonzero; scalar names always
     appear, zero included.
     """
-    tokens = tokenize(t.text, r.lexicons.all_emoticons())
     out: dict = {}
 
     for term in _bow_terms(tokens):
@@ -314,19 +308,15 @@ def extract_content(t: TweetRecord, d: FeatureDictionaries,
             key = f"posng={gram}"
             out[key] = out.get(key, 0) + 1
 
-    for form in _lexical_forms(tokens):
+    forms = _lexical_forms(tokens)
+    for form in forms:
         cluster = r.brown.get(form)
         if cluster is not None:
             out[f"brown={cluster:04d}"] = 1
 
     out["sentiment"] = sentiment_score(tokens, r.lexicons.sentiment)
 
-    flags = detect_entities(tokens, r.gazetteers)
-    out["ne_person"] = flags.person
-    out["ne_organization"] = flags.organization
-    out["ne_date"] = flags.date
-    out["ne_location"] = flags.location
-    out["ne_money"] = flags.money
+    out.update(zip(_NE_COLUMNS, astuple(detect_entities(tokens, r.gazetteers))))
 
     surfaces = {tok.surface for tok in tokens if tok.kind is TokenKind.EMOTICON}
     for category, members in r.lexicons.emoticons.items():
@@ -334,7 +324,6 @@ def extract_content(t: TweetRecord, d: FeatureDictionaries,
 
     out["hasURL"] = int(any(tok.kind is TokenKind.URL for tok in tokens))
 
-    forms = _lexical_forms(tokens)
     out["hasSlangOrCurseWord"] = int(any(f in r.lexicons.slang for f in forms))
     out["hasGoogleBadWord"] = int(any(f in r.lexicons.google_bad for f in forms))
     out["hasAcronyms"] = int(any(f in r.lexicons.acronyms for f in forms))
@@ -380,16 +369,22 @@ def extract_user(t: TweetRecord, now: float) -> dict:
     }
 
 
+def _analyse_text(text: str, r: ResourceBundle) -> tuple:
+    """(tokens, cumulative content vector) of a text: the one text ->
+    content-vector step behind the mood and AF scores."""
+    tokens = tokenize(text, r.lexicons.all_emoticons())
+    return tokens, cumulative_vector(content_words(tokens, r), r.embeddings)
+
+
+def _mood_scores(vector, r: ResourceBundle) -> dict:
+    return {f"mood_{mood}": cosine(vector, r.list_vectors[mood])
+            for mood in MOOD_NAMES}
+
+
 def extract_mood(t: TweetRecord, r: ResourceBundle) -> dict:
     """Cosine of the tweet's cumulative content vector against each mood
     list's cumulative vector."""
-    tokens = tokenize(t.text, r.lexicons.all_emoticons())
-    vector = cumulative_vector(content_words(tokens, r), r.embeddings)
-    out = {}
-    for mood in MOOD_NAMES:
-        reference = cumulative_vector(sorted(r.lexicons.mood_lists[mood]), r.embeddings)
-        out[f"mood_{mood}"] = cosine(vector, reference)
-    return out
+    return _mood_scores(_analyse_text(t.text, r)[1], r)
 
 
 def _normalized(text: str) -> str:
@@ -403,34 +398,32 @@ def _is_retweet_of(text: str, source_text: str) -> bool:
     return bool(match) and _normalized(text[match.end():]) == _normalized(source_text)
 
 
-def extract_af(t: TweetRecord, thread: Thread, r: ResourceBundle) -> AfScores:
-    """Confidence scores: cosine of the tweet's content vector against the
-    surprise/doubt/no-doubt/support lists, similarity to the thread's source
-    tweet (forced to 1.0 for the source itself and for exact retweets of it),
-    and the interrogative-start flag."""
-    tokens = tokenize(t.text, r.lexicons.all_emoticons())
-    vector = cumulative_vector(content_words(tokens, r), r.embeddings)
-
-    list_scores = {}
-    for name, words in r.lexicons.af_lists.items():
-        reference = cumulative_vector(sorted(words), r.embeddings)
-        list_scores[name] = cosine(vector, reference)
-
+def _af_scores(t: TweetRecord, tokens, vector, thread: Thread,
+               r: ResourceBundle) -> AfScores:
     source = thread.source
     if t.tweet_id == source.tweet_id or _is_retweet_of(t.text, source.text):
         its = 1.0
     else:
-        source_tokens = tokenize(source.text, r.lexicons.all_emoticons())
-        source_vector = cumulative_vector(content_words(source_tokens, r), r.embeddings)
-        its = cosine(vector, source_vector)
+        its = cosine(vector, _analyse_text(source.text, r)[1])
 
     first_word = next((tok.lowercase for tok in tokens
                        if tok.kind is TokenKind.WORD), None)
     iq = int(first_word is not None and first_word in r.lexicons.interrogatives)
 
-    return AfScores(ss=list_scores["surprise"], ds=list_scores["doubt"],
-                    nds=list_scores["nodoubt"], sps=list_scores["support"],
+    lists = r.list_vectors
+    return AfScores(ss=cosine(vector, lists["surprise"]),
+                    ds=cosine(vector, lists["doubt"]),
+                    nds=cosine(vector, lists["nodoubt"]),
+                    sps=cosine(vector, lists["support"]),
                     its=its, iq=iq)
+
+
+def extract_af(t: TweetRecord, thread: Thread, r: ResourceBundle) -> AfScores:
+    """Confidence scores: cosine of the tweet's content vector against the
+    surprise/doubt/no-doubt/support lists, similarity to the thread's source
+    tweet (forced to 1.0 for the source itself and for exact retweets of it),
+    and the interrogative-start flag."""
+    return _af_scores(t, *_analyse_text(t.text, r), thread, r)
 
 
 def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
@@ -443,11 +436,11 @@ def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
             f"tweet {t.tweet_id} belongs to rumour {t.rumour_id}, "
             f"not to thread {thread.rumour_id}")
 
-    named: dict = {}
-    named.update(extract_content(t, d, r))
+    tokens, vector = _analyse_text(t.text, r)
+    named = extract_content(t, tokens, d, r)
     named.update(extract_user(t, now))
-    named.update(extract_mood(t, r))
-    af = extract_af(t, thread, r)
+    named.update(_mood_scores(vector, r))
+    af = _af_scores(t, tokens, vector, thread, r)
     named["surpriseScore"] = af.ss
     named["doubtScore"] = af.ds
     named["noDoubtScore"] = af.nds
@@ -464,6 +457,25 @@ def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
     return FeatureVector(tweet_id=t.tweet_id,
                          schema_fingerprint=schema.fingerprint,
                          values=values, label=t.label)
+
+
+def featurize(tweets, threads: dict, d: FeatureDictionaries,
+              r: ResourceBundle, schema: FeatureSchema, now: float) -> list:
+    """Vectors of `tweets` under `schema`, each assembled in the context of
+    its thread (`threads` maps rumour id -> Thread). Every command that
+    featurizes goes through here."""
+    return [assemble(t, threads[t.rumour_id], d, r, schema, now) for t in tweets]
+
+
+def corpus_dictionaries(dataset: Dataset, r: ResourceBundle) -> FeatureDictionaries:
+    """Vocabularies over a whole corpus: every tweet, labelled or not, with
+    every rumour as provenance."""
+    return build_dictionaries(dataset.tweets, r, provenance=dataset.rumours)
+
+
+def resolve_now(now: Optional[float], *datasets: Dataset) -> float:
+    """The pinned `now`, or else the newest tweet time of the datasets."""
+    return now if now is not None else max(d.max_created_at() for d in datasets)
 
 
 # --- validation and serialization ------------------------------------------------

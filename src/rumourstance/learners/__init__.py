@@ -3,18 +3,16 @@ random forest, distance-weighted k-NN, plus the model container."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..corpus import StanceLabel
 from ..errors import ModelError
 from .base import TrainedModel, argmax_label, scores_dict, to_dense
 from .forest import ForestParams, fit_forest, forest_distribution
 from .io import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
-from .knn import KnnParams, fit_knn, knn_distribution
+from .knn import KnnParams, fit_knn
+from .table import LEARNERS
 from .tree import TreeParams, fit_tree, info_gain_ratio, tree_distribution
 
 __all__ = [
-    "MODEL_MAGIC", "MODEL_VERSION", "TrainedModel",
+    "LEARNERS", "MODEL_MAGIC", "MODEL_VERSION", "TrainedModel",
     "TreeParams", "ForestParams", "KnnParams",
     "fit_tree", "fit_forest", "fit_knn",
     "info_gain_ratio", "predict", "predict_many",
@@ -22,37 +20,17 @@ __all__ = [
 ]
 
 
-def _distribution(model: TrainedModel, row: np.ndarray) -> np.ndarray:
-    if model.kind == "tree":
-        return tree_distribution(model.payload["root"], row)
-    if model.kind == "forest":
-        return forest_distribution(model.payload, row)
-    if model.kind == "knn":
-        return knn_distribution(model.payload, row, model.n_features)
-    raise ModelError(f"unknown model kind {model.kind!r}")
-
-
-def predict(model: TrainedModel, vector) -> tuple:
-    """(label, per-class scores summing to 1) for one feature vector."""
-    if vector.schema_fingerprint != model.schema_fingerprint:
-        raise ModelError(
-            "vector schema fingerprint does not match the model; refeaturize "
-            "with the schema the model was trained under")
-    row = to_dense([vector], model.n_features)[0]
-    scores = _distribution(model, row)
-    return argmax_label(scores), scores_dict(scores)
-
-
 def predict_many(model: TrainedModel, vectors) -> list:
-    """predict() over a list, reusing the dense conversion."""
+    """(label, per-class scores summing to 1) for each feature vector."""
     for vector in vectors:
         if vector.schema_fingerprint != model.schema_fingerprint:
             raise ModelError(
                 "vector schema fingerprint does not match the model; "
                 "refeaturize with the schema the model was trained under")
-    rows = to_dense(vectors, model.n_features)
-    out = []
-    for row in rows:
-        scores = _distribution(model, row)
-        out.append((argmax_label(scores), scores_dict(scores)))
-    return out
+    rows = LEARNERS[model.kind].scores(model, to_dense(vectors, model.n_features))
+    return [(argmax_label(scores), scores_dict(scores)) for scores in rows]
+
+
+def predict(model: TrainedModel, vector) -> tuple:
+    """predict_many() of one vector."""
+    return predict_many(model, [vector])[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,16 @@ def resolve_labels(vectors, y=None) -> list:
     return out
 
 
+def is_finite_number(value) -> bool:
+    """A real JSON number (not a bool) that is neither infinite nor NaN."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def is_index(value, size: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
 def to_dense(vectors, n_features: int) -> np.ndarray:
     X = np.zeros((len(vectors), n_features), dtype=np.float64)
     for row, vector in enumerate(vectors):
@@ -59,12 +70,19 @@ def labels_to_indices(y) -> np.ndarray:
     return np.array([LABEL_INDEX[label] for label in y], dtype=np.int64)
 
 
-def distribution_from_counts(counts) -> np.ndarray:
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty class distribution")
-    return counts / total
+def training_matrix(what: str, X, y, schema, n_features) -> tuple:
+    """(schema fingerprint, column count, dense matrix, label indices) of a
+    training set: labels come from the vectors unless y is given, and the
+    column count from the schema unless n_features is given."""
+    if not X:
+        raise ValueError(f"cannot fit {what} on an empty training set")
+    if n_features is None:
+        if schema is None:
+            raise ValueError("supply schema or n_features")
+        n_features = len(schema)
+    fingerprint = schema.fingerprint if schema is not None else X[0].schema_fingerprint
+    indices = labels_to_indices(resolve_labels(X, y))
+    return fingerprint, n_features, to_dense(X, n_features), indices
 
 
 def argmax_label(scores: np.ndarray) -> str:

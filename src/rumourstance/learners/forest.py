@@ -1,20 +1,20 @@
 """Random forest: bagged unpruned trees with per-split feature subsampling.
 
 Every random draw for tree i comes from a counter-based stream keyed by
-(seed, i), so the fitted forest is a pure function of (data, params, seed)
-no matter how many worker threads build it or in what order they finish.
+(seed, i), so the fitted forest is a pure function of (data, params, seed),
+and growing more trees keeps the earlier ones.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import CLASS_NAMES, TrainedModel, labels_to_indices, resolve_labels, to_dense
-from .tree import TreeParams, _node_to_payload, grow_tree, tree_distribution
+from ..errors import ModelError
+from .base import CLASS_NAMES, TrainedModel, training_matrix
+from .tree import TreeParams, _node_to_payload, check_tree, grow_tree, tree_distribution
 
 _FEATURE_RULES = ("log2", "sqrt", "all")
 _MASK64 = (1 << 64) - 1
@@ -69,31 +69,15 @@ def _fit_one_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
 
 
 def fit_forest(X, y=None, params: ForestParams = ForestParams(), *,
-               schema=None, n_features=None, jobs: int = 1) -> TrainedModel:
-    """Fit n_trees unpruned trees. jobs only sets worker-thread count; the
-    result is bit-identical for any value."""
-    if not X:
-        raise ValueError("cannot fit a forest on an empty training set")
-    if n_features is None:
-        if schema is None:
-            raise ValueError("supply schema or n_features")
-        n_features = len(schema)
-    fingerprint = schema.fingerprint if schema is not None else X[0].schema_fingerprint
-    labels = resolve_labels(X, y)
-    dense = to_dense(X, n_features)
-    indices = labels_to_indices(labels)
+               schema=None, n_features=None) -> TrainedModel:
+    """Fit n_trees unpruned trees."""
+    fingerprint, n_features, dense, indices = training_matrix(
+        "a forest", X, y, schema, n_features)
     # unpruned, same leaf floor as the standalone tree so a 1-tree forest
     # without bagging degenerates to it exactly
     tree_params = TreeParams(pruning=False)
-
-    def fit_at(i: int) -> dict:
-        return _fit_one_tree(dense, indices, params, i, tree_params)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(fit_at, range(params.n_trees)))
-    else:
-        trees = [fit_at(i) for i in range(params.n_trees)]
+    trees = [_fit_one_tree(dense, indices, params, i, tree_params)
+             for i in range(params.n_trees)]
     return TrainedModel(
         kind="forest",
         schema_fingerprint=fingerprint,
@@ -117,3 +101,11 @@ def forest_distribution(payload: dict, row: np.ndarray) -> np.ndarray:
         dist = tree_distribution(tree, row)
         acc = dist if acc is None else acc + dist
     return acc / len(payload["trees"])
+
+
+def check_forest(payload: dict, n_features: int) -> None:
+    trees = payload.get("trees")
+    if not isinstance(trees, list) or not trees:
+        raise ModelError("forest payload holds no trees")
+    for tree in trees:
+        check_tree(tree, n_features)

@@ -5,25 +5,14 @@ from __future__ import annotations
 import json
 
 from ..errors import ModelError
-from .base import TrainedModel
+from .base import CLASS_NAMES, TrainedModel
+from .table import LEARNERS
 
 MODEL_MAGIC = "STANCEMODEL"
 MODEL_VERSION = 1
 
 _REQUIRED_KEYS = ("magic", "version", "kind", "schema_fingerprint",
                   "n_features", "classes", "payload")
-_KINDS = ("tree", "forest", "knn")
-
-
-def _without_memos(obj):
-    """Copy nested JSON data, dropping underscore-prefixed dict keys
-    (runtime memos such as the k-NN dense matrix)."""
-    if isinstance(obj, dict):
-        return {k: _without_memos(v) for k, v in obj.items()
-                if not k.startswith("_")}
-    if isinstance(obj, list):
-        return [_without_memos(v) for v in obj]
-    return obj
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -34,8 +23,8 @@ def save_model(model: TrainedModel, path) -> None:
         "schema_fingerprint": model.schema_fingerprint,
         "n_features": model.n_features,
         "classes": list(model.classes),
-        "payload": _without_memos(model.payload),
-        "context": _without_memos(model.context),
+        "payload": model.payload,
+        "context": model.context,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(container, fh, sort_keys=True, allow_nan=False)
@@ -61,13 +50,28 @@ def load_model(path) -> TrainedModel:
     missing = [key for key in _REQUIRED_KEYS if key not in container]
     if missing:
         raise ModelError(f"{path}: corrupted model file: missing {missing}")
-    if container["kind"] not in _KINDS:
-        raise ModelError(f"{path}: unknown model kind {container['kind']!r}")
+    kind = container["kind"]
+    if kind not in LEARNERS:
+        raise ModelError(f"{path}: unknown model kind {kind!r}")
+    fingerprint, n_features = container["schema_fingerprint"], container["n_features"]
+    payload, context = container["payload"], container.get("context", {})
+    for ok, problem in (
+            (isinstance(fingerprint, int), "schema_fingerprint is not an integer"),
+            (isinstance(n_features, int) and n_features >= 0, f"bad n_features {n_features!r}"),
+            (container["classes"] == list(CLASS_NAMES), f"classes are not {list(CLASS_NAMES)}"),
+            (isinstance(payload, dict), "payload is not an object"),
+            (isinstance(context, dict), "context is not an object")):
+        if not ok:
+            raise ModelError(f"{path}: corrupted model file: {problem}")
+    try:
+        LEARNERS[kind].check(payload, n_features)
+    except ModelError as exc:
+        raise ModelError(f"{path}: corrupted {kind} model: {exc}") from None
     return TrainedModel(
-        kind=container["kind"],
-        schema_fingerprint=int(container["schema_fingerprint"]),
-        n_features=int(container["n_features"]),
+        kind=kind,
+        schema_fingerprint=fingerprint,
+        n_features=n_features,
         classes=tuple(container["classes"]),
-        payload=container["payload"],
-        context=container.get("context", {}),
+        payload=payload,
+        context=context,
     )

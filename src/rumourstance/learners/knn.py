@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import CLASS_NAMES, N_CLASSES, TrainedModel, labels_to_indices, resolve_labels, to_dense
+from ..errors import ModelError
+from .base import (
+    CLASS_NAMES,
+    N_CLASSES,
+    TrainedModel,
+    is_finite_number,
+    is_index,
+    training_matrix,
+)
 
 log = logging.getLogger(__name__)
 
@@ -43,23 +51,14 @@ def normalize_columns(X: np.ndarray, mins: np.ndarray,
 
 def fit_knn(X, y=None, params: KnnParams = KnnParams(), *,
             schema=None, n_features=None) -> TrainedModel:
-    if not X:
-        raise ValueError("cannot fit k-NN on an empty training set")
-    if n_features is None:
-        if schema is None:
-            raise ValueError("supply schema or n_features")
-        n_features = len(schema)
-    fingerprint = schema.fingerprint if schema is not None else X[0].schema_fingerprint
-    labels = resolve_labels(X, y)
-    dense = to_dense(X, n_features)
-    indices = labels_to_indices(labels)
+    fingerprint, n_features, dense, indices = training_matrix(
+        "k-NN", X, y, schema, n_features)
     k = params.k
     if k > len(X):
         log.warning("k=%d exceeds the %d training instances; clamping", k, len(X))
         k = len(X)
-    mins = dense.min(axis=0) if len(X) else np.zeros(n_features)
-    maxs = dense.max(axis=0) if len(X) else np.zeros(n_features)
-    ranges = maxs - mins
+    mins = dense.min(axis=0)
+    ranges = dense.max(axis=0) - mins
     normalized = normalize_columns(dense, mins, ranges)
     instances = []
     for row in normalized:
@@ -81,31 +80,50 @@ def fit_knn(X, y=None, params: KnnParams = KnnParams(), *,
     )
 
 
-def _dense_instances(payload: dict, n_features: int) -> np.ndarray:
-    X = np.zeros((len(payload["instances"]), n_features), dtype=np.float64)
+def knn_scores(payload: dict, X: np.ndarray, n_features: int) -> list:
+    """Class scores of each row of X."""
+    matrix = np.zeros((len(payload["instances"]), n_features), dtype=np.float64)
     for row, sparse in enumerate(payload["instances"]):
         for index_text, value in sparse.items():
-            X[row, int(index_text)] = value
-    return X
+            matrix[row, int(index_text)] = value
+    mins, ranges = np.asarray(payload["mins"]), np.asarray(payload["ranges"])
+    out = []
+    for row in X:
+        query = normalize_columns(row.reshape(1, -1), mins, ranges)[0]
+        distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        # stable sort keeps training order among equal distances
+        order = np.argsort(distances, kind="stable")[:payload["k"]]
+        votes = np.zeros(N_CLASSES, dtype=np.float64)
+        for i in order:
+            weight = 1.0 if payload["weighting"] == "uniform" \
+                else 1.0 / (distances[i] + DISTANCE_FLOOR)
+            votes[payload["labels"][i]] += weight
+        out.append(votes / votes.sum())
+    return out
 
 
-def knn_distribution(payload: dict, row: np.ndarray, n_features: int) -> np.ndarray:
-    # the dense training matrix is memoized on the payload; io.save_model
-    # strips underscore-prefixed keys
-    matrix = payload.get("_matrix")
-    if matrix is None:
-        matrix = _dense_instances(payload, n_features)
-        payload["_matrix"] = matrix
-    mins = np.asarray(payload["mins"])
-    ranges = np.asarray(payload["ranges"])
-    query = normalize_columns(row.reshape(1, -1), mins, ranges)[0]
-    distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
-    # stable sort keeps training order among equal distances
-    order = np.argsort(distances, kind="stable")[:payload["k"]]
-    votes = np.zeros(N_CLASSES, dtype=np.float64)
-    train_labels = payload["labels"]
-    for i in order:
-        weight = 1.0 if payload["weighting"] == "uniform" \
-            else 1.0 / (distances[i] + DISTANCE_FLOOR)
-        votes[train_labels[i]] += weight
-    return votes / votes.sum()
+def check_knn(payload: dict, n_features: int) -> None:
+    """Raise ModelError unless the payload holds one class label per stored
+    instance, instances over the model's columns, n_features finite mins
+    and ranges, 1 <= k <= the instance count and a known weighting."""
+    instances, labels = payload.get("instances"), payload.get("labels")
+    if not (isinstance(instances, list) and isinstance(labels, list)
+            and len(instances) == len(labels)
+            and all(is_index(label, N_CLASSES) for label in labels)):
+        raise ModelError("k-NN payload must hold one class label per instance")
+    if not all(isinstance(sparse, dict)
+               and all(key.isdecimal() and int(key) < n_features and is_finite_number(value)
+                       for key, value in sparse.items())
+               for sparse in instances):
+        raise ModelError("k-NN instance with a column outside the model or a non-finite value")
+    for key in ("mins", "ranges"):
+        values = payload.get(key)
+        if not (isinstance(values, list) and len(values) == n_features
+                and all(is_finite_number(v) for v in values)):
+            raise ModelError(f"k-NN {key} must hold {n_features} finite numbers")
+    k = payload.get("k")
+    if not (is_index(k, len(instances) + 1) and k >= 1
+            and payload.get("weighting") in _WEIGHTINGS):
+        raise ModelError(f"k-NN needs 1 <= k <= {len(instances)} instances and a "
+                         f"weighting in {_WEIGHTINGS}; got k={k!r}, "
+                         f"weighting={payload.get('weighting')!r}")

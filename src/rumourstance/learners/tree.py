@@ -16,13 +16,14 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import ModelError
 from .base import (
     CLASS_NAMES,
     N_CLASSES,
     TrainedModel,
-    labels_to_indices,
-    resolve_labels,
-    to_dense,
+    is_finite_number,
+    is_index,
+    training_matrix,
 )
 
 _GAIN_EPS = 1e-12
@@ -277,16 +278,8 @@ def fit_tree(X, y=None, params: TreeParams = TreeParams(), *,
              schema=None, n_features=None) -> TrainedModel:
     """Fit on FeatureVectors (labels taken from them unless y is given).
     Pass either the schema or an explicit column count."""
-    if not X:
-        raise ValueError("cannot fit a tree on an empty training set")
-    if n_features is None:
-        if schema is None:
-            raise ValueError("supply schema or n_features")
-        n_features = len(schema)
-    fingerprint = schema.fingerprint if schema is not None else X[0].schema_fingerprint
-    labels = resolve_labels(X, y)
-    dense = to_dense(X, n_features)
-    indices = labels_to_indices(labels)
+    fingerprint, n_features, dense, indices = training_matrix(
+        "a tree", X, y, schema, n_features)
     root = grow_tree(dense, indices, params)
     if params.pruning:
         prune_tree(root, params.confidence)
@@ -313,3 +306,28 @@ def tree_distribution(node: dict, row: np.ndarray) -> np.ndarray:
             else node["right"]
     counts = np.asarray(node["counts"], dtype=np.float64)
     return counts / counts.sum()
+
+
+def check_tree(root, n_features: int) -> None:
+    """Raise ModelError unless `root` is a tree payload over n_features
+    columns: splits on an existing column at a finite threshold, leaves
+    with one finite non-negative count per class and a positive total."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kind = node.get("kind") if isinstance(node, dict) else None
+        if kind == "split":
+            column, threshold = node.get("column"), node.get("threshold")
+            if not (is_index(column, n_features) and is_finite_number(threshold)):
+                raise ModelError(f"tree split on column {column!r} at threshold {threshold!r}; "
+                                 f"needs a column below {n_features} and a finite threshold")
+            stack += [node.get("left"), node.get("right")]
+        elif kind == "leaf":
+            counts = node.get("counts")
+            if not (isinstance(counts, list) and len(counts) == N_CLASSES
+                    and all(is_finite_number(c) and c >= 0 for c in counts)
+                    and sum(counts) > 0):
+                raise ModelError(f"tree leaf counts {counts!r} are not {N_CLASSES} "
+                                 "finite non-negative numbers with a positive sum")
+        else:
+            raise ModelError(f"tree node of unknown kind {kind!r}")

@@ -25,6 +25,10 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}"
 
 
+def _published(value) -> str:
+    return "-" if value is None else f"{value:.2f}"
+
+
 def _table(rows: list) -> list:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
@@ -70,13 +74,11 @@ def eval_report_text(report: EvalReport) -> str:
     for event, stats in report.per_event.items():
         row = [event, str(stats["n_test"]), _pct(stats["accuracy"])]
         if references:
-            published = references.get(event)
-            row.append(f"{published:.2f}" if published is not None else "-")
+            row.append(_published(references.get(event)))
         rows.append(row)
     macro_row = ["macro mean", "", _pct(report.macro_mean)]
     if references:
-        published = references.get("macro")
-        macro_row.append(f"{published:.2f}" if published is not None else "-")
+        macro_row.append(_published(references.get("macro")))
     rows.append(macro_row)
     lines.extend(_table(rows))
     lines.append("")
@@ -107,25 +109,23 @@ def eval_report_text(report: EvalReport) -> str:
 
 
 def ablation_report_text(report: AblationReport) -> str:
-    classifier = report.config.get("classifier")
-    use_ladder = classifier == "forest"
+    ladder = benchmarks.ABLATION_LADDER.get(report.config.get("classifier"), {})
     lines = ["ablation study"]
     lines.extend(_config_lines(report.config))
     lines.append("")
     header = ["features", "accuracy", "delta"]
-    if use_ladder:
+    if ladder:
         header.append("published (fixed split)")
     rows = [header]
     base_row = ["all groups", _pct(report.baseline.headline_accuracy), ""]
-    if use_ladder:
-        base_row.append(f"{benchmarks.ABLATION_LADDER['all']:.2f}")
+    if ladder:
+        base_row.append(_published(ladder["all"]))
     rows.append(base_row)
     for row in report.rows:
         cells = [f"without {row['removed']}", _pct(row["accuracy"]),
                  f"{100.0 * row['delta']:+.2f}"]
-        if use_ladder:
-            published = benchmarks.ABLATION_LADDER.get(row["removed"])
-            cells.append(f"{published:.2f}" if published is not None else "-")
+        if ladder:
+            cells.append(_published(ladder.get(row["removed"])))
         rows.append(cells)
     lines.extend(_table(rows))
     for row in report.rows:
@@ -138,7 +138,7 @@ def ablation_report_text(report: AblationReport) -> str:
                 f"significant(p<0.001)={t_test['significant_at_001']}")
             if t_test.get("degenerate_variance"):
                 lines.append("  warning: zero variance across folds; p is a limit")
-    if use_ladder:
+    if ladder:
         lines.append("")
         lines.append("published values are fixed-split benchmark context from "
                      "the original resource set, not expectations for this run.")

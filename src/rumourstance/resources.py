@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +122,6 @@ class BrownTable:
         self.n_clusters = n_clusters
         self._word_to_cluster = word_to_cluster
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._word_to_cluster
-
-    def __len__(self) -> int:
-        return len(self._word_to_cluster)
-
     def get(self, word: str):
         return self._word_to_cluster.get(word.lower())
 
@@ -226,6 +221,15 @@ class ResourceBundle:
     lexicons: LexiconSet
     gazetteers: Gazetteers
     content_hash: str
+
+    @cached_property
+    def list_vectors(self) -> dict:
+        """Cumulative vector of each AF and mood word list, by list name.
+        Derived from this bundle's own tables, so a copy made with
+        dataclasses.replace computes its own."""
+        lists = {**self.lexicons.af_lists, **self.lexicons.mood_lists}
+        return {name: cumulative_vector(sorted(words), self.embeddings)
+                for name, words in lists.items()}
 
 
 def _read_word_list(path: Path) -> tuple:

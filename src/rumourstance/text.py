@@ -155,12 +155,15 @@ for _word in ("not", "never", "very", "too", "also", "just", "only", "now",
 for _word in ("to", "'s", "n't", "out"):
     _CLOSED_CLASS[_word] = PosTag.PRT
 
-_VERB_SUFFIXES = ("ing", "ed", "ise", "ize", "ify", "ate")
-_ADV_SUFFIXES = ("ly",)
-_ADJ_SUFFIXES = ("ful", "ous", "ive", "able", "ible", "al", "ic", "ish",
-                 "less", "est", "ier", "iest")
-_NOUN_SUFFIXES = ("tion", "sion", "ment", "ness", "ity", "ism", "ist",
-                  "er", "or", "ship", "hood", "ure", "age")
+# suffix rules, tried in this order
+_SUFFIX_TAGS = (
+    (("ly",), PosTag.ADV),
+    (("ing", "ed", "ise", "ize", "ify", "ate"), PosTag.VERB),
+    (("ful", "ous", "ive", "able", "ible", "al", "ic", "ish",
+      "less", "est", "ier", "iest"), PosTag.ADJ),
+    (("tion", "sion", "ment", "ness", "ity", "ism", "ist",
+      "er", "or", "ship", "hood", "ure", "age"), PosTag.NOUN),
+)
 
 _KIND_TAGS = {
     TokenKind.URL: PosTag.X,
@@ -178,18 +181,9 @@ def _tag_word(word: str) -> PosTag:
         return tag
     if word.endswith("n't"):
         return PosTag.PRT
-    for suffix in _ADV_SUFFIXES:
-        if word.endswith(suffix) and len(word) > len(suffix) + 1:
-            return PosTag.ADV
-    for suffix in _VERB_SUFFIXES:
-        if word.endswith(suffix) and len(word) > len(suffix) + 1:
-            return PosTag.VERB
-    for suffix in _ADJ_SUFFIXES:
-        if word.endswith(suffix) and len(word) > len(suffix) + 1:
-            return PosTag.ADJ
-    for suffix in _NOUN_SUFFIXES:
-        if word.endswith(suffix) and len(word) > len(suffix) + 1:
-            return PosTag.NOUN
+    for suffixes, suffix_tag in _SUFFIX_TAGS:
+        if any(word.endswith(s) and len(word) > len(s) + 1 for s in suffixes):
+            return suffix_tag
     return PosTag.NOUN
 
 

@@ -64,6 +64,17 @@ def test_corrupt_model_is_a_runtime_error(tmp_path, out, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("params", ['{"bogus": 1}', '{"k": 0}'])
+def test_bad_classifier_params_are_a_runtime_error(params, out, capsys):
+    code = run([
+        "eval-loo", "--dataset", micro_corpus_path(), "--classifier", "knn",
+        "--params", params, "--out", out,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad knn params")
+
+
 # ------------------------------------------------------------------ config file
 
 

@@ -11,7 +11,6 @@ from rumourstance.learners import (
     fit_forest,
     fit_tree,
     predict,
-    predict_many,
 )
 
 
@@ -51,16 +50,6 @@ def test_tree_streams_are_a_prefix():
     small = fit_forest(vecs, params=ForestParams(n_trees=3, seed=9), n_features=5)
     large = fit_forest(vecs, params=ForestParams(n_trees=8, seed=9), n_features=5)
     assert large.payload["trees"][:3] == small.payload["trees"]
-
-
-def test_jobs_do_not_change_the_model():
-    rng = np.random.default_rng(3)
-    vecs = make_vectors(rng, 40, 6)
-    serial = fit_forest(vecs, params=ForestParams(n_trees=10, seed=5), n_features=6, jobs=1)
-    parallel = fit_forest(vecs, params=ForestParams(n_trees=10, seed=5), n_features=6, jobs=4)
-    assert serial.payload == parallel.payload
-    probes = make_vectors(rng, 10, 6)
-    assert predict_many(serial, probes) == predict_many(parallel, probes)
 
 
 def test_degenerate_forest_equals_unpruned_tree():

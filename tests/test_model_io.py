@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from rumourstance.bundled import micro_corpus_path
+from rumourstance.cli import main
 from rumourstance.features import FeatureVector
 from rumourstance.learners import (
     ForestParams,
@@ -112,3 +114,72 @@ def test_unknown_kind_rejected(vectors, tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ModelError):
         load_model(path)
+
+
+# ------------------------------------------------- tampered models at predict
+
+
+@pytest.fixture(scope="module")
+def micro_models(tmp_path_factory):
+    root = tmp_path_factory.mktemp("models")
+    for kind in ("tree", "knn"):
+        code = main(["train", "--dataset", str(micro_corpus_path()), "--classifier", kind,
+                     "--seed", "1", "--out", str(root / kind)])
+        assert code == 0
+    return {kind: json.loads((root / kind / "model.json").read_text())
+            for kind in ("tree", "knn")}
+
+
+def first_split(node):
+    assert node["kind"] == "split"
+    return node
+
+
+def leaves(node):
+    if node["kind"] == "leaf":
+        return [node]
+    return leaves(node["left"]) + leaves(node["right"])
+
+
+def drop_threshold(model):
+    del first_split(model["payload"]["root"])["threshold"]
+
+
+def three_features(model):
+    model["n_features"] = 3
+
+
+def drop_one_label(model):
+    model["payload"]["labels"].pop()
+
+
+def zero_every_leaf(model):
+    for leaf in leaves(model["payload"]["root"]):
+        leaf["counts"] = [0, 0, 0, 0]
+
+
+def extra_features(model):
+    model["n_features"] += 1
+
+
+@pytest.mark.parametrize("kind, mutate", [
+    ("tree", drop_threshold),
+    ("tree", three_features),
+    ("knn", drop_one_label),
+    ("tree", zero_every_leaf),
+    ("tree", extra_features),
+])
+def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
+                                                    tmp_path, capsys):
+    model = json.loads(json.dumps(micro_models[kind]))
+    mutate(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    code = main(["predict", "--model", str(path), "--input", str(micro_corpus_path())])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "nan" not in captured.err.lower()
