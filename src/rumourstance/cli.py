@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bundled import default_bundle_path
 from .corpus import build_threads, load_dataset, parse_rfc3339, thread_index
-from .errors import ConfigError, StanceError
+from .errors import ConfigError, ModelError, StanceError
 from .evaluation import (
     RunConfig,
     ablate,
@@ -39,6 +39,7 @@ from .features import (
 )
 from .ingest import ingest_file
 from .learners import LEARNERS, predict_many
+from .learners.base import is_finite_number
 from .learners.io import load_model, save_model
 from .reports import (
     ablation_report_json,
@@ -56,6 +57,24 @@ CONFIG_KEYS = frozenset({
 _EVAL_PROTOCOLS = ("loo_by_event", "loo_global")
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# (what it must be, test) for each config-file value whose type no later
+# step checks; a null value counts as absent
+_CONFIG_TYPES = {
+    **{key: ("a string", lambda v: isinstance(v, str))
+       for key in ("dataset", "test_dataset", "bundle", "out", "classifier")},
+    "classifier_params": ("an object or a JSON string",
+                          lambda v: isinstance(v, (dict, str))),
+    "feature_groups": ("a string or a list of strings",
+                       lambda v: isinstance(v, str) or _is_strings(v)),
+    "now": ("a number or an RFC 3339 string",
+            lambda v: isinstance(v, str) or is_finite_number(v)),
+}
+
+
 def _read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -69,6 +88,11 @@ def _read_config_file(path: str) -> dict:
     unknown = sorted(set(obj) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in obj.items():
+        if value is not None and key in _CONFIG_TYPES:
+            expected, ok = _CONFIG_TYPES[key]
+            if not ok(value):
+                raise ConfigError(f"config key {key} must be {expected}, got {value!r}")
     return obj
 
 
@@ -145,13 +169,14 @@ def _resolve_run_config(ns: argparse.Namespace, file_cfg: dict) -> RunConfig:
     groups = _setting(ns, file_cfg, "feature_groups")
     params = _setting(ns, file_cfg, "classifier_params", {})
     now = _setting(ns, file_cfg, "now")
+    # checked so that saved configs stay valid, but folds always run serially
+    _require_int(_setting(ns, file_cfg, "jobs", 1), "jobs", 1)
     return RunConfig(
         classifier=_setting(ns, file_cfg, "classifier", "forest"),
         params=_parse_params(params),
         groups=None if groups is None else _parse_groups(groups),
         seed=_require_int(_setting(ns, file_cfg, "seed", 0), "seed", 0),
         now=None if now is None else _parse_now(now),
-        jobs=_require_int(_setting(ns, file_cfg, "jobs", 1), "jobs", 1),
     )
 
 
@@ -321,6 +346,24 @@ def cmd_ablate(ns: argparse.Namespace, file_cfg: dict) -> int:
     return 0
 
 
+def _check_context(context: dict, path: Path) -> None:
+    """Raise ModelError unless each context entry predict reads has its type."""
+    groups, now, stored_hash = (context.get("feature_groups"), context.get("now"),
+                                context.get("bundle_hash"))
+    for what, expected, ok in (
+            ("BOW vocabulary", "a list of strings", _is_strings(context.get("bow_vocab", []))),
+            ("POS n-gram vocabulary", "a list of strings",
+             _is_strings(context.get("posng_vocab", []))),
+            ("training rumour list", "a list of strings",
+             _is_strings(context.get("provenance", []))),
+            ("feature group list", "null or a list of strings",
+             groups is None or _is_strings(groups)),
+            ("reference time", "a number", now is None or is_finite_number(now)),
+            ("bundle hash", "a string", stored_hash is None or isinstance(stored_hash, str))):
+        if not ok:
+            raise ModelError(f"{path}: corrupted model file: its {what} is not {expected}")
+
+
 def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
     model_path = _existing_file(ns.model, "--model")
     input_path = _existing_file(ns.input, "--input")
@@ -328,6 +371,7 @@ def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
     model = load_model(model_path)
     resources = load_bundle(bundle_path)
     context = model.context
+    _check_context(context, model_path)
     stored_hash = context.get("bundle_hash")
     if stored_hash is not None and stored_hash != resources.content_hash:
         raise StanceError(
@@ -390,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--groups", dest="feature_groups",
                             help="comma-separated feature groups to keep")
     experiment.add_argument("--seed", type=int)
-    experiment.add_argument("--jobs", type=int)
+    experiment.add_argument("--jobs", type=int,
+                            help="accepted for compatibility (an integer >= 1); "
+                                 "folds always run one after another")
     experiment.add_argument("--now", help="reference RFC3339 time for user "
                                           "account ages")
 

@@ -3,15 +3,14 @@ pooled metrics, a native paired t-test, and the feature-group ablation
 harness.
 
 Reproducibility contract: identical (dataset, config, seed, resource bundle)
-produce byte-identical reports, independent of --jobs. Every random draw is
-keyed off the config seed and a fold id, never off scheduling order.
+produce byte-identical reports. Folds run one after another in fold list
+order, and every random draw is keyed off the config seed and a fold id.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from hashlib import blake2b
 from typing import Optional
@@ -67,7 +66,6 @@ class RunConfig:
     groups: Optional[tuple] = None
     seed: int = 0
     now: Optional[float] = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.classifier not in LEARNERS:
@@ -79,8 +77,6 @@ class RunConfig:
             raise EvalError(f"bad {self.classifier} params {self.params!r}: {exc}") from None
         if self.seed < 0:
             raise EvalError("seed must be non-negative")
-        if self.jobs < 1:
-            raise EvalError("jobs must be >= 1")
         if self.groups is not None:
             unknown = set(self.groups) - set(GROUPS)
             if unknown:
@@ -408,22 +404,15 @@ def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
 
 def run_loo(dataset: Dataset, resources: ResourceBundle,
             config: RunConfig = RunConfig(), scope: str = "by_event") -> EvalReport:
-    """Leave-one-rumour-out over the dataset. Folds evaluate independently,
-    possibly in parallel; the reduction is ordered by fold list position."""
+    """Leave-one-rumour-out over the dataset, one fold after another.
+    _evaluate_fold is looked up by name on each call, so wrappers installed
+    on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
     now = resolve_now(config.now, dataset)
     threads = thread_index(build_threads(dataset))
     protocol = f"loo_{scope}"
-
-    def run_fold(fold):
-        return _evaluate_fold(dataset, threads, resources, config, fold, now)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(run_fold, fold) for fold in folds]
-            results = [future.result() for future in futures]
-    else:
-        results = [run_fold(fold) for fold in folds]
+    results = [_evaluate_fold(dataset, threads, resources, config, fold, now)
+               for fold in folds]
     echo = _resolved_config(config, dataset, resources, protocol, now)
     return _reduce_report(protocol, results, echo)
 

@@ -8,14 +8,13 @@ group's columns and nothing else.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from hashlib import blake2b
 from typing import Optional
 
-from .corpus import Dataset, StanceLabel, Thread, TweetRecord, parse_stance_label
+from .corpus import Dataset, StanceLabel, Thread, TweetRecord
 from .errors import SchemaError
 from .resources import (
     BROWN_CLUSTER_COUNT,
@@ -53,17 +52,6 @@ _SURF_COLUMNS = ("averageWordLength", "hasQuestionMark", "hasExclamationMark",
                  "numberOfExclamationMark", "numberOfDotDotDot")
 _NE_COLUMNS = ("ne_person", "ne_organization", "ne_date", "ne_location",
                "ne_money")
-
-_BINARY_NAMES = frozenset({
-    "isReply", "hasURL", "isUserVerified", "hasGeoEnabled", "hasDescription",
-    "hasNegation", "hasSlangOrCurseWord", "hasGoogleBadWord", "hasAcronyms",
-    "hasQuestionMark", "hasExclamationMark", "hasDotDotDot", "isQuestion",
-}) | frozenset(_NE_COLUMNS)
-
-_COSINE_GROUPS = frozenset({"MOOD", "AF_SS", "AF_DS", "AF_NDS", "AF_SPS",
-                            "AF_ITS"})
-COSINE_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -139,27 +127,6 @@ def fingerprint64(schema: FeatureSchema) -> int:
 def write_schema_file(schema: FeatureSchema, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(schema_text(schema))
-
-
-def read_schema_file(path) -> FeatureSchema:
-    columns = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SchemaError(f"{path}:{lineno + 1}: expected index<TAB>name<TAB>group")
-            index_text, name, group = parts
-            try:
-                index = int(index_text)
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno + 1}: bad column index {index_text!r}") from None
-            if index != len(columns):
-                raise SchemaError(f"{path}:{lineno + 1}: non-contiguous column index {index}")
-            columns.append((name, group))
-    return FeatureSchema(columns=tuple(columns))
 
 
 # --- dictionaries and schema ---------------------------------------------------
@@ -478,39 +445,7 @@ def resolve_now(now: Optional[float], *datasets: Dataset) -> float:
     return now if now is not None else max(d.max_created_at() for d in datasets)
 
 
-# --- validation and serialization ------------------------------------------------
-
-
-def validate_vector(vector: FeatureVector, schema: FeatureSchema) -> None:
-    """Range checks per column group; raises SchemaError on any violation."""
-    if vector.schema_fingerprint != schema.fingerprint:
-        raise SchemaError("vector does not match schema fingerprint")
-    for index, value in vector.values.items():
-        if not isinstance(index, int) or index < 0 or index >= len(schema):
-            raise SchemaError(f"column index {index} outside schema")
-        if not math.isfinite(value):
-            raise SchemaError(f"non-finite value at column {index}")
-        name, group = schema.columns[index]
-        if group in ("BOW", "POSNG"):
-            if value < 0 or not float(value).is_integer():
-                raise SchemaError(f"{name}: frequency must be a non-negative integer")
-        elif group == "BROWN" or name in _BINARY_NAMES:
-            if value not in (0.0, 1.0):
-                raise SchemaError(f"{name}: binary column out of range")
-        elif group == "SENT":
-            if not 0 <= value <= 4:
-                raise SchemaError(f"{name}: sentiment outside [0, 4]")
-        elif group in _COSINE_GROUPS:
-            if not -1 - COSINE_SLACK <= value <= 1 + COSINE_SLACK:
-                raise SchemaError(f"{name}: cosine outside [-1, 1]")
-        elif name == "averageNegation":
-            if not 0 <= value <= 1:
-                raise SchemaError(f"{name}: ratio outside [0, 1]")
-        elif name.startswith("numberOf") or name == "lengthOfDescription":
-            if value < 0 or not float(value).is_integer():
-                raise SchemaError(f"{name}: count must be a non-negative integer")
-        elif value < 0:
-            raise SchemaError(f"{name}: negative value")
+# --- serialization --------------------------------------------------------------
 
 
 def _format_value(value: float) -> str:
@@ -528,33 +463,3 @@ def write_vectors(vectors, path) -> None:
             cells = " ".join(f"{i}:{_format_value(v)}"
                              for i, v in sorted(vector.values.items()))
             fh.write(f"{vector.tweet_id}\t{label}\t{cells}\n")
-
-
-def read_vectors(path, schema: FeatureSchema) -> list:
-    vectors = []
-    fingerprint = schema.fingerprint
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SchemaError(f"{path}:{lineno + 1}: expected 3 tab-separated fields")
-            tweet_id, label_text, cells = parts
-            label = None if label_text == "-" else parse_stance_label(label_text)
-            values = {}
-            for cell in cells.split():
-                index_text, _, value_text = cell.partition(":")
-                try:
-                    index = int(index_text)
-                    value = float(value_text)
-                except ValueError:
-                    raise SchemaError(f"{path}:{lineno + 1}: bad cell {cell!r}") from None
-                if index < 0 or index >= len(schema):
-                    raise SchemaError(f"{path}:{lineno + 1}: column {index} outside schema")
-                values[index] = value
-            vectors.append(FeatureVector(tweet_id=tweet_id,
-                                         schema_fingerprint=fingerprint,
-                                         values=values, label=label))
-    return vectors

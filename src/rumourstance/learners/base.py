@@ -31,21 +31,19 @@ class TrainedModel:
     context: dict = field(default_factory=dict)
 
 
-def resolve_labels(vectors, y=None) -> list:
-    if y is None:
-        y = [v.label for v in vectors]
-    if len(y) != len(vectors):
-        raise ValueError(f"got {len(vectors)} vectors but {len(y)} labels")
+def label_indices(vectors) -> np.ndarray:
+    """Class index of each vector's label, given as a string or an enum."""
     out = []
-    for i, label in enumerate(y):
+    for i, vector in enumerate(vectors):
+        label = vector.label
         if label is None:
-            raise ValueError(f"vector {i} has no label; supply y explicitly")
+            raise ValueError(f"vector {i} has no label")
         if isinstance(label, StanceLabel):
             label = label.value
         if label not in LABEL_INDEX:
             raise ValueError(f"unknown label {label!r} at position {i}")
-        out.append(label)
-    return out
+        out.append(LABEL_INDEX[label])
+    return np.array(out, dtype=np.int64)
 
 
 def is_finite_number(value) -> bool:
@@ -66,23 +64,13 @@ def to_dense(vectors, n_features: int) -> np.ndarray:
     return X
 
 
-def labels_to_indices(y) -> np.ndarray:
-    return np.array([LABEL_INDEX[label] for label in y], dtype=np.int64)
-
-
-def training_matrix(what: str, X, y, schema, n_features) -> tuple:
-    """(schema fingerprint, column count, dense matrix, label indices) of a
-    training set: labels come from the vectors unless y is given, and the
-    column count from the schema unless n_features is given."""
-    if not X:
+def training_matrix(what: str, vectors, n_features: int) -> tuple:
+    """(schema fingerprint, dense matrix, label indices) of labelled
+    training vectors; the fingerprint is the one the vectors carry."""
+    if not vectors:
         raise ValueError(f"cannot fit {what} on an empty training set")
-    if n_features is None:
-        if schema is None:
-            raise ValueError("supply schema or n_features")
-        n_features = len(schema)
-    fingerprint = schema.fingerprint if schema is not None else X[0].schema_fingerprint
-    indices = labels_to_indices(resolve_labels(X, y))
-    return fingerprint, n_features, to_dense(X, n_features), indices
+    indices = label_indices(vectors)
+    return vectors[0].schema_fingerprint, to_dense(vectors, n_features), indices
 
 
 def argmax_label(scores: np.ndarray) -> str:

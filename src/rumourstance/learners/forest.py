@@ -68,11 +68,10 @@ def _fit_one_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
     return _node_to_payload(root)
 
 
-def fit_forest(X, y=None, params: ForestParams = ForestParams(), *,
-               schema=None, n_features=None) -> TrainedModel:
-    """Fit n_trees unpruned trees."""
-    fingerprint, n_features, dense, indices = training_matrix(
-        "a forest", X, y, schema, n_features)
+def fit_forest(vectors, params: ForestParams = ForestParams(), *,
+               n_features: int) -> TrainedModel:
+    """Fit n_trees unpruned trees on labelled FeatureVectors."""
+    fingerprint, dense, indices = training_matrix("a forest", vectors, n_features)
     # unpruned, same leaf floor as the standalone tree so a 1-tree forest
     # without bagging degenerates to it exactly
     tree_params = TreeParams(pruning=False)

@@ -49,14 +49,13 @@ def normalize_columns(X: np.ndarray, mins: np.ndarray,
     return out
 
 
-def fit_knn(X, y=None, params: KnnParams = KnnParams(), *,
-            schema=None, n_features=None) -> TrainedModel:
-    fingerprint, n_features, dense, indices = training_matrix(
-        "k-NN", X, y, schema, n_features)
+def fit_knn(vectors, params: KnnParams = KnnParams(), *,
+            n_features: int) -> TrainedModel:
+    fingerprint, dense, indices = training_matrix("k-NN", vectors, n_features)
     k = params.k
-    if k > len(X):
-        log.warning("k=%d exceeds the %d training instances; clamping", k, len(X))
-        k = len(X)
+    if k > len(vectors):
+        log.warning("k=%d exceeds the %d training instances; clamping", k, len(vectors))
+        k = len(vectors)
     mins = dense.min(axis=0)
     ranges = dense.max(axis=0) - mins
     normalized = normalize_columns(dense, mins, ranges)

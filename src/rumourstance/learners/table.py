@@ -27,19 +27,19 @@ class Learner:
 LEARNERS = {
     "tree": Learner(
         params=lambda settings, seed: TreeParams(**settings),
-        fit=lambda vectors, params, schema: fit_tree(vectors, params=params, schema=schema),
+        fit=lambda vectors, params, schema: fit_tree(vectors, params, n_features=len(schema)),
         scores=lambda model, X: [tree_distribution(model.payload["root"], row) for row in X],
         check=lambda payload, n_features: check_tree(payload.get("root"), n_features),
     ),
     "forest": Learner(
         params=lambda settings, seed: ForestParams(seed=seed, **settings),
-        fit=lambda vectors, params, schema: fit_forest(vectors, params=params, schema=schema),
+        fit=lambda vectors, params, schema: fit_forest(vectors, params, n_features=len(schema)),
         scores=lambda model, X: [forest_distribution(model.payload, row) for row in X],
         check=check_forest,
     ),
     "knn": Learner(
         params=lambda settings, seed: KnnParams(**settings),
-        fit=lambda vectors, params, schema: fit_knn(vectors, params=params, schema=schema),
+        fit=lambda vectors, params, schema: fit_knn(vectors, params, n_features=len(schema)),
         scores=lambda model, X: knn_scores(model.payload, X, model.n_features),
         check=check_knn,
     ),

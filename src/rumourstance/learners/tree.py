@@ -274,12 +274,10 @@ def _node_to_payload(node: _Node) -> dict:
     }
 
 
-def fit_tree(X, y=None, params: TreeParams = TreeParams(), *,
-             schema=None, n_features=None) -> TrainedModel:
-    """Fit on FeatureVectors (labels taken from them unless y is given).
-    Pass either the schema or an explicit column count."""
-    fingerprint, n_features, dense, indices = training_matrix(
-        "a tree", X, y, schema, n_features)
+def fit_tree(vectors, params: TreeParams = TreeParams(), *,
+             n_features: int) -> TrainedModel:
+    """Fit on labelled FeatureVectors over n_features columns."""
+    fingerprint, dense, indices = training_matrix("a tree", vectors, n_features)
     root = grow_tree(dense, indices, params)
     if params.pruning:
         prune_tree(root, params.confidence)

@@ -250,7 +250,7 @@ def test_c4_fold_and_leakage_invariants(capsys, micro, bundle, monkeypatch):
         import rumourstance.evaluation as evaluation
 
         monkeypatch.setattr(evaluation, "build_fold_dictionaries", leaky)
-        config = RunConfig(classifier="knn", params={"k": 3}, groups=None, seed=0, now=None, jobs=1)
+        config = RunConfig(classifier="knn", params={"k": 3}, groups=None, seed=0, now=None)
         with pytest.raises(LeakageError):
             evaluation.run_loo(micro, bundle, config, scope="global")
 
@@ -352,7 +352,7 @@ def test_c6_event_export_label_counts(capsys, ottawa):
 def test_c7_directional_ablation(capsys, micro, bundle):
     with criterion(capsys, "C7", "removing AF drops forest LOO accuracy by >= 2 points "
                                  "and the paired t-test is reported"):
-        config = RunConfig(classifier="forest", params={}, groups=None, seed=0, now=None, jobs=8)
+        config = RunConfig(classifier="forest", params={}, groups=None, seed=0, now=None)
         report = ablate(micro, bundle, config, removals=("AF",), scope="by_event")
         row = report.rows[0]
         drop_points = (report.baseline.headline_accuracy - row["accuracy"]) * 100.0

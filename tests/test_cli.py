@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -104,6 +105,28 @@ def test_resolved_config_contents(out):
     assert echo["protocol"] == "loo_by_event"
     assert "bundle_hash" in echo
     assert "jobs" not in echo  # worker count must not change recorded results
+
+
+@pytest.mark.parametrize("setting", [
+    {"classifier_params": [1]},
+    {"feature_groups": 5},
+    {"feature_groups": [5]},
+    {"now": [1]},
+    {"now": True},
+    {"dataset": 5},
+    {"bundle": 5},
+    {"out": 5},
+    {"classifier": [1]},
+], ids=json.dumps)
+def test_config_value_of_wrong_type_is_a_config_error(setting, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": str(micro_corpus_path()),
+                               "out": str(tmp_path / "out"), **setting}))
+    code = run(["eval-loo", "--config", cfg])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    key = next(iter(setting))
+    assert len(err) == 1 and err[0].startswith(f"error: config key {key} must be")
 
 
 # -------------------------------------------------------------------- commands
@@ -233,3 +256,15 @@ def test_jobs_flag_does_not_change_artifacts(tmp_path):
         outs.append(dest)
     for name in ("report.json", "report.txt", "resolved_config.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_loo_starts_no_thread(monkeypatch, out):
+    def refuse(thread):
+        raise AssertionError(f"started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code = run([
+        "eval-loo", "--dataset", micro_corpus_path(), "--classifier", "knn",
+        "--params", '{"k": 3}', "--jobs", 8, "--out", out,
+    ])
+    assert code == 0

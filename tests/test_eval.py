@@ -202,7 +202,7 @@ def test_paired_t_input_validation():
 
 @pytest.fixture(scope="module")
 def knn_config():
-    return RunConfig(classifier="knn", params={"k": 3}, groups=None, seed=7, now=None, jobs=1)
+    return RunConfig(classifier="knn", params={"k": 3}, groups=None, seed=7, now=None)
 
 
 def test_run_loo_accounting(micro, bundle, knn_config):

@@ -12,7 +12,6 @@ from rumourstance.features import (
     AF_GROUPS,
     BROWN_CLUSTER_COUNT,
     GROUPS,
-    FeatureVector,
     assemble,
     build_dictionaries,
     build_schema,
@@ -22,11 +21,6 @@ from rumourstance.features import (
     extract_af,
     extract_mood,
     fingerprint64,
-    read_schema_file,
-    read_vectors,
-    validate_vector,
-    write_schema_file,
-    write_vectors,
 )
 from rumourstance.text import tokenize
 
@@ -126,14 +120,6 @@ def test_fingerprint_tracks_columns(dicts, bundle, schema):
     assert fingerprint64(again) == fingerprint64(schema)
     smaller = build_schema(dicts, bundle, groups=("BOW",))
     assert fingerprint64(smaller) != fingerprint64(schema)
-
-
-def test_schema_file_round_trip(schema, tmp_path):
-    path = tmp_path / "schema.tsv"
-    write_schema_file(schema, path)
-    again = read_schema_file(path)
-    assert again.columns == schema.columns
-    assert fingerprint64(again) == fingerprint64(schema)
 
 
 # ------------------------------------------------------------ cumulative/cosine
@@ -267,7 +253,6 @@ def test_assembled_vector_validates(micro, bundle, dicts, schema, threads):
     tweet = micro.tweets[0]
     thread = threads[tweet.rumour_id]
     vec = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
-    validate_vector(vec, schema)
     assert vec.schema_fingerprint == fingerprint64(schema)
     assert vec.label is tweet.label
 
@@ -301,41 +286,6 @@ def test_brown_columns_match_table(micro, bundle, dicts, schema, threads):
         if cluster is not None:
             expected.add(cluster)
     assert active == expected
-
-
-def test_vector_io_round_trip(micro, bundle, dicts, schema, threads, tmp_path):
-    vectors = []
-    for tweet in micro.tweets[:8]:
-        thread = threads[tweet.rumour_id]
-        vectors.append(assemble(tweet, thread, dicts, bundle, schema, now=0.0))
-    path = tmp_path / "vectors.tsv"
-    write_vectors(vectors, path)
-    again = read_vectors(path, schema)
-    assert len(again) == len(vectors)
-    for a, b in zip(again, vectors):
-        assert a.tweet_id == b.tweet_id
-        assert a.label == b.label
-        assert a.schema_fingerprint == b.schema_fingerprint
-        assert set(a.values) == set(b.values)
-        for key in a.values:
-            assert a.values[key] == pytest.approx(b.values[key], abs=1e-9)
-
-
-def test_validate_rejects_foreign_fingerprint(schema):
-    bogus = FeatureVector(tweet_id="x", schema_fingerprint=12345, values={}, label=None)
-    with pytest.raises(SchemaError):
-        validate_vector(bogus, schema)
-
-
-def test_validate_rejects_out_of_range_column(schema):
-    vec = FeatureVector(
-        tweet_id="x",
-        schema_fingerprint=fingerprint64(schema),
-        values={len(schema.columns): 1.0},
-        label=None,
-    )
-    with pytest.raises(SchemaError):
-        validate_vector(vec, schema)
 
 
 def test_af_group_removal_only_drops_af(micro, bundle, dicts, schema, threads):

@@ -162,12 +162,32 @@ def extra_features(model):
     model["n_features"] += 1
 
 
+def now_not_a_number(model):
+    model["context"]["now"] = "abc"
+
+
+def bow_vocab_not_a_list(model):
+    model["context"]["bow_vocab"] = 5
+
+
+def provenance_not_a_list(model):
+    model["context"]["provenance"] = 7
+
+
+def posng_vocab_not_strings(model):
+    model["context"]["posng_vocab"] = [1, [2]]
+
+
 @pytest.mark.parametrize("kind, mutate", [
     ("tree", drop_threshold),
     ("tree", three_features),
     ("knn", drop_one_label),
     ("tree", zero_every_leaf),
     ("tree", extra_features),
+    ("tree", now_not_a_number),
+    ("tree", bow_vocab_not_a_list),
+    ("tree", provenance_not_a_list),
+    ("tree", posng_vocab_not_strings),
 ])
 def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
                                                     tmp_path, capsys):
