@@ -21,12 +21,14 @@ from .features import (
     AF_GROUPS,
     GROUPS,
     FeatureDictionaries,
+    analyse_many,
     build_dictionaries,
     assemble,  # noqa: F401  (bound here for the perfbench tracer test)
     build_schema,
     corpus_dictionaries,
     featurize,
     resolve_now,
+    vectorize,
 )
 from .learners import LEARNERS, predict_many
 from .resources import ResourceBundle
@@ -332,7 +334,7 @@ def _fold_result(fold_id: str, event_id: str, test_rumours, records,
     }
 
 
-def _evaluate_fold(dataset, threads, resources, config, fold, now):
+def _evaluate_fold(dataset, analyses, resources, config, fold):
     dictionaries = build_fold_dictionaries(dataset, fold, resources)
     check_leakage(dictionaries, fold)
     schema = build_schema(dictionaries, resources, config.groups)
@@ -344,8 +346,10 @@ def _evaluate_fold(dataset, threads, resources, config, fold, now):
         raise EvalError(f"fold {fold.fold_id}: no labelled training tweets")
     if not test:
         raise EvalError(f"fold {fold.fold_id}: no labelled test tweets")
-    train_vectors = featurize(train, threads, dictionaries, resources, schema, now)
-    test_vectors = featurize(test, threads, dictionaries, resources, schema, now)
+    train_vectors = [vectorize(analyses[t.tweet_id], dictionaries, schema)
+                     for t in train]
+    test_vectors = [vectorize(analyses[t.tweet_id], dictionaries, schema)
+                    for t in test]
     model = fit_classifier(config.classifier, train_vectors, schema, config.params,
                            fold_seed(config.seed, fold.fold_id))
     predictions = predict_many(model, test_vectors)
@@ -402,19 +406,32 @@ def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
     )
 
 
-def run_loo(dataset: Dataset, resources: ResourceBundle,
-            config: RunConfig = RunConfig(), scope: str = "by_event") -> EvalReport:
-    """Leave-one-rumour-out over the dataset, one fold after another.
+def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
+             scope: str) -> list:
+    """One leave-one-rumour-out report per config, in order. The configs
+    share `now`, so every labelled tweet is analysed once, into a table
+    that all their folds vectorize from and that is dropped on return.
     _evaluate_fold is looked up by name on each call, so wrappers installed
     on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
-    now = resolve_now(config.now, dataset)
+    now = resolve_now(configs[0].now, dataset)
     threads = thread_index(build_threads(dataset))
+    analyses = {a.tweet_id: a for a in
+                analyse_many(dataset.labelled(), threads, resources, now)}
     protocol = f"loo_{scope}"
-    results = [_evaluate_fold(dataset, threads, resources, config, fold, now)
-               for fold in folds]
-    echo = _resolved_config(config, dataset, resources, protocol, now)
-    return _reduce_report(protocol, results, echo)
+    reports = []
+    for config in configs:
+        results = [_evaluate_fold(dataset, analyses, resources, config, fold)
+                   for fold in folds]
+        echo = _resolved_config(config, dataset, resources, protocol, now)
+        reports.append(_reduce_report(protocol, results, echo))
+    return reports
+
+
+def run_loo(dataset: Dataset, resources: ResourceBundle,
+            config: RunConfig = RunConfig(), scope: str = "by_event") -> EvalReport:
+    """Leave-one-rumour-out over the dataset, one fold after another."""
+    return _run_loo(dataset, resources, [config], scope)[0]
 
 
 def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
@@ -485,13 +502,13 @@ def ablate(dataset: Dataset, resources: ResourceBundle,
     and per-fold seeds; deltas are measured on the headline accuracy. The
     all-AF removal row also carries a paired t-test over per-fold scores."""
     base_groups = tuple(GROUPS) if config.groups is None else tuple(config.groups)
-    baseline = run_loo(dataset, resources, config, scope)
+    expanded = [_expand_removal(spec) for spec in removals]
+    configs = [replace(config, groups=tuple(g for g in base_groups if g not in removed))
+               for _, removed in expanded]
+    baseline, *reports = _run_loo(dataset, resources, [config, *configs], scope)
     baseline_folds = [f["accuracy"] for f in baseline.per_fold]
     rows = []
-    for spec in removals:
-        label, removed = _expand_removal(spec)
-        kept = tuple(g for g in base_groups if g not in removed)
-        report = run_loo(dataset, resources, replace(config, groups=kept), scope)
+    for (label, removed), report in zip(expanded, reports):
         row = {
             "removed": label,
             "removed_groups": list(removed),

@@ -105,6 +105,20 @@ class AfScores:
     iq: int
 
 
+@dataclass(frozen=True, slots=True)
+class TweetAnalysis:
+    """What a tweet's vector needs that no fold changes: its nonzero
+    columns outside the vocabularies, by name, and its BOW terms and POS
+    n-grams in order, repeats kept. `vectorize` maps it onto a fold's
+    dictionaries and schema."""
+
+    tweet_id: str
+    label: Optional[StanceLabel]
+    named: tuple  # (column name, value) pairs, zeros left out
+    bow: tuple
+    posng: tuple
+
+
 @dataclass
 class FeatureVector:
     tweet_id: str
@@ -255,25 +269,16 @@ def _lexical_forms(tokens) -> list:
     return forms
 
 
-def extract_content(t: TweetRecord, tokens, d: FeatureDictionaries,
-                    r: ResourceBundle) -> dict:
-    """Name -> value map for the tweet-content features: BOW and POS n-gram
-    frequencies, Brown cluster indicators, sentiment bucket, entity flags,
-    emoticon categories, URL/lexicon/surface/regex/negation columns.
+def extract_content(t: TweetRecord, tokens, r: ResourceBundle) -> dict:
+    """Name -> value map for the tweet-content features outside the BOW and
+    POS n-gram vocabularies: Brown cluster indicators, sentiment bucket,
+    entity flags, emoticon categories, URL/lexicon/surface/regex/negation
+    columns.
 
-    Vocabulary-backed names appear only when nonzero; scalar names always
-    appear, zero included.
+    Brown names appear only when nonzero; scalar names always appear, zero
+    included.
     """
     out: dict = {}
-
-    for term in _bow_terms(tokens):
-        if term in d.bow_vocab:
-            key = f"bow={term}"
-            out[key] = out.get(key, 0) + 1
-    for gram in _pos_ngrams(tokens):
-        if gram in d.posng_vocab:
-            key = f"posng={gram}"
-            out[key] = out.get(key, 0) + 1
 
     forms = _lexical_forms(tokens)
     for form in forms:
@@ -365,13 +370,22 @@ def _is_retweet_of(text: str, source_text: str) -> bool:
     return bool(match) and _normalized(text[match.end():]) == _normalized(source_text)
 
 
+def _source_text(source: TweetRecord, r: ResourceBundle, sources: dict) -> tuple:
+    """`_analyse_text` of a thread's source, looked up in or added to
+    `sources` (source tweet id -> (tokens, content vector))."""
+    analysed = sources.get(source.tweet_id)
+    if analysed is None:
+        analysed = sources[source.tweet_id] = _analyse_text(source.text, r)
+    return analysed
+
+
 def _af_scores(t: TweetRecord, tokens, vector, thread: Thread,
-               r: ResourceBundle) -> AfScores:
+               r: ResourceBundle, sources: dict) -> AfScores:
     source = thread.source
     if t.tweet_id == source.tweet_id or _is_retweet_of(t.text, source.text):
         its = 1.0
     else:
-        its = cosine(vector, _analyse_text(source.text, r)[1])
+        its = cosine(vector, _source_text(source, r, sources)[1])
 
     first_word = next((tok.lowercase for tok in tokens
                        if tok.kind is TokenKind.WORD), None)
@@ -390,48 +404,88 @@ def extract_af(t: TweetRecord, thread: Thread, r: ResourceBundle) -> AfScores:
     surprise/doubt/no-doubt/support lists, similarity to the thread's source
     tweet (forced to 1.0 for the source itself and for exact retweets of it),
     and the interrogative-start flag."""
-    return _af_scores(t, *_analyse_text(t.text, r), thread, r)
+    return _af_scores(t, *_analyse_text(t.text, r), thread, r, {})
 
 
-def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
-             r: ResourceBundle, schema: FeatureSchema, now: float) -> FeatureVector:
-    """Concatenate all feature partials into one sparse vector under the
-    schema. Columns the schema does not carry are silently dropped, which is
-    exactly the ablation contract."""
+def _analyse(t: TweetRecord, thread: Thread, r: ResourceBundle, now: float,
+             sources: dict) -> TweetAnalysis:
     if t.rumour_id != thread.rumour_id:
         raise SchemaError(
             f"tweet {t.tweet_id} belongs to rumour {t.rumour_id}, "
             f"not to thread {thread.rumour_id}")
 
-    tokens, vector = _analyse_text(t.text, r)
-    named = extract_content(t, tokens, d, r)
+    if t.tweet_id == thread.source.tweet_id:
+        tokens, vector = _source_text(t, r, sources)
+    else:
+        tokens, vector = _analyse_text(t.text, r)
+    named = extract_content(t, tokens, r)
     named.update(extract_user(t, now))
     named.update(_mood_scores(vector, r))
-    af = _af_scores(t, tokens, vector, thread, r)
+    af = _af_scores(t, tokens, vector, thread, r, sources)
     named["surpriseScore"] = af.ss
     named["doubtScore"] = af.ds
     named["noDoubtScore"] = af.nds
     named["supportScore"] = af.sps
     named["initialTweetSim"] = af.its
     named["isQuestion"] = af.iq
+    return TweetAnalysis(
+        tweet_id=t.tweet_id, label=t.label,
+        named=tuple((name, float(value)) for name, value in named.items()
+                    if value != 0),
+        bow=tuple(_bow_terms(tokens)), posng=tuple(_pos_ngrams(tokens)))
 
+
+def analyse(t: TweetRecord, thread: Thread, r: ResourceBundle,
+            now: float) -> TweetAnalysis:
+    """The fold-invariant analysis of a tweet in the context of its thread;
+    `now` is the config-pinned epoch of the user columns."""
+    return _analyse(t, thread, r, now, {})
+
+
+def analyse_many(tweets, threads: dict, r: ResourceBundle, now: float):
+    """Analyses of `tweets` in order (`threads` maps rumour id -> Thread).
+    Each text is tokenized and embedded once: a thread source's is kept
+    until the iteration ends, for its replies' `initialTweetSim`."""
+    sources: dict = {}
+    for t in tweets:
+        yield _analyse(t, threads[t.rumour_id], r, now, sources)
+
+
+def vectorize(a: TweetAnalysis, d: FeatureDictionaries,
+              schema: FeatureSchema) -> FeatureVector:
+    """The analysed tweet's sparse vector under the dictionaries and the
+    schema. Terms outside the vocabularies and columns the schema does not
+    carry are silently dropped, which is exactly the ablation contract."""
     index_of = schema.name_to_index
     values = {}
-    for name, value in named.items():
+    for prefix, items, vocab in (("bow=", a.bow, d.bow_vocab),
+                                 ("posng=", a.posng, d.posng_vocab)):
+        for item in items:
+            index = index_of.get(prefix + item) if item in vocab else None
+            if index is not None:
+                values[index] = values.get(index, 0.0) + 1.0
+    for name, value in a.named:
         index = index_of.get(name)
-        if index is not None and value != 0:
-            values[index] = float(value)
-    return FeatureVector(tweet_id=t.tweet_id,
+        if index is not None:
+            values[index] = value
+    return FeatureVector(tweet_id=a.tweet_id,
                          schema_fingerprint=schema.fingerprint,
-                         values=values, label=t.label)
+                         values=values, label=a.label)
+
+
+def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
+             r: ResourceBundle, schema: FeatureSchema, now: float) -> FeatureVector:
+    """One tweet's sparse vector under the schema, in the context of its
+    thread."""
+    return vectorize(analyse(t, thread, r, now), d, schema)
 
 
 def featurize(tweets, threads: dict, d: FeatureDictionaries,
               r: ResourceBundle, schema: FeatureSchema, now: float) -> list:
-    """Vectors of `tweets` under `schema`, each assembled in the context of
-    its thread (`threads` maps rumour id -> Thread). Every command that
-    featurizes goes through here."""
-    return [assemble(t, threads[t.rumour_id], d, r, schema, now) for t in tweets]
+    """Vectors of `tweets` under `schema`, each in the context of its thread
+    (`threads` maps rumour id -> Thread). Nothing analysed outlives the
+    call."""
+    return [vectorize(a, d, schema) for a in analyse_many(tweets, threads, r, now)]
 
 
 def corpus_dictionaries(dataset: Dataset, r: ResourceBundle) -> FeatureDictionaries:

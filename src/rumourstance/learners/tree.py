@@ -175,42 +175,46 @@ def grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams,
     """Recursive construction over row-index subsets. columns_for_node, when
     given, supplies the candidate column indices for each node (used by the
     forest for per-split feature subsampling); it must return a sorted array."""
+    return _grow(X, y, np.arange(len(y)), 0, params, columns_for_node)
 
-    def build(rows: np.ndarray, depth: int) -> _Node:
-        yr = y[rows]
-        node = _Node(_class_counts(yr))
-        if node.counts.max() == len(rows):
-            return node
-        if len(rows) < 2 * params.min_leaf:
-            return node
-        if params.max_depth is not None and depth >= params.max_depth:
-            return node
-        parent_entropy = _entropy(node.counts)
-        candidates = np.arange(X.shape[1]) if columns_for_node is None \
-            else columns_for_node()
-        best_ratio = -np.inf
-        best_column = None
-        best_threshold = None
-        for column in candidates:
-            found = _best_split_in_column(X[rows, column], yr,
-                                          params.min_leaf, parent_entropy)
-            if found is None:
-                continue
-            ratio, threshold = found
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_column = int(column)
-                best_threshold = threshold
-        if best_column is None:
-            return node
-        mask = X[rows, best_column] <= best_threshold
-        node.column = best_column
-        node.threshold = best_threshold
-        node.left = build(rows[mask], depth + 1)
-        node.right = build(rows[~mask], depth + 1)
+
+def _grow(X, y, rows: np.ndarray, depth: int, params: TreeParams,
+          columns_for_node) -> _Node:
+    # a module function, not a closure over itself: such a closure is a
+    # reference cycle that keeps X (a forest's bootstrap copy) alive until
+    # the cycle collector runs
+    yr = y[rows]
+    node = _Node(_class_counts(yr))
+    if node.counts.max() == len(rows):
         return node
-
-    return build(np.arange(len(y)), 0)
+    if len(rows) < 2 * params.min_leaf:
+        return node
+    if params.max_depth is not None and depth >= params.max_depth:
+        return node
+    parent_entropy = _entropy(node.counts)
+    candidates = np.arange(X.shape[1]) if columns_for_node is None \
+        else columns_for_node()
+    best_ratio = -np.inf
+    best_column = None
+    best_threshold = None
+    for column in candidates:
+        found = _best_split_in_column(X[rows, column], yr,
+                                      params.min_leaf, parent_entropy)
+        if found is None:
+            continue
+        ratio, threshold = found
+        if ratio > best_ratio:
+            best_ratio = ratio
+            best_column = int(column)
+            best_threshold = threshold
+    if best_column is None:
+        return node
+    mask = X[rows, best_column] <= best_threshold
+    node.column = best_column
+    node.threshold = best_threshold
+    node.left = _grow(X, y, rows[mask], depth + 1, params, columns_for_node)
+    node.right = _grow(X, y, rows[~mask], depth + 1, params, columns_for_node)
+    return node
 
 
 # --- pessimistic error pruning -------------------------------------------------

@@ -7,6 +7,8 @@ from hashlib import blake2b
 import numpy as np
 import pytest
 
+import rumourstance.evaluation as evaluation
+from rumourstance.corpus import build_threads, thread_index
 from rumourstance.errors import EvalError, LeakageError
 from rumourstance.evaluation import (
     FoldSpec,
@@ -24,7 +26,14 @@ from rumourstance.evaluation import (
     run_split,
     student_t_two_sided_p,
 )
-from rumourstance.features import FeatureDictionaries
+from rumourstance.features import (
+    AF_GROUPS,
+    GROUPS,
+    FeatureDictionaries,
+    assemble,
+    build_schema,
+    resolve_now,
+)
 
 
 # --------------------------------------------------------------------- folds
@@ -262,3 +271,49 @@ def test_ablation_rows(micro, bundle, knn_config):
     assert "accuracy" in row and "delta" in row
     assert row["delta"] == pytest.approx(row["accuracy"] - report.baseline.headline_accuracy)
     assert "t" in row["t_test"] and "p" in row["t_test"]
+
+
+# ------------------------------------------------- one analysis per LOO run
+
+
+@pytest.mark.parametrize("scope", ["by_event", "global"])
+def test_loo_vectors_equal_fresh_per_fold_assembly(micro, bundle, monkeypatch, scope):
+    # every fold of the baseline and of the AF-removed rerun, as the
+    # learners receive them, against assembling each tweet afresh per fold
+    seen = []
+    fit, predict = evaluation.fit_classifier, evaluation.predict_many
+
+    def recording_fit(classifier, vectors, schema, params, seed):
+        seen.append([schema, vectors])
+        return fit(classifier, vectors, schema, params, seed)
+
+    def recording_predict(model, vectors):
+        seen[-1].append(vectors)
+        return predict(model, vectors)
+
+    monkeypatch.setattr(evaluation, "fit_classifier", recording_fit)
+    monkeypatch.setattr(evaluation, "predict_many", recording_predict)
+    ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}),
+           removals=("AF",), scope=scope)
+
+    folds = make_loo_folds(micro, scope)
+    no_af = tuple(g for g in GROUPS if g not in AF_GROUPS)
+    runs = [(None, fold) for fold in folds] + [(no_af, fold) for fold in folds]
+    assert len(seen) == len(runs)
+    threads = thread_index(build_threads(micro))
+    now = resolve_now(None, micro)
+    for (groups, fold), (schema, train_vectors, test_vectors) in zip(runs, seen):
+        dicts = build_fold_dictionaries(micro, fold, bundle)
+        assert schema == build_schema(dicts, bundle, groups)
+        for rumours, vectors in ((fold.train_rumour_ids, train_vectors),
+                                 (fold.test_rumour_ids, test_vectors)):
+            tweets = [t for r in rumours for t in micro.rumour_tweets(r)
+                      if t.label is not None]
+            assert vectors == [assemble(t, threads[t.rumour_id], dicts, bundle,
+                                        schema, now) for t in tweets]
+
+
+def test_ablation_analyses_each_tweet_once(micro, bundle, analysed_texts):
+    ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}),
+           removals=("AF",))
+    assert len(analysed_texts) == len(micro.tweets)

@@ -20,6 +20,7 @@ from rumourstance.features import (
     cumulative_vector,
     extract_af,
     extract_mood,
+    featurize,
     fingerprint64,
 )
 from rumourstance.text import tokenize
@@ -300,3 +301,15 @@ def test_af_group_removal_only_drops_af(micro, bundle, dicts, schema, threads):
     assert all(schema.columns[i][1] in AF_GROUPS for i, _ in enumerate(schema.columns) if schema.columns[i][0] in dropped)
     for name, value in trimmed_named.items():
         assert full_named[name] == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_featurize_equals_assemble_analysing_each_text_once(
+        micro, bundle, dicts, schema, threads, analysed_texts, reverse):
+    # reversed, replies come before their thread's source
+    tweets = micro.tweets[::-1] if reverse else micro.tweets
+    expected = [assemble(t, threads[t.rumour_id], dicts, bundle, schema, now=0.0)
+                for t in tweets]
+    analysed_texts.clear()
+    assert featurize(tweets, threads, dicts, bundle, schema, now=0.0) == expected
+    assert len(analysed_texts) == len(tweets)

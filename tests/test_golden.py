@@ -14,6 +14,8 @@ EXPERIMENTS = (
     ("eval-loo-tree", ["eval-loo", "--classifier", "tree"]),
     ("eval-loo-forest", ["eval-loo", "--classifier", "forest"]),
     ("eval-loo-knn", ["eval-loo", "--classifier", "knn"]),
+    ("eval-loo-knn-global", ["eval-loo", "--classifier", "knn",
+                             "--protocol", "loo_global"]),
     ("ablate-forest", ["ablate", "--classifier", "forest", "--remove", "AF"]),
     ("featurize", ["featurize"]),
     ("train-forest", ["train", "--classifier", "forest"]),
@@ -38,6 +40,12 @@ GOLDEN = {
         "a978950f230869e38e41d4c08f96df7fdd5c3707102ad17c266a76de24de2508",
     "eval-loo-knn/resolved_config.json":
         "dee96831122334d1ffa26f7acd746a3d14bf01d63d1704ec426c0f2600837cd8",
+    "eval-loo-knn-global/report.json":
+        "39fa6e38aeabad764cbaab2e2e2b268987f865dda6f8502d0d8e3189f5306827",
+    "eval-loo-knn-global/report.txt":
+        "7a536ba5f44b9b1a82e2ff1062f0f9dccb8bd64cd1465e901bed596ec3fefcfa",
+    "eval-loo-knn-global/resolved_config.json":
+        "e073d40593486ae454ffc0ac4cd7c19e15c163c8751826c5b43c63cf02f86163",
     "eval-loo-tree/report.json":
         "4acd41037a8df57a8027564405d66706e13ca16a44f75e32ca60f953470ec1fd",
     "eval-loo-tree/report.txt":
