@@ -126,9 +126,6 @@ class Dataset:
     def get(self, tweet_id: str) -> TweetRecord:
         return self._by_id[tweet_id]
 
-    def __contains__(self, tweet_id: str) -> bool:
-        return tweet_id in self._by_id
-
     def __len__(self) -> int:
         return len(self.tweets)
 

@@ -52,8 +52,13 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def is_int(value) -> bool:
+    """A real int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_index(value, size: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+    return is_int(value) and 0 <= value < size
 
 
 def to_dense(vectors, n_features: int) -> np.ndarray:

@@ -8,13 +8,13 @@ and growing more trees keeps the earlier ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import ModelError
-from .base import CLASS_NAMES, TrainedModel, training_matrix
-from .tree import TreeParams, _node_to_payload, check_tree, grow_tree, tree_distribution
+from .base import CLASS_NAMES, TrainedModel, is_int, training_matrix
+from .tree import TreeParams, check_tree, grow_tree, tree_distribution
 
 _FEATURE_RULES = ("log2", "sqrt", "all")
 _MASK64 = (1 << 64) - 1
@@ -28,8 +28,10 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        if not (is_int(self.n_trees) and self.n_trees >= 1):
+            raise ValueError("n_trees must be an integer >= 1")
+        if not isinstance(self.bagging, bool):
+            raise ValueError("bagging must be true or false")
         if self.features_per_split not in _FEATURE_RULES:
             raise ValueError(f"features_per_split must be one of {_FEATURE_RULES}")
 
@@ -52,11 +54,8 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
 def _fit_one_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
                   tree_index: int, tree_params: TreeParams) -> dict:
     rng = _tree_rng(params.seed, tree_index)
-    if params.bagging:
-        rows = rng.integers(0, len(y), size=len(y))
-        Xb, yb = X[rows], y[rows]
-    else:
-        Xb, yb = X, y
+    rows = rng.integers(0, len(y), size=len(y)) if params.bagging \
+        else np.arange(len(y))
     k = subset_size(params.features_per_split, X.shape[1])
 
     def draw_columns() -> np.ndarray:
@@ -64,8 +63,7 @@ def _fit_one_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
             return np.arange(X.shape[1])
         return np.sort(rng.permutation(X.shape[1])[:k])
 
-    root = grow_tree(Xb, yb, tree_params, columns_for_node=draw_columns)
-    return _node_to_payload(root)
+    return grow_tree(X, y, rows, tree_params, columns_for_node=draw_columns)
 
 
 def fit_forest(vectors, params: ForestParams = ForestParams(), *,
@@ -82,24 +80,13 @@ def fit_forest(vectors, params: ForestParams = ForestParams(), *,
         schema_fingerprint=fingerprint,
         n_features=n_features,
         classes=CLASS_NAMES,
-        payload={
-            "trees": trees,
-            "params": {
-                "n_trees": params.n_trees,
-                "features_per_split": params.features_per_split,
-                "bagging": params.bagging,
-                "seed": params.seed,
-            },
-        },
+        payload={"trees": trees, "params": asdict(params)},
     )
 
 
 def forest_distribution(payload: dict, row: np.ndarray) -> np.ndarray:
-    acc = None
-    for tree in payload["trees"]:
-        dist = tree_distribution(tree, row)
-        acc = dist if acc is None else acc + dist
-    return acc / len(payload["trees"])
+    trees = payload["trees"]
+    return sum(tree_distribution(tree, row) for tree in trees) / len(trees)
 
 
 def check_forest(payload: dict, n_features: int) -> None:

@@ -20,6 +20,7 @@ from .base import (
     TrainedModel,
     is_finite_number,
     is_index,
+    is_int,
     training_matrix,
 )
 
@@ -35,8 +36,8 @@ class KnnParams:
     weighting: str = "inverse_distance"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not (is_int(self.k) and self.k >= 1):
+            raise ValueError("k must be an integer >= 1")
         if self.weighting not in _WEIGHTINGS:
             raise ValueError(f"weighting must be one of {_WEIGHTINGS}")
 

@@ -10,7 +10,7 @@ majority tie-break is the fixed class order Support < Deny < Query < Comment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .base import (
     TrainedModel,
     is_finite_number,
     is_index,
+    is_int,
     training_matrix,
 )
 
@@ -38,12 +39,14 @@ class TreeParams:
     max_depth: Optional[int] = None
 
     def __post_init__(self):
-        if not 0 < self.confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        if not isinstance(self.pruning, bool):
+            raise ValueError("pruning must be true or false")
+        if not (is_finite_number(self.confidence) and 0 < self.confidence < 1):
+            raise ValueError("confidence must be a number in (0, 1)")
+        if not (is_int(self.min_leaf) and self.min_leaf >= 1):
+            raise ValueError("min_leaf must be an integer >= 1")
+        if not (self.max_depth is None or is_int(self.max_depth) and self.max_depth >= 0):
+            raise ValueError("max_depth must be null or an integer >= 0")
 
 
 def _entropy(counts) -> float:
@@ -145,53 +148,35 @@ def _best_split_in_column(v: np.ndarray, y: np.ndarray, min_leaf: int,
     return float(ratio[best]), float(threshold)
 
 
-class _Node:
-    __slots__ = ("counts", "column", "threshold", "left", "right")
+def grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, params: TreeParams,
+              columns_for_node=None) -> dict:
+    """The tree payload grown on the rows `rows` of X and y; a row listed
+    twice (a bootstrap draw) counts twice. columns_for_node, when given,
+    supplies the candidate column indices for each node (used by the forest
+    for per-split feature subsampling); it must return a sorted array.
 
-    def __init__(self, counts):
-        self.counts = counts
-        self.column = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.column is None
-
-    def to_leaf(self) -> None:
-        self.column = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-
-
-def _class_counts(y: np.ndarray) -> np.ndarray:
-    return np.bincount(y, minlength=N_CLASSES).astype(np.float64)
-
-
-def grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams,
-              columns_for_node=None) -> _Node:
-    """Recursive construction over row-index subsets. columns_for_node, when
-    given, supplies the candidate column indices for each node (used by the
-    forest for per-split feature subsampling); it must return a sorted array."""
-    return _grow(X, y, np.arange(len(y)), 0, params, columns_for_node)
+    With pruning on, a split collapses to a leaf as soon as both its
+    subtrees are grown, whenever predicting the majority class there is
+    estimated to err no worse (within a small slack) than the subtrees'
+    summed estimates: bottom-up subtree replacement, done during growth."""
+    return _grow(X, y, rows, 0, params, columns_for_node)[0]
 
 
 def _grow(X, y, rows: np.ndarray, depth: int, params: TreeParams,
-          columns_for_node) -> _Node:
-    # a module function, not a closure over itself: such a closure is a
-    # reference cycle that keeps X (a forest's bootstrap copy) alive until
-    # the cycle collector runs
+          columns_for_node) -> tuple:
+    """(payload, estimated errors) of the subtree on `rows`; the estimate
+    is 0 with pruning off. A module function, not a closure over itself:
+    such a closure is a reference cycle that keeps X alive until the cycle
+    collector runs."""
     yr = y[rows]
-    node = _Node(_class_counts(yr))
-    if node.counts.max() == len(rows):
-        return node
-    if len(rows) < 2 * params.min_leaf:
-        return node
+    counts = np.bincount(yr, minlength=N_CLASSES).astype(np.float64)
+    as_leaf = _estimated_errors(counts, params.confidence) if params.pruning else 0.0
+    leaf = {"kind": "leaf", "counts": [float(c) for c in counts]}, as_leaf
+    if counts.max() == len(rows) or len(rows) < 2 * params.min_leaf:
+        return leaf
     if params.max_depth is not None and depth >= params.max_depth:
-        return node
-    parent_entropy = _entropy(node.counts)
+        return leaf
+    parent_entropy = _entropy(counts)
     candidates = np.arange(X.shape[1]) if columns_for_node is None \
         else columns_for_node()
     best_ratio = -np.inf
@@ -208,13 +193,15 @@ def _grow(X, y, rows: np.ndarray, depth: int, params: TreeParams,
             best_column = int(column)
             best_threshold = threshold
     if best_column is None:
-        return node
+        return leaf
     mask = X[rows, best_column] <= best_threshold
-    node.column = best_column
-    node.threshold = best_threshold
-    node.left = _grow(X, y, rows[mask], depth + 1, params, columns_for_node)
-    node.right = _grow(X, y, rows[~mask], depth + 1, params, columns_for_node)
-    return node
+    left, left_errors = _grow(X, y, rows[mask], depth + 1, params, columns_for_node)
+    right, right_errors = _grow(X, y, rows[~mask], depth + 1, params, columns_for_node)
+    subtree = left_errors + right_errors
+    if params.pruning and as_leaf <= subtree + _PRUNE_SLACK:
+        return leaf
+    return {"kind": "split", "column": best_column, "threshold": best_threshold,
+            "left": left, "right": right}, subtree
 
 
 # --- pessimistic error pruning -------------------------------------------------
@@ -245,60 +232,20 @@ def _estimated_errors(counts: np.ndarray, confidence: float) -> float:
     return e + added_errors(n, e, confidence)
 
 
-def prune_tree(root: _Node, confidence: float) -> None:
-    """Bottom-up subtree replacement: collapse a split whenever predicting
-    the majority class here is estimated to err no worse (within a small
-    slack) than the subtree's summed leaf estimates."""
-
-    def walk(node: _Node) -> float:
-        if node.is_leaf:
-            return _estimated_errors(node.counts, confidence)
-        subtree = walk(node.left) + walk(node.right)
-        as_leaf = _estimated_errors(node.counts, confidence)
-        if as_leaf <= subtree + _PRUNE_SLACK:
-            node.to_leaf()
-            return as_leaf
-        return subtree
-
-    walk(root)
-
-
 # --- public fit/predict ----------------------------------------------------------
-
-
-def _node_to_payload(node: _Node) -> dict:
-    if node.is_leaf:
-        return {"kind": "leaf", "counts": [float(c) for c in node.counts]}
-    return {
-        "kind": "split",
-        "column": node.column,
-        "threshold": node.threshold,
-        "left": _node_to_payload(node.left),
-        "right": _node_to_payload(node.right),
-    }
 
 
 def fit_tree(vectors, params: TreeParams = TreeParams(), *,
              n_features: int) -> TrainedModel:
     """Fit on labelled FeatureVectors over n_features columns."""
     fingerprint, dense, indices = training_matrix("a tree", vectors, n_features)
-    root = grow_tree(dense, indices, params)
-    if params.pruning:
-        prune_tree(root, params.confidence)
+    root = grow_tree(dense, indices, np.arange(len(indices)), params)
     return TrainedModel(
         kind="tree",
         schema_fingerprint=fingerprint,
         n_features=n_features,
         classes=CLASS_NAMES,
-        payload={
-            "root": _node_to_payload(root),
-            "params": {
-                "pruning": params.pruning,
-                "confidence": params.confidence,
-                "min_leaf": params.min_leaf,
-                "max_depth": params.max_depth,
-            },
-        },
+        payload={"root": root, "params": asdict(params)},
     )
 
 

@@ -59,12 +59,6 @@ class EmbeddingTable:
         self.dimension = dimension
         self._vectors = vectors
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._vectors
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
     def get(self, word: str):
         return self._vectors.get(word.lower())
 
@@ -118,8 +112,7 @@ def load_embeddings(path) -> EmbeddingTable:
 class BrownTable:
     """Word -> dense cluster id assignments over a declared 1000-cluster space."""
 
-    def __init__(self, word_to_cluster: dict, n_clusters: int = BROWN_CLUSTER_COUNT):
-        self.n_clusters = n_clusters
+    def __init__(self, word_to_cluster: dict):
         self._word_to_cluster = word_to_cluster
 
     def get(self, word: str):
@@ -282,6 +275,18 @@ def _read_emoticons(path: Path) -> dict:
     return {category: frozenset(members) for category, members in groups.items()}
 
 
+def _search_equivalent(source: str) -> str:
+    """`source` without a leading or trailing `.*`, which cannot change
+    whether a search hits but makes it retry `.*` from every start
+    position. A `.*` quantified further (`.*?`, `.*+`) or an escaped
+    `\\.*` is kept."""
+    if source.startswith(".*") and source[2:3] not in ("?", "*", "+", "{"):
+        source = source[2:]
+    if source.endswith(".*") and source[-3:-2] != "\\":
+        source = source[:-2]
+    return source
+
+
 def _read_regex_pack(path: Path):
     patterns = []
     sources = []
@@ -292,7 +297,7 @@ def _read_regex_pack(path: Path):
                 continue
             sources.append(source)
             try:
-                patterns.append(re.compile(source, re.IGNORECASE))
+                patterns.append(re.compile(_search_equivalent(source), re.IGNORECASE))
             except re.error as exc:
                 raise ResourceError(f"{path}: bad pattern {source!r}: {exc}") from None
     if len(patterns) != REGEX_PACK_SIZE:

@@ -65,15 +65,25 @@ def test_corrupt_model_is_a_runtime_error(tmp_path, out, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("params", ['{"bogus": 1}', '{"k": 0}'])
-def test_bad_classifier_params_are_a_runtime_error(params, out, capsys):
+@pytest.mark.parametrize("classifier, params", [
+    ("knn", '{"bogus": 1}'),
+    ("knn", '{"k": 0}'),
+    ("knn", '{"k": 2.5}'),
+    ("knn", '{"k": true}'),
+    ("forest", '{"n_trees": 2.5}'),
+    ("forest", '{"bagging": "no"}'),
+    ("tree", '{"pruning": "no"}'),
+    ("tree", '{"min_leaf": 1.5}'),
+    ("tree", '{"max_depth": 1.5}'),
+])
+def test_bad_classifier_params_are_a_runtime_error(classifier, params, out, capsys):
     code = run([
-        "eval-loo", "--dataset", micro_corpus_path(), "--classifier", "knn",
+        "eval-loo", "--dataset", micro_corpus_path(), "--classifier", classifier,
         "--params", params, "--out", out,
     ])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: bad knn params")
+    assert len(err) == 1 and err[0].startswith(f"error: bad {classifier} params")
 
 
 # ------------------------------------------------------------------ config file

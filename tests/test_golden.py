@@ -19,6 +19,7 @@ EXPERIMENTS = (
     ("ablate-forest", ["ablate", "--classifier", "forest", "--remove", "AF"]),
     ("featurize", ["featurize"]),
     ("train-forest", ["train", "--classifier", "forest"]),
+    ("train-tree", ["train", "--classifier", "tree"]),
 )
 
 GOLDEN = {
@@ -58,12 +59,18 @@ GOLDEN = {
         "ea24e654a699ba8957268cf2a1649b7c57b642d416c610bed3a5470ff25b1b9b",
     "featurize/vectors.tsv":
         "050092b38ff5eb43831292b1587b4656b2cd8a70fda9da9f01496fd289b2898e",
+    "predict-tree/predictions.tsv":
+        "5609b3cd0a76d4449b0d1abab30e81b084e970411469ceb210893f54f720bd42",
     "predict-forest/predictions.tsv":
         "81ddf493ef0569aa491a206c812a0f2d05caf13a98f85dbe3d70b9ffc79192ad",
     "train-forest/model.json":
         "0ecb856d8c7821318d629095c2883100cce49dd7d958882bcfc7e3c315f3f7b8",
     "train-forest/resolved_config.json":
         "cbd8d462b4b4ff5f77d239b0c5d7e49495592ea775b47b67a90b2d31bad16412",
+    "train-tree/model.json":
+        "14e7958d01303ba985a0d56d14b24ce6a37e193e1750fc3fd8d4d1e23493dd85",
+    "train-tree/resolved_config.json":
+        "ac1287758d69d1e84b1e052c4f5a5b78cd3d73f154f35e50cd1abab447b40d5f",
 }
 
 
@@ -79,9 +86,10 @@ def artifacts(tmp_path_factory):
         code = main(argv + ["--dataset", corpus, "--seed", "1",
                             "--out", str(root / name)])
         assert code == 0, name
-    code = main(["predict", "--model", str(root / "train-forest" / "model.json"),
-                 "--input", corpus, "--out", str(root / "predict-forest")])
-    assert code == 0
+    for kind in ("forest", "tree"):
+        code = main(["predict", "--model", str(root / f"train-{kind}" / "model.json"),
+                     "--input", corpus, "--out", str(root / f"predict-{kind}")])
+        assert code == 0, kind
     return {path.relative_to(root).as_posix(): sha256(path)
             for path in sorted(root.rglob("*")) if path.is_file()}
 

@@ -10,6 +10,7 @@ import pytest
 
 from rumourstance.features import FeatureVector
 from rumourstance.learners import ModelError, TreeParams, fit_tree, predict
+from rumourstance.learners.base import CLASS_NAMES
 from rumourstance.learners.tree import added_errors, info_gain_ratio
 
 
@@ -151,6 +152,55 @@ def test_pruning_never_grows_the_tree():
     pruned = fit_tree(vecs, params=TreeParams(pruning=True), n_features=5)
     raw = fit_tree(vecs, params=TreeParams(pruning=False), n_features=5)
     assert count_nodes(pruned.payload["root"]) <= count_nodes(raw.payload["root"])
+
+
+def post_hoc_prune(node, X, labels, rows, confidence):
+    """Pessimistic error pruning as a second pass over a grown payload:
+    route the training rows down for each node's class counts, then
+    collapse splits bottom-up. Returns (pruned node, estimated errors)."""
+    counts = [float(sum(labels[r] == name for r in rows)) for name in CLASS_NAMES]
+    n = sum(counts)
+    e = n - max(counts)
+    as_leaf = e + added_errors(n, e, confidence)
+    if node["kind"] == "leaf":
+        assert node["counts"] == counts
+        return node, as_leaf
+    go_left = [r for r in rows if X[r, node["column"]] <= node["threshold"]]
+    go_right = [r for r in rows if X[r, node["column"]] > node["threshold"]]
+    left, left_errors = post_hoc_prune(node["left"], X, labels, go_left, confidence)
+    right, right_errors = post_hoc_prune(node["right"], X, labels, go_right, confidence)
+    subtree = left_errors + right_errors
+    if as_leaf <= subtree + 0.1:
+        return {"kind": "leaf", "counts": counts}, as_leaf
+    return dict(node, left=left, right=right), subtree
+
+
+def test_pruning_during_growth_equals_post_hoc_pruning():
+    collapsed = kept = 0
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        n = 70
+        X = np.hstack([rng.integers(0, 2, size=(n, 3)).astype(float),
+                       rng.normal(size=(n, 3)).round(2)])
+        labels = np.where(X[:, 0] + X[:, 3] > 0.5, "support", "comment")
+        noisy = rng.random(n) < 0.3
+        labels[noisy] = rng.choice(list(CLASS_NAMES), size=int(noisy.sum()))
+        vecs = make_vectors(X, labels.tolist())
+        for confidence in (0.1, 0.25, 0.5):
+            for min_leaf in (1, 2, 3):
+                for max_depth in (None, 2):
+                    settings = dict(confidence=confidence, min_leaf=min_leaf,
+                                    max_depth=max_depth)
+                    raw = fit_tree(vecs, TreeParams(pruning=False, **settings),
+                                   n_features=6).payload["root"]
+                    want, _ = post_hoc_prune(raw, X, labels, range(n), confidence)
+                    got = fit_tree(vecs, TreeParams(pruning=True, **settings),
+                                   n_features=6).payload["root"]
+                    assert got == want, (seed, settings)
+                    collapsed += count_nodes(raw) > count_nodes(got)
+                    kept += got["kind"] == "split"
+    # the cases both prune some splits and keep others
+    assert collapsed and kept
 
 
 def min_leaf_ok(node, min_leaf):
