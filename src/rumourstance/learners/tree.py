@@ -5,6 +5,12 @@ Split candidates are midpoints between consecutive distinct sorted values of
 a column. Ties on gain ratio go to the lowest column index, then the lowest
 threshold, so refits are reproducible. Leaves hold raw class counts; the
 majority tie-break is the fixed class order Support < Deny < Query < Comment.
+
+A node scores all its candidate columns at once: columns constant on the
+node's rows are skipped, two-valued columns (one midpoint each) are scored
+in one batch, and only columns with three or more values go through the
+per-column search. Ties still go to the lowest column, then the lowest
+threshold.
 """
 
 from __future__ import annotations
@@ -106,6 +112,23 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
+def _gain_ratios(left_counts: np.ndarray, left_sizes: np.ndarray, total: np.ndarray,
+                 n: int, min_leaf: int, parent_entropy: float) -> np.ndarray:
+    """Gain ratio of each binary split of n rows with class counts `total`
+    whose left side holds left_sizes[i] rows with class counts
+    left_counts[i]; -inf where a side has fewer than min_leaf rows or the
+    gain is not positive. Both sides must be non-empty."""
+    right_sizes = n - left_sizes
+    entropies = _entropy_rows(np.concatenate([left_counts, total - left_counts]))
+    pl = left_sizes / n
+    pr = right_sizes / n
+    weighted = pl * entropies[:len(pl)] + pr * entropies[len(pl):]
+    gain = parent_entropy - weighted
+    split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
+    admissible = (left_sizes >= min_leaf) & (right_sizes >= min_leaf) & (gain > _GAIN_EPS)
+    return np.where(admissible, gain / split_info, -np.inf)
+
+
 def _best_split_in_column(v: np.ndarray, y: np.ndarray, min_leaf: int,
                           parent_entropy: float):
     """(gain_ratio, threshold) of the best admissible midpoint split, or
@@ -113,39 +136,53 @@ def _best_split_in_column(v: np.ndarray, y: np.ndarray, min_leaf: int,
     n = len(v)
     order = np.argsort(v, kind="stable")
     sv = v[order]
-    sy = y[order]
-    onehot = np.zeros((n, N_CLASSES), dtype=np.float64)
-    onehot[np.arange(n), sy] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    total = cum[-1]
-
+    cum = np.cumsum(np.eye(N_CLASSES)[y[order]], axis=0)
     boundaries = np.nonzero(sv[1:] > sv[:-1])[0]
     if boundaries.size == 0:
         return None
-    left_sizes = boundaries + 1
-    admissible = (left_sizes >= min_leaf) & (n - left_sizes >= min_leaf)
-    boundaries = boundaries[admissible]
-    if boundaries.size == 0:
-        return None
-    left_sizes = boundaries + 1
-    right_sizes = n - left_sizes
-
-    left_counts = cum[boundaries]
-    right_counts = total - left_counts
-    weighted = (left_sizes / n) * _entropy_rows(left_counts) \
-        + (right_sizes / n) * _entropy_rows(right_counts)
-    gain = parent_entropy - weighted
-
-    pl = left_sizes / n
-    pr = right_sizes / n
-    split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
-    ratio = np.where(gain > _GAIN_EPS, gain / split_info, -np.inf)
-
+    ratio = _gain_ratios(cum[boundaries], boundaries + 1, cum[-1], n, min_leaf,
+                         parent_entropy)
     best = int(np.argmax(ratio))
     if not np.isfinite(ratio[best]):
         return None
     threshold = (sv[boundaries[best]] + sv[boundaries[best] + 1]) / 2.0
     return float(ratio[best]), float(threshold)
+
+
+def _best_split(X: np.ndarray, rows: np.ndarray, yr: np.ndarray,
+                candidates: np.ndarray, min_leaf: int, parent_entropy: float):
+    """(column, threshold) of the best admissible split of `rows` over the
+    sorted candidate columns, or None: the split that scanning
+    `_best_split_in_column` over them in order, keeping strictly higher
+    ratios, finds. np.argmax takes the first maximum, the lowest column."""
+    sub = X[rows[:, None], candidates]
+    lo, hi = sub.min(axis=0), sub.max(axis=0)
+    varying = np.flatnonzero(lo < hi)
+    if varying.size == 0:
+        return None
+    sub, lo, hi = sub[:, varying], lo[varying], hi[varying]
+    at_lo = sub == lo
+    two_valued = (at_lo | (sub == hi)).all(axis=0)
+    ratios = np.full(varying.size, -np.inf)
+    thresholds = (lo + hi) / 2.0
+
+    two = np.flatnonzero(two_valued)
+    if two.size:
+        left = at_lo[:, two]
+        onehot = np.eye(N_CLASSES)[yr]
+        ratios[two] = _gain_ratios(left.T.astype(np.float64) @ onehot,
+                                   np.count_nonzero(left, axis=0), onehot.sum(axis=0),
+                                   len(rows), min_leaf, parent_entropy)
+
+    for j in np.flatnonzero(~two_valued):
+        found = _best_split_in_column(sub[:, j], yr, min_leaf, parent_entropy)
+        if found is not None:
+            ratios[j], thresholds[j] = found
+
+    best = int(np.argmax(ratios))
+    if ratios[best] == -np.inf:
+        return None
+    return int(candidates[varying[best]]), float(thresholds[best])
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, params: TreeParams,
@@ -179,21 +216,10 @@ def _grow(X, y, rows: np.ndarray, depth: int, params: TreeParams,
     parent_entropy = _entropy(counts)
     candidates = np.arange(X.shape[1]) if columns_for_node is None \
         else columns_for_node()
-    best_ratio = -np.inf
-    best_column = None
-    best_threshold = None
-    for column in candidates:
-        found = _best_split_in_column(X[rows, column], yr,
-                                      params.min_leaf, parent_entropy)
-        if found is None:
-            continue
-        ratio, threshold = found
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_column = int(column)
-            best_threshold = threshold
-    if best_column is None:
+    found = _best_split(X, rows, yr, candidates, params.min_leaf, parent_entropy)
+    if found is None:
         return leaf
+    best_column, best_threshold = found
     mask = X[rows, best_column] <= best_threshold
     left, left_errors = _grow(X, y, rows[mask], depth + 1, params, columns_for_node)
     right, right_errors = _grow(X, y, rows[~mask], depth + 1, params, columns_for_node)

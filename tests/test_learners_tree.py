@@ -1,4 +1,4 @@
-"""Decision tree: split scoring oracle, pruning arithmetic, determinism."""
+"""Decision tree: split scoring oracles, pruning arithmetic, determinism."""
 from __future__ import annotations
 
 import math
@@ -9,9 +9,22 @@ import numpy as np
 import pytest
 
 from rumourstance.features import FeatureVector
-from rumourstance.learners import ModelError, TreeParams, fit_tree, predict
+from rumourstance.learners import (
+    ForestParams,
+    ModelError,
+    TreeParams,
+    fit_forest,
+    fit_tree,
+    predict,
+)
 from rumourstance.learners.base import CLASS_NAMES
-from rumourstance.learners.tree import added_errors, info_gain_ratio
+from rumourstance.learners.tree import (
+    _best_split,
+    _best_split_in_column,
+    _entropy,
+    added_errors,
+    info_gain_ratio,
+)
 
 
 def entropy(labels):
@@ -91,6 +104,126 @@ def test_gain_ratio_perfect_split():
 
 def test_gain_ratio_one_sided_is_zero():
     assert info_gain_ratio([1, 2, 3], ["support", "deny", "query"], 5.0) == 0.0
+
+
+def admissible_midpoints(values, min_leaf):
+    """Every midpoint between consecutive distinct values that leaves at
+    least min_leaf rows on each side, ascending."""
+    distinct = sorted(set(values))
+    midpoints = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
+    return [t for t in midpoints
+            if min_leaf <= sum(v <= t for v in values) <= len(values) - min_leaf]
+
+
+def test_best_split_in_column_is_the_best_gain_ratio_midpoint():
+    rng = np.random.default_rng(23)
+    found = mirrored = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 25))
+        values = rng.normal(size=n).round(int(rng.integers(0, 3)))
+        y = rng.integers(0, int(rng.integers(2, 5)), size=n)
+        mirror = trial % 3 == 0
+        if mirror:
+            # each row twice, at v and -v: a split at t and its mirror at -t
+            # swap sides, so every best midpoint ties with its mirror
+            values, y = np.concatenate([values, -values]), np.concatenate([y, y])
+        labels = [CLASS_NAMES[k] for k in y]
+        min_leaf = int(rng.integers(1, 4))
+        parent = _entropy(np.bincount(y, minlength=len(CLASS_NAMES)))
+        got = _best_split_in_column(values, y, min_leaf, parent)
+        scored = [(info_gain_ratio(values.tolist(), labels, t), t)
+                  for t in admissible_midpoints(values.tolist(), min_leaf)]
+        if got is None:
+            assert all(ratio <= 1e-9 for ratio, _ in scored)
+            continue
+        found += 1
+        best = max(ratio for ratio, _ in scored)
+        assert abs(got[0] - best) <= 1e-12
+        assert got[1] in [t for ratio, t in scored if ratio >= best - 1e-12]
+        if mirror:
+            # the lower of the two tied midpoints
+            assert got[1] <= 0.0
+            mirrored += got[1] < 0.0
+    assert found > 200 and mirrored > 50
+
+
+def scan_columns(X, rows, yr, candidates, min_leaf, parent_entropy):
+    """Reference for `_best_split`: each candidate column's best midpoint
+    in turn, kept only when its ratio is strictly higher."""
+    best_ratio, best = -np.inf, None
+    for column in candidates:
+        found = _best_split_in_column(X[rows, column], yr, min_leaf, parent_entropy)
+        if found is not None and found[0] > best_ratio:
+            best_ratio, best = found[0], (int(column), found[1])
+    return best
+
+
+def random_node_matrix(rng, n):
+    """Constant, 0/1, 0/2, negative two-valued and real columns, with some
+    columns duplicated so that gain ratios tie across columns."""
+    makers = [
+        lambda: np.full(n, float(rng.choice([0.0, 1.0, -3.5]))),
+        lambda: rng.integers(0, 2, size=n).astype(float),
+        lambda: 2.0 * rng.integers(0, 2, size=n),
+        lambda: rng.choice([-1.5, 0.25], size=n),
+        lambda: rng.normal(size=n).round(1),
+        lambda: rng.integers(0, 4, size=n).astype(float),
+    ]
+    columns = [makers[int(rng.integers(len(makers)))]() for _ in range(int(rng.integers(1, 14)))]
+    for _ in range(int(rng.integers(0, 4))):
+        columns.insert(int(rng.integers(len(columns) + 1)),
+                       columns[int(rng.integers(len(columns)))].copy())
+    return np.column_stack(columns)
+
+
+def test_node_scorer_equals_the_per_column_scan():
+    rng = np.random.default_rng(31)
+    split = tied = 0
+    for trial in range(600):
+        n = int(rng.integers(2, 40))
+        X = random_node_matrix(rng, n)
+        y = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        if trial % 2:
+            rows = np.sort(rng.integers(0, n, size=n))  # a bootstrap draw
+        else:
+            rows = np.arange(n)
+        m = X.shape[1]
+        if trial % 3:
+            candidates = np.sort(rng.permutation(m)[: int(rng.integers(1, m + 1))])
+        else:
+            candidates = np.arange(m)
+        yr = y[rows]
+        parent = _entropy(np.bincount(yr, minlength=len(CLASS_NAMES)))
+        min_leaf = int(rng.integers(1, 4))
+        want = scan_columns(X, rows, yr, candidates, min_leaf, parent)
+        got = _best_split(X, rows, yr, candidates, min_leaf, parent)
+        assert got == want, trial
+        if got is not None:
+            split += 1
+            # a later candidate equal on the node's rows scores the same
+            tied += any(np.array_equal(X[rows, got[0]], X[rows, c])
+                        for c in candidates if c > got[0])
+    assert split > 300 and tied > 40
+
+
+LABELS = ["support", "deny", "query", "comment", "comment", "deny", "comment",
+          "support", "query"]
+
+
+@pytest.mark.parametrize("n_features, values", [(0, {}), (3, {0: 1.0, 2: -2.5})],
+                         ids=["no-columns", "constant-columns"])
+def test_no_varying_column_gives_leaves(n_features, values):
+    vecs = [FeatureVector(tweet_id=str(i), schema_fingerprint=0, values=dict(values),
+                          label=label)
+            for i, label in enumerate(LABELS)]
+    tree = fit_tree(vecs, n_features=n_features)
+    assert tree.payload["root"] == {"kind": "leaf", "counts": [2.0, 2.0, 2.0, 3.0]}
+    forest = fit_forest(vecs, ForestParams(n_trees=3, seed=7), n_features=n_features)
+    assert forest.payload["trees"] == [
+        {"kind": "leaf", "counts": [1.0, 1.0, 3.0, 4.0]},
+        {"kind": "leaf", "counts": [1.0, 1.0, 1.0, 6.0]},
+        {"kind": "leaf", "counts": [3.0, 0.0, 2.0, 4.0]},
+    ]
 
 
 def test_added_errors_matches_oracle():
