@@ -31,8 +31,8 @@ from .features import (
     FeatureDictionaries,
     build_schema,
     assemble,  # noqa: F401  (bound here for the perfbench tracer test)
-    corpus_dictionaries,
     featurize,
+    featurize_corpus,
     resolve_now,
     write_schema_file,
     write_vectors,
@@ -223,23 +223,12 @@ def _load_inputs(ns: argparse.Namespace, file_cfg: dict):
     return load_dataset(dataset_path), load_bundle(bundle_path)
 
 
-def _featurize_corpus(dataset, resources, config: RunConfig, tweets) -> tuple:
-    """(dictionaries, schema, now, vectors of `tweets`) for a command that
-    builds its vocabulary from the whole corpus."""
-    dictionaries = corpus_dictionaries(dataset, resources)
-    schema = build_schema(dictionaries, resources, config.groups)
-    now = resolve_now(config.now, dataset)
-    vectors = featurize(tweets, thread_index(build_threads(dataset)),
-                        dictionaries, resources, schema, now)
-    return dictionaries, schema, now, vectors
-
-
 def cmd_featurize(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     out = _out_dir(ns, file_cfg)
-    _, schema, now, vectors = _featurize_corpus(dataset, resources, config,
-                                                dataset.tweets)
+    now = resolve_now(config.now, dataset)
+    _, schema, vectors = featurize_corpus(dataset, resources, config.groups, now)
     write_schema_file(schema, out / "schema.tsv")
     write_vectors(vectors, out / "vectors.tsv")
     _write_config_echo(out, {
@@ -259,11 +248,12 @@ def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     out = _out_dir(ns, file_cfg)
-    labelled = dataset.labelled()
-    if not labelled:
+    if not dataset.labelled():
         raise StanceError("no labelled tweets to train on")
-    dictionaries, schema, now, vectors = _featurize_corpus(
-        dataset, resources, config, labelled)
+    now = resolve_now(config.now, dataset)
+    dictionaries, schema, vectors = featurize_corpus(dataset, resources,
+                                                     config.groups, now)
+    vectors = [v for v in vectors if v.label is not None]
     model = fit_classifier(config.classifier, vectors, schema, config.params,
                            config.seed)
     model.context.update({

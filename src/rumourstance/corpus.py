@@ -44,6 +44,8 @@ _LABEL_ALIASES = {
 
 def parse_stance_label(raw: str) -> StanceLabel:
     """Parse a stance label string, case-insensitively, accepting PHEME synonyms."""
+    if not isinstance(raw, str):
+        raise CorpusError(f"stance label must be a string, got {raw!r}")
     label = _LABEL_ALIASES.get(raw.strip().lower())
     if label is None:
         raise CorpusError(f"unknown stance label: {raw!r}")
@@ -52,6 +54,8 @@ def parse_stance_label(raw: str) -> StanceLabel:
 
 def parse_rfc3339(value: str) -> float:
     """Parse an RFC 3339 timestamp into seconds since epoch (UTC)."""
+    if not isinstance(value, str):
+        raise CorpusError(f"invalid RFC 3339 timestamp: {value!r}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -107,9 +111,6 @@ class Thread:
     def rumour_id(self) -> str:
         return self.source.rumour_id
 
-    def all_tweets(self) -> list:
-        return [self.source, *self.replies]
-
 
 @dataclass
 class Dataset:
@@ -157,7 +158,9 @@ _USER_FIELDS = ("statuses_count", "verified", "followers", "followees",
                 "favourites_count", "account_created", "geo_enabled", "description")
 
 
-def _parse_user(obj: dict, created_at: float) -> UserStats:
+def _parse_user(obj, created_at: float) -> UserStats:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"user must be an object, got {obj!r}")
     for name in _USER_FIELDS:
         if name not in obj:
             raise CorpusError(f"user object missing field {name!r}")
@@ -183,10 +186,15 @@ def _parse_user(obj: dict, created_at: float) -> UserStats:
     )
 
 
-def _parse_record(obj: dict) -> TweetRecord:
+def _parse_record(obj) -> TweetRecord:
+    if not isinstance(obj, dict):
+        raise CorpusError("a corpus line must hold a JSON object")
     for name in ("tweet_id", "text", "created_at", "rumour_id", "event_id", "user"):
         if name not in obj:
             raise CorpusError(f"missing field {name!r}")
+    for name in ("text", "event_id"):
+        if not isinstance(obj[name], str):
+            raise CorpusError(f"{name} must be a string, got {obj[name]!r}")
     tweet_id = obj["tweet_id"]
     if not isinstance(tweet_id, str) or not tweet_id:
         raise CorpusError("tweet_id must be a non-empty string")
@@ -211,6 +219,24 @@ def _parse_record(obj: dict) -> TweetRecord:
     )
 
 
+def read_json_lines(path: Path):
+    """(line number, JSON value) of each non-blank line of a UTF-8 JSONL
+    file, split at the same line ends as text-mode reading; CorpusError
+    names the first line that is not UTF-8 or not JSON."""
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        yield lineno, obj
+
+
 def load_dataset(path) -> Dataset:
     """Load and validate a JSONL dataset.
 
@@ -224,24 +250,17 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     records = []
     seen_lines = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                record = _parse_record(obj)
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if record.tweet_id in seen_lines:
-                raise CorpusError(
-                    f"{path}:{lineno}: duplicate tweet_id {record.tweet_id!r} "
-                    f"(first seen on line {seen_lines[record.tweet_id]})")
-            seen_lines[record.tweet_id] = lineno
-            records.append(record)
+    for lineno, obj in read_json_lines(path):
+        try:
+            record = _parse_record(obj)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
+        if record.tweet_id in seen_lines:
+            raise CorpusError(
+                f"{path}:{lineno}: duplicate tweet_id {record.tweet_id!r} "
+                f"(first seen on line {seen_lines[record.tweet_id]})")
+        seen_lines[record.tweet_id] = lineno
+        records.append(record)
     return _build_dataset(records, path.stem)
 
 

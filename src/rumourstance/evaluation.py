@@ -25,8 +25,8 @@ from .features import (
     build_dictionaries,
     assemble,  # noqa: F401  (bound here for the perfbench tracer test)
     build_schema,
-    corpus_dictionaries,
     featurize,
+    featurize_corpus,
     resolve_now,
     vectorize,
 )
@@ -152,13 +152,13 @@ def make_loo_folds(dataset: Dataset, scope: str = "by_event") -> list:
 
 
 def build_fold_dictionaries(dataset: Dataset, fold: FoldSpec,
-                            resources: ResourceBundle) -> FeatureDictionaries:
-    """Vocabularies from the fold's training rumours only; provenance
-    records those rumour ids for the leakage audit."""
-    training = [t for rumour in fold.train_rumour_ids
-                for t in dataset.rumour_tweets(rumour)]
-    return build_dictionaries(training, resources,
-                              provenance=fold.train_rumour_ids)
+                            analyses: dict) -> FeatureDictionaries:
+    """Vocabularies from the analyses (tweet id -> TweetAnalysis) of the
+    fold's training rumours only, labelled or not; provenance records those
+    rumour ids for the leakage audit."""
+    training = [analyses[tweet_id] for rumour in fold.train_rumour_ids
+                for tweet_id in dataset.rumours[rumour]]
+    return build_dictionaries(training, provenance=fold.train_rumour_ids)
 
 
 def check_leakage(dictionaries: FeatureDictionaries, fold: FoldSpec) -> None:
@@ -335,7 +335,7 @@ def _fold_result(fold_id: str, event_id: str, test_rumours, records,
 
 
 def _evaluate_fold(dataset, analyses, resources, config, fold):
-    dictionaries = build_fold_dictionaries(dataset, fold, resources)
+    dictionaries = build_fold_dictionaries(dataset, fold, analyses)
     check_leakage(dictionaries, fold)
     schema = build_schema(dictionaries, resources, config.groups)
     train = _labelled([t for r in fold.train_rumour_ids
@@ -409,15 +409,16 @@ def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
 def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
              scope: str) -> list:
     """One leave-one-rumour-out report per config, in order. The configs
-    share `now`, so every labelled tweet is analysed once, into a table
-    that all their folds vectorize from and that is dropped on return.
+    share `now`, so every tweet is analysed once, into a table that all
+    their folds count vocabularies and vectorize from and that is dropped
+    on return; unlabelled tweets are in it because vocabularies count them.
     _evaluate_fold is looked up by name on each call, so wrappers installed
     on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
     now = resolve_now(configs[0].now, dataset)
     threads = thread_index(build_threads(dataset))
     analyses = {a.tweet_id: a for a in
-                analyse_many(dataset.labelled(), threads, resources, now)}
+                analyse_many(dataset.tweets, threads, resources, now)}
     protocol = f"loo_{scope}"
     reports = []
     for config in configs:
@@ -442,18 +443,16 @@ def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
     if overlap:
         raise EvalError(f"train and test share {len(overlap)} tweet id(s), "
                         f"e.g. {sorted(overlap)[:3]}")
-    now = resolve_now(config.now, train, test)
-    train_records = train.labelled()
-    if not train_records:
+    if not train.labelled():
         raise EvalError("no labelled training tweets")
-    # vocabularies need no labels, so unlabelled training tweets count too
-    dictionaries = corpus_dictionaries(train, resources)
-    schema = build_schema(dictionaries, resources, config.groups)
-    train_vectors = featurize(train_records, thread_index(build_threads(train)),
-                              dictionaries, resources, schema, now)
     test_records = test.labelled()
     if not test_records:
         raise EvalError("no labelled test tweets")
+    now = resolve_now(config.now, train, test)
+    # vocabularies need no labels, so unlabelled training tweets count too
+    dictionaries, schema, vectors = featurize_corpus(train, resources,
+                                                     config.groups, now)
+    train_vectors = [v for v in vectors if v.label is not None]
     test_vectors = featurize(test_records, thread_index(build_threads(test)),
                              dictionaries, resources, schema, now)
     model = fit_classifier(config.classifier, train_vectors, schema, config.params,

@@ -9,12 +9,13 @@ group's columns and nothing else.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from hashlib import blake2b
 from typing import Optional
 
-from .corpus import Dataset, StanceLabel, Thread, TweetRecord
+from .corpus import Dataset, StanceLabel, Thread, TweetRecord, build_threads, thread_index
 from .errors import SchemaError
 from .resources import (
     BROWN_CLUSTER_COUNT,
@@ -24,6 +25,7 @@ from .resources import (
     cumulative_vector,
 )
 from .text import (
+    DOTS_RUN_RE,
     TokenKind,
     detect_entities,
     entity_token_indices,
@@ -42,7 +44,6 @@ AF_GROUPS = ("AF_SS", "AF_DS", "AF_NDS", "AF_SPS", "AF_ITS", "AF_IQ")
 _POSNG_SIZES = (2, 3, 4)
 _SECONDS_PER_DAY = 86400.0
 _RETWEET_PREFIX_RE = re.compile(r"RT @\w+:?\s+")
-_DOTS_RUN_RE = re.compile(r"\.{3,}")
 
 _USER_COLUMNS = ("originality", "isUserVerified", "numberOfFollowers",
                  "roleScore", "engagementScore", "favouritesScore",
@@ -159,21 +160,14 @@ def _pos_ngrams(tokens) -> list:
     return grams
 
 
-def build_dictionaries(training, resources: ResourceBundle,
-                       provenance=()) -> FeatureDictionaries:
-    """Frequency-filtered vocabularies (total corpus count >= 2) over the
-    training tweets only, with deterministic lexicographic column order."""
-    if not training:
+def build_dictionaries(analyses, provenance=()) -> FeatureDictionaries:
+    """Frequency-filtered vocabularies (total count >= 2) over the BOW terms
+    and POS n-grams of the analysed training tweets only, with
+    deterministic lexicographic column order."""
+    if not analyses:
         raise SchemaError("cannot build feature dictionaries from an empty training set")
-    emoticons = resources.lexicons.all_emoticons()
-    bow_counts: dict = {}
-    posng_counts: dict = {}
-    for tweet in training:
-        tokens = tokenize(tweet.text, emoticons)
-        for term in _bow_terms(tokens):
-            bow_counts[term] = bow_counts.get(term, 0) + 1
-        for gram in _pos_ngrams(tokens):
-            posng_counts[gram] = posng_counts.get(gram, 0) + 1
+    bow_counts = Counter(term for a in analyses for term in a.bow)
+    posng_counts = Counter(gram for a in analyses for gram in a.posng)
     bow = {w: i for i, w in enumerate(sorted(w for w, c in bow_counts.items() if c >= 2))}
     posng = {g: i for i, g in enumerate(sorted(g for g, c in posng_counts.items() if c >= 2))}
     return FeatureDictionaries(bow_vocab=bow, posng_vocab=posng,
@@ -304,7 +298,7 @@ def extract_content(t: TweetRecord, tokens, r: ResourceBundle) -> dict:
     out["averageWordLength"] = (sum(word_lengths) / len(word_lengths)) if word_lengths else 0.0
     question_marks = t.text.count("?")
     exclamations = t.text.count("!")
-    dot_runs = len(_DOTS_RUN_RE.findall(t.text))
+    dot_runs = len(DOTS_RUN_RE.findall(t.text))
     out["hasQuestionMark"] = int(question_marks > 0)
     out["hasExclamationMark"] = int(exclamations > 0)
     out["hasDotDotDot"] = int(dot_runs > 0)
@@ -488,10 +482,16 @@ def featurize(tweets, threads: dict, d: FeatureDictionaries,
     return [vectorize(a, d, schema) for a in analyse_many(tweets, threads, r, now)]
 
 
-def corpus_dictionaries(dataset: Dataset, r: ResourceBundle) -> FeatureDictionaries:
-    """Vocabularies over a whole corpus: every tweet, labelled or not, with
-    every rumour as provenance."""
-    return build_dictionaries(dataset.tweets, r, provenance=dataset.rumours)
+def featurize_corpus(dataset: Dataset, r: ResourceBundle, groups,
+                     now: float) -> tuple:
+    """(dictionaries, schema, vectors of every tweet) for a command whose
+    vocabulary is the whole corpus: every tweet, labelled or not, analysed
+    once, with every rumour as provenance."""
+    threads = thread_index(build_threads(dataset))
+    analyses = list(analyse_many(dataset.tweets, threads, r, now))
+    dictionaries = build_dictionaries(analyses, provenance=dataset.rumours)
+    schema = build_schema(dictionaries, r, groups)
+    return dictionaries, schema, [vectorize(a, dictionaries, schema) for a in analyses]
 
 
 def resolve_now(now: Optional[float], *datasets: Dataset) -> float:

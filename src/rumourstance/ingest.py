@@ -13,25 +13,37 @@ import logging
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .corpus import _LABEL_ALIASES, CorpusError, format_rfc3339, parse_rfc3339
+from .corpus import (
+    _LABEL_ALIASES,
+    CorpusError,
+    format_rfc3339,
+    parse_rfc3339,
+    read_json_lines,
+)
 
 log = logging.getLogger(__name__)
 
 _TWITTER_TIME_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+# the epoch seconds format_rfc3339 can render: years 1 to 9999
+_EARLIEST = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+_LATEST = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
 
 
 def _parse_any_timestamp(value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    text = str(value).strip()
-    try:
-        return parse_rfc3339(text)
-    except CorpusError:
-        pass
-    try:
-        return datetime.strptime(text, _TWITTER_TIME_FORMAT).timestamp()
-    except ValueError:
-        raise CorpusError(f"unrecognized timestamp: {value!r}") from None
+        ts = value
+    else:
+        text = str(value).strip()
+        try:
+            ts = parse_rfc3339(text)
+        except CorpusError:
+            try:
+                ts = datetime.strptime(text, _TWITTER_TIME_FORMAT).timestamp()
+            except ValueError:
+                raise CorpusError(f"unrecognized timestamp: {value!r}") from None
+    if not _EARLIEST <= ts <= _LATEST:  # NaN fails too
+        raise CorpusError(f"timestamp out of range: {value!r}")
+    return float(ts)
 
 
 def _first(obj: dict, *names, default=None):
@@ -46,13 +58,15 @@ def _as_count(value) -> int:
         return 0
     try:
         n = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return 0
     return max(0, n)
 
 
 def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
     """Map one raw tweet object to the normalized ingestion schema."""
+    if not isinstance(obj, dict):
+        raise CorpusError("a raw export line must hold a JSON object")
     tweet_id = _first(obj, "tweet_id", "id_str", "id")
     if tweet_id is None:
         raise CorpusError("raw tweet has no id")
@@ -69,6 +83,8 @@ def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
     event_id = _first(obj, "event_id", "event", default=default_event)
 
     user = obj.get("user") or {}
+    if not isinstance(user, dict):
+        raise CorpusError(f"raw tweet {tweet_id}: user must be an object, got {user!r}")
     account_raw = _first(user, "account_created", "created_at")
     account_created = _parse_any_timestamp(account_raw) if account_raw is not None else created_at
     account_created = min(account_created, created_at)
@@ -106,16 +122,11 @@ def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
     out_path = Path(out_path)
     kept = 0
     dropped = 0
-    with raw_path.open("r", encoding="utf-8") as fin, \
-            out_path.open("w", encoding="utf-8") as fout:
-        for lineno, line in enumerate(fin, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with out_path.open("w", encoding="utf-8") as fout:
+        for lineno, obj in read_json_lines(raw_path):
             try:
-                obj = json.loads(line)
                 record = normalize_record(obj, default_event=default_event)
-            except (json.JSONDecodeError, CorpusError) as exc:
+            except CorpusError as exc:
                 raise CorpusError(f"{raw_path}:{lineno}: {exc}") from None
             label = record["label"]
             if label is not None and label.strip().lower() not in _LABEL_ALIASES:

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from ..errors import ModelError
 from .base import TrainedModel, argmax_label, scores_dict, to_dense
-from .forest import ForestParams, fit_forest, forest_distribution
+from .forest import ForestParams, fit_forest
 from .io import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from .knn import KnnParams, fit_knn
 from .table import LEARNERS
-from .tree import TreeParams, fit_tree, info_gain_ratio, tree_distribution
+from .tree import TreeParams, fit_tree, info_gain_ratio
 
 __all__ = [
     "LEARNERS", "MODEL_MAGIC", "MODEL_VERSION", "TrainedModel",

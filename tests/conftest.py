@@ -5,7 +5,7 @@ import pytest
 
 import rumourstance.features as features
 from rumourstance.bundled import default_bundle_path, micro_corpus_path, ottawa_path
-from rumourstance.corpus import load_dataset
+from rumourstance.corpus import build_threads, load_dataset, thread_index
 from rumourstance.resources import load_bundle
 
 
@@ -24,16 +24,38 @@ def ottawa():
     return load_dataset(ottawa_path())
 
 
+@pytest.fixture(scope="session")
+def micro_analyses(micro, bundle):
+    """tweet id -> TweetAnalysis of every micro tweet, as LOO builds it."""
+    threads = thread_index(build_threads(micro))
+    now = features.resolve_now(None, micro)
+    return {a.tweet_id: a for a in
+            features.analyse_many(micro.tweets, threads, bundle, now)}
+
+
+def _recording(monkeypatch, name):
+    """Wrap `features.<name>` so that each call appends its first argument
+    to the returned list."""
+    calls = []
+    original = getattr(features, name)
+
+    def recording(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(features, name, recording)
+    return calls
+
+
 @pytest.fixture
 def analysed_texts(monkeypatch):
     """The texts tokenized and embedded (`features._analyse_text`) from
     here to the end of the test, in call order."""
-    texts = []
-    analyse_text = features._analyse_text
+    return _recording(monkeypatch, "_analyse_text")
 
-    def counting(text, resources):
-        texts.append(text)
-        return analyse_text(text, resources)
 
-    monkeypatch.setattr(features, "_analyse_text", counting)
-    return texts
+@pytest.fixture
+def tokenized_texts(monkeypatch):
+    """The texts `features.tokenize` splits from here to the end of the
+    test, in call order: every tokenization on the featurization path."""
+    return _recording(monkeypatch, "tokenize")

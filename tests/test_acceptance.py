@@ -228,7 +228,8 @@ def test_c3_parallel_determinism(capsys, tmp_path):
 # --------------------------------------------------------------- criterion 4
 
 
-def test_c4_fold_and_leakage_invariants(capsys, micro, bundle, monkeypatch):
+def test_c4_fold_and_leakage_invariants(capsys, micro, bundle, micro_analyses,
+                                        monkeypatch):
     with criterion(capsys, "C4", "LOO folds partition the rumour set; leakage guard passes "
                                  "honest folds and trips when dictionaries span test rumours"):
         for scope in ("global", "by_event"):
@@ -237,14 +238,14 @@ def test_c4_fold_and_leakage_invariants(capsys, micro, bundle, monkeypatch):
             assert sorted(tested) == sorted(micro.rumours)
             for fold in folds:
                 assert not set(fold.train_rumour_ids) & set(fold.test_rumour_ids)
-                dicts = build_fold_dictionaries(micro, fold, bundle)
+                dicts = build_fold_dictionaries(micro, fold, micro_analyses)
                 check_leakage(dicts, fold)
 
-        def leaky(dataset, fold, resources):
+        def leaky(dataset, fold, analyses):
             from rumourstance.features import build_dictionaries
 
             return build_dictionaries(
-                dataset.tweets, resources, provenance=tuple(sorted(dataset.rumours))
+                list(analyses.values()), provenance=tuple(sorted(dataset.rumours))
             )
 
         import rumourstance.evaluation as evaluation

@@ -164,6 +164,17 @@ def test_featurize_artifacts(out):
     assert n_cols in (header_less_rows, header_less_rows - 1)
 
 
+@pytest.mark.parametrize("command", [
+    ["featurize"],
+    ["train", "--classifier", "tree"],
+    ["eval-loo", "--classifier", "knn"],
+], ids=lambda argv: argv[0])
+def test_command_tokenizes_each_text_once(command, micro, out, tokenized_texts):
+    assert run([*command, "--dataset", micro_corpus_path(), "--out", out]) == 0
+    assert len(tokenized_texts) == len(micro.tweets)
+    assert sorted(tokenized_texts) == sorted(t.text for t in micro.tweets)
+
+
 def test_train_then_predict_round_trip(tmp_path, out):
     train_out = out / "train"
     code = run([

@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rumourstance.bundled import micro_corpus_path
+from rumourstance.cli import main
 from rumourstance.corpus import (
     CLASS_ORDER,
     CorpusError,
@@ -18,6 +24,8 @@ from rumourstance.corpus import (
     subset_by_rumours,
     thread_index,
 )
+from rumourstance.errors import StanceError
+from rumourstance.ingest import ingest_file
 
 
 def test_class_order_is_fixed():
@@ -97,9 +105,7 @@ def test_threads_sorted_and_sourced(micro):
         assert thread.rumour_id == thread.source.rumour_id
         times = [r.created_at for r in thread.replies]
         assert times == sorted(times)
-        ordered = thread.all_tweets()
-        assert ordered[0] is thread.source
-        assert len(ordered) == 1 + len(thread.replies)
+        assert 1 + len(thread.replies) == len(micro.rumours[thread.rumour_id])
 
 
 def test_thread_index_keys(micro):
@@ -127,8 +133,6 @@ def test_save_load_round_trip(micro, tmp_path):
 
 
 def test_load_rejects_duplicate_ids(tmp_path):
-    from rumourstance.bundled import micro_corpus_path
-
     path = tmp_path / "dupes.jsonl"
     first = None
     with open(micro_corpus_path()) as src, open(path, "w") as dst:
@@ -139,3 +143,87 @@ def test_load_rejects_duplicate_ids(tmp_path):
         dst.write(first)
     with pytest.raises(CorpusError):
         load_dataset(path)
+
+
+# ------------------------------------------------------------ input boundary
+
+with open(micro_corpus_path(), "rb") as _fh:
+    _GOOD_LINE = _fh.readline()
+_RECORD = json.loads(_GOOD_LINE)
+# corpus fields, then raw-export aliases that ingest also reads
+_FIELDS = (*_RECORD, *(f"user.{k}" for k in _RECORD["user"]),
+           "id", "timestamp", "full_text", "stance", "user.created_at",
+           "user.followers_count")
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=30),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+def _with_field(field, value) -> bytes:
+    """A reply to the good line's source tweet with `field` (dotted for a
+    user field) set to `value`, so that only that field can make it fail."""
+    record = json.loads(_GOOD_LINE)
+    record.update(tweet_id="a1-reply", in_reply_to=record["tweet_id"])
+    target = record["user"] if field.startswith("user.") else record
+    target[field.removeprefix("user.")] = value
+    return json.dumps(record).encode()
+
+
+@pytest.mark.parametrize("command, bad_line", [
+    pytest.param("featurize", _with_field("text", 5), id="featurize-text-5"),
+    pytest.param("featurize", _with_field("text", None), id="featurize-text-null"),
+    pytest.param("featurize", _with_field("event_id", ["a"]), id="featurize-event-list"),
+    pytest.param("featurize", _with_field("user", 5), id="featurize-user-5"),
+    pytest.param("featurize", _with_field("created_at", 12), id="featurize-created-12"),
+    pytest.param("featurize", _with_field("user.account_created", 7),
+                 id="featurize-account-created-7"),
+    pytest.param("featurize", _with_field("label", 3), id="featurize-label-3"),
+    pytest.param("featurize", b"5", id="featurize-bare-5"),
+    pytest.param("featurize", b"\xff\xfe{}", id="featurize-not-utf8"),
+    pytest.param("ingest", b"5", id="ingest-bare-5"),
+    pytest.param("ingest", _with_field("user", 5), id="ingest-user-5"),
+    pytest.param("ingest", _with_field("user", [1]), id="ingest-user-list"),
+    pytest.param("ingest", _with_field("created_at", float("inf")),
+                 id="ingest-created-infinity"),
+    pytest.param("ingest", b"\xff\xfe{}", id="ingest-not-utf8"),
+])
+def test_bad_input_line_is_a_one_line_error(command, bad_line, tmp_path, capsys):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(_GOOD_LINE + bad_line + b"\n")
+    flag = "--dataset" if command == "featurize" else "--input"
+    code = main([command, flag, str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}:2: ")
+    assert err.count("\n") == 1
+
+
+_lines = st.one_of(
+    st.binary(max_size=40),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    st.builds(_with_field, st.sampled_from(_FIELDS), _json_values),
+)
+
+
+def _succeeds(call) -> bool:
+    try:
+        call()
+    except StanceError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_lines)
+def test_any_input_line_loads_or_is_a_stance_error(line):
+    # a corpus or raw-export line of any JSON value or bytes, after a good
+    # line; what ingest writes must load the same way
+    with tempfile.TemporaryDirectory() as tmp:
+        path, normalized = Path(tmp) / "in.jsonl", Path(tmp) / "normalized.jsonl"
+        path.write_bytes(_GOOD_LINE + line + b"\n")
+        _succeeds(lambda: load_dataset(path))
+        if _succeeds(lambda: ingest_file(path, normalized)):
+            _succeeds(lambda: load_dataset(normalized))

@@ -1,14 +1,18 @@
 """Fold construction, leakage guard, metrics, and the native t-test."""
 from __future__ import annotations
 
+import json
 import math
+from collections import Counter
+from dataclasses import replace
 from hashlib import blake2b
 
 import numpy as np
 import pytest
 
 import rumourstance.evaluation as evaluation
-from rumourstance.corpus import build_threads, thread_index
+from rumourstance.cli import main
+from rumourstance.corpus import Dataset, build_threads, save_dataset, thread_index
 from rumourstance.errors import EvalError, LeakageError
 from rumourstance.evaluation import (
     FoldSpec,
@@ -30,10 +34,13 @@ from rumourstance.features import (
     AF_GROUPS,
     GROUPS,
     FeatureDictionaries,
+    _bow_terms,
+    _pos_ngrams,
     assemble,
     build_schema,
     resolve_now,
 )
+from rumourstance.text import tokenize
 
 
 # --------------------------------------------------------------------- folds
@@ -76,9 +83,9 @@ def test_fold_seed_derivation():
 # ------------------------------------------------------------- leakage guard
 
 
-def test_fold_dictionaries_scoped_to_train(micro, bundle):
+def test_fold_dictionaries_scoped_to_train(micro, micro_analyses):
     fold = make_loo_folds(micro, scope="global")[0]
-    dicts = build_fold_dictionaries(micro, fold, bundle)
+    dicts = build_fold_dictionaries(micro, fold, micro_analyses)
     assert dicts.provenance == tuple(sorted(fold.train_rumour_ids))
     check_leakage(dicts, fold)  # passes quietly
 
@@ -276,10 +283,84 @@ def test_ablation_rows(micro, bundle, knn_config):
 # ------------------------------------------------- one analysis per LOO run
 
 
+@pytest.fixture(scope="module")
+def part_unlabelled(micro):
+    """micro with every third reply's label cleared. No bundled corpus has
+    an unlabelled tweet, yet vocabularies must count them."""
+    replies = [t for t in micro.tweets if t.in_reply_to is not None]
+    cleared = {t.tweet_id for t in replies[::3]}
+    tweets = [replace(t, label=None) if t.tweet_id in cleared else t
+              for t in micro.tweets]
+    return Dataset(name=micro.name, tweets=tweets, rumours=micro.rumours,
+                   events=micro.events)
+
+
+def oracle_dictionaries(tweets, bundle, provenance):
+    """Vocabularies counted afresh from the texts: tokenize, take the BOW
+    terms and POS n-grams, keep those counted at least twice, sorted."""
+    bow, posng = Counter(), Counter()
+    for t in tweets:
+        tokens = tokenize(t.text, bundle.lexicons.all_emoticons())
+        bow.update(_bow_terms(tokens))
+        posng.update(_pos_ngrams(tokens))
+
+    def vocab(counts):
+        return {w: i for i, w in enumerate(sorted(w for w, c in counts.items() if c >= 2))}
+
+    return FeatureDictionaries(bow_vocab=vocab(bow), posng_vocab=vocab(posng),
+                               provenance=tuple(sorted(provenance)))
+
+
+def in_order(d):
+    return list(d.bow_vocab.items()), list(d.posng_vocab.items()), d.provenance
+
+
 @pytest.mark.parametrize("scope", ["by_event", "global"])
-def test_loo_vectors_equal_fresh_per_fold_assembly(micro, bundle, monkeypatch, scope):
+def test_fold_dictionaries_count_unlabelled_tweets(part_unlabelled, bundle,
+                                                   monkeypatch, scope):
+    built = []
+    build = evaluation.build_fold_dictionaries
+
+    def recording(dataset, fold, analyses):
+        built.append((fold, build(dataset, fold, analyses)))
+        return built[-1][1]
+
+    monkeypatch.setattr(evaluation, "build_fold_dictionaries", recording)
+    run_loo(part_unlabelled, bundle, RunConfig(classifier="knn", params={"k": 3}),
+            scope=scope)
+    assert [fold for fold, _ in built] == make_loo_folds(part_unlabelled, scope)
+    labelled_only_differs = False
+    for fold, dicts in built:
+        training = [t for r in fold.train_rumour_ids
+                    for t in part_unlabelled.rumour_tweets(r)]
+        want = oracle_dictionaries(training, bundle, fold.train_rumour_ids)
+        assert in_order(dicts) == in_order(want)
+        labelled = oracle_dictionaries([t for t in training if t.label is not None],
+                                       bundle, fold.train_rumour_ids)
+        labelled_only_differs |= in_order(labelled) != in_order(want)
+    assert labelled_only_differs
+
+
+def test_train_vocabulary_counts_unlabelled_tweets(part_unlabelled, bundle, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    save_dataset(part_unlabelled, corpus)
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(corpus), "--classifier", "tree",
+                 "--out", str(out)]) == 0
+    context = json.loads((out / "model.json").read_text())["context"]
+    want = oracle_dictionaries(part_unlabelled.tweets, bundle, part_unlabelled.rumours)
+    assert context["bow_vocab"] == list(want.bow_vocab)
+    assert context["posng_vocab"] == list(want.posng_vocab)
+    assert context["provenance"] == list(want.provenance)
+
+
+@pytest.mark.parametrize("scope", ["by_event", "global"])
+def test_loo_vectors_equal_fresh_per_fold_assembly(part_unlabelled, bundle,
+                                                   monkeypatch, scope):
     # every fold of the baseline and of the AF-removed rerun, as the
     # learners receive them, against assembling each tweet afresh per fold
+    # under vocabularies counted afresh
+    dataset = part_unlabelled
     seen = []
     fit, predict = evaluation.fit_classifier, evaluation.predict_many
 
@@ -293,27 +374,30 @@ def test_loo_vectors_equal_fresh_per_fold_assembly(micro, bundle, monkeypatch, s
 
     monkeypatch.setattr(evaluation, "fit_classifier", recording_fit)
     monkeypatch.setattr(evaluation, "predict_many", recording_predict)
-    ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}),
+    ablate(dataset, bundle, RunConfig(classifier="knn", params={"k": 3}),
            removals=("AF",), scope=scope)
 
-    folds = make_loo_folds(micro, scope)
+    folds = make_loo_folds(dataset, scope)
     no_af = tuple(g for g in GROUPS if g not in AF_GROUPS)
     runs = [(None, fold) for fold in folds] + [(no_af, fold) for fold in folds]
     assert len(seen) == len(runs)
-    threads = thread_index(build_threads(micro))
-    now = resolve_now(None, micro)
+    threads = thread_index(build_threads(dataset))
+    now = resolve_now(None, dataset)
     for (groups, fold), (schema, train_vectors, test_vectors) in zip(runs, seen):
-        dicts = build_fold_dictionaries(micro, fold, bundle)
+        dicts = oracle_dictionaries(
+            [t for r in fold.train_rumour_ids for t in dataset.rumour_tweets(r)],
+            bundle, fold.train_rumour_ids)
         assert schema == build_schema(dicts, bundle, groups)
         for rumours, vectors in ((fold.train_rumour_ids, train_vectors),
                                  (fold.test_rumour_ids, test_vectors)):
-            tweets = [t for r in rumours for t in micro.rumour_tweets(r)
+            tweets = [t for r in rumours for t in dataset.rumour_tweets(r)
                       if t.label is not None]
             assert vectors == [assemble(t, threads[t.rumour_id], dicts, bundle,
                                         schema, now) for t in tweets]
 
 
-def test_ablation_analyses_each_tweet_once(micro, bundle, analysed_texts):
+def test_ablation_analyses_each_tweet_once(micro, bundle, analysed_texts,
+                                           tokenized_texts):
     ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}),
            removals=("AF",))
-    assert len(analysed_texts) == len(micro.tweets)
+    assert len(analysed_texts) == len(tokenized_texts) == len(micro.tweets)

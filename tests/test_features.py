@@ -27,8 +27,9 @@ from rumourstance.text import tokenize
 
 
 @pytest.fixture(scope="module")
-def dicts(micro, bundle):
-    return build_dictionaries(micro.tweets, bundle, provenance=tuple(sorted(micro.rumours)))
+def dicts(micro, micro_analyses):
+    return build_dictionaries(list(micro_analyses.values()),
+                              provenance=tuple(sorted(micro.rumours)))
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ def test_af_oracle_over_corpus(micro, bundle, threads):
     list_vecs = {name: mean_embedding(sorted(words), bundle.embeddings) for name, words in lists.items()}
     checked = 0
     for thread in threads.values():
-        for tweet in thread.all_tweets():
+        for tweet in (thread.source, *thread.replies):
             toks = tokenize(tweet.text, bundle.lexicons.all_emoticons())
             content = content_words(toks, bundle)
             tweet_vec = mean_embedding(content, bundle.embeddings)
@@ -214,7 +215,7 @@ def test_af_reply_its_matches_oracle(bundle, threads):
 def test_af_iq_flags_interrogative_lead(micro, bundle, threads):
     flagged = 0
     for thread in threads.values():
-        for tweet in thread.all_tweets():
+        for tweet in (thread.source, *thread.replies):
             scores = extract_af(tweet, thread, bundle)
             toks = [t for t in tokenize(tweet.text, bundle.lexicons.all_emoticons()) if t.kind.name == "WORD"]
             expected = 1 if toks and toks[0].lowercase in bundle.lexicons.interrogatives else 0
@@ -226,7 +227,7 @@ def test_af_iq_flags_interrogative_lead(micro, bundle, threads):
 def test_af_scores_in_cosine_range(micro, bundle, threads):
     bound = 1.0 + 1e-12
     for thread in threads.values():
-        for tweet in thread.all_tweets():
+        for tweet in (thread.source, *thread.replies):
             s = extract_af(tweet, thread, bundle)
             for value in (s.ss, s.ds, s.nds, s.sps, s.its):
                 assert -bound <= value <= bound
@@ -239,7 +240,7 @@ def test_mood_oracle(micro, bundle, threads):
     moods = bundle.lexicons.mood_lists
     mood_vecs = {name: mean_embedding(sorted(words), bundle.embeddings) for name, words in moods.items()}
     thread = next(iter(threads.values()))
-    for tweet in thread.all_tweets():
+    for tweet in (thread.source, *thread.replies):
         toks = tokenize(tweet.text, bundle.lexicons.all_emoticons())
         tweet_vec = mean_embedding(content_words(toks, bundle), bundle.embeddings)
         got = extract_mood(tweet, bundle)
@@ -305,11 +306,13 @@ def test_af_group_removal_only_drops_af(micro, bundle, dicts, schema, threads):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_featurize_equals_assemble_analysing_each_text_once(
-        micro, bundle, dicts, schema, threads, analysed_texts, reverse):
+        micro, bundle, dicts, schema, threads, analysed_texts, tokenized_texts,
+        reverse):
     # reversed, replies come before their thread's source
     tweets = micro.tweets[::-1] if reverse else micro.tweets
     expected = [assemble(t, threads[t.rumour_id], dicts, bundle, schema, now=0.0)
                 for t in tweets]
     analysed_texts.clear()
+    tokenized_texts.clear()
     assert featurize(tweets, threads, dicts, bundle, schema, now=0.0) == expected
-    assert len(analysed_texts) == len(tweets)
+    assert len(analysed_texts) == len(tokenized_texts) == len(tweets)

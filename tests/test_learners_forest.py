@@ -72,7 +72,9 @@ def test_forest_votes_average_distributions():
     vecs = make_vectors(rng, 30, 4, classes=("support", "deny"))
     model = fit_forest(vecs, params=ForestParams(n_trees=5, seed=1), n_features=4)
     probe = vecs[0]
-    from rumourstance.learners import forest_distribution, to_dense, tree_distribution
+    from rumourstance.learners.base import to_dense
+    from rumourstance.learners.forest import forest_distribution
+    from rumourstance.learners.tree import tree_distribution
 
     row = to_dense([probe], 4)[0]
     per_tree = [tree_distribution(t, row) for t in model.payload["trees"]]
