@@ -39,7 +39,7 @@ from .features import (
 )
 from .ingest import ingest_file
 from .learners import LEARNERS, predict_many
-from .learners.base import is_finite_number
+from .learners.base import is_finite_number, label_indices, to_dense
 from .learners.io import load_model, save_model
 from .reports import (
     ablation_report_json,
@@ -254,8 +254,8 @@ def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
     dictionaries, schema, vectors = featurize_corpus(dataset, resources,
                                                      config.groups, now)
     vectors = [v for v in vectors if v.label is not None]
-    model = fit_classifier(config.classifier, vectors, schema, config.params,
-                           config.seed)
+    model = fit_classifier(config, to_dense(vectors, len(schema)), label_indices(vectors),
+                           schema.fingerprint, config.seed)
     model.context.update({
         "bow_vocab": list(dictionaries.bow_vocab),
         "posng_vocab": list(dictionaries.posng_vocab),
@@ -389,7 +389,7 @@ def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
                         dictionaries, resources, schema, now)
     lines = []
     for tweet, (label, scores) in zip(dataset.tweets,
-                                      predict_many(model, vectors)):
+                                      predict_many(model, to_dense(vectors, len(schema)))):
         cells = " ".join(f"{name}:{value:.6f}" for name, value in scores.items())
         lines.append(f"{tweet.tweet_id}\t{label}\t{cells}")
     text = "\n".join(lines) + "\n"

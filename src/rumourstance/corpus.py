@@ -168,6 +168,9 @@ def _parse_user(obj, created_at: float) -> UserStats:
         value = obj[name]
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise CorpusError(f"user field {name!r} must be a non-negative integer, got {value!r}")
+    for name in ("verified", "geo_enabled"):
+        if not isinstance(obj[name], bool):
+            raise CorpusError(f"user field {name!r} must be true or false, got {obj[name]!r}")
     account_created = parse_rfc3339(obj["account_created"])
     if account_created > created_at:
         raise CorpusError("account_created is after the tweet's timestamp")
@@ -176,12 +179,12 @@ def _parse_user(obj, created_at: float) -> UserStats:
         raise CorpusError("user description must be a string or null")
     return UserStats(
         statuses_count=obj["statuses_count"],
-        verified=bool(obj["verified"]),
+        verified=obj["verified"],
         followers=obj["followers"],
         followees=obj["followees"],
         favourites_count=obj["favourites_count"],
         account_created=account_created,
-        geo_enabled=bool(obj["geo_enabled"]),
+        geo_enabled=obj["geo_enabled"],
         description=description,
     )
 

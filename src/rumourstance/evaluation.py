@@ -2,6 +2,12 @@
 pooled metrics, a native paired t-test, and the feature-group ablation
 harness.
 
+A leave-one-rumour-out run vectorizes each labelled tweet once, into a run
+matrix over all groups and the vocabularies of every tweet. A fold's schema,
+built from its training rumours' vocabularies and ablated or not, is an
+order-preserving subset of those columns, and no value depends on the fold,
+so each fold fits and predicts on rows and columns sliced from that matrix.
+
 Reproducibility contract: identical (dataset, config, seed, resource bundle)
 produce byte-identical reports. Folds run one after another in fold list
 order, and every random draw is keyed off the config seed and a fold id.
@@ -14,6 +20,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from hashlib import blake2b
 from typing import Optional
+
+import numpy as np
 
 from .corpus import CLASS_ORDER, Dataset, build_threads, thread_index
 from .errors import EvalError, LeakageError
@@ -30,7 +38,8 @@ from .features import (
     resolve_now,
     vectorize,
 )
-from .learners import LEARNERS, predict_many
+from .learners import LEARNERS, fit_model, predict_many
+from .learners.base import label_indices, to_dense
 from .resources import ResourceBundle
 
 log = logging.getLogger(__name__)
@@ -285,9 +294,11 @@ def fold_seed(seed: int, fold_id: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def fit_classifier(classifier: str, vectors, schema, params: dict, seed: int):
-    learner = LEARNERS[classifier]
-    return learner.fit(vectors, learner.params(params, seed), schema)
+def fit_classifier(config: RunConfig, X, y, schema_fingerprint: int, seed: int):
+    """The config's classifier, with its params under `seed`, fitted on the
+    rows of X with class indices y."""
+    params = LEARNERS[config.classifier].params(config.params, seed)
+    return fit_model(config.classifier, X, y, params, schema_fingerprint)
 
 
 def _labelled(records) -> list:
@@ -334,10 +345,24 @@ def _fold_result(fold_id: str, event_id: str, test_rumours, records,
     }
 
 
-def _evaluate_fold(dataset, analyses, resources, config, fold):
+def _run_matrix(dataset: Dataset, analyses: dict, resources: ResourceBundle) -> tuple:
+    """(X, class indices y, row of each tweet id, column of each column
+    name) of the labelled tweets, vectorized once in dataset order under
+    every group and the vocabularies of all the analyses."""
+    dictionaries = build_dictionaries(list(analyses.values()))
+    schema = build_schema(dictionaries, resources)
+    vectors = [vectorize(analyses[t.tweet_id], dictionaries, schema)
+               for t in _labelled(dataset.tweets)]
+    return (to_dense(vectors, len(schema)), label_indices(vectors),
+            {v.tweet_id: i for i, v in enumerate(vectors)}, schema.name_to_index)
+
+
+def _evaluate_fold(dataset, analyses, run_matrix, resources, config, fold):
+    X, y, row_of, column_of = run_matrix
     dictionaries = build_fold_dictionaries(dataset, fold, analyses)
     check_leakage(dictionaries, fold)
     schema = build_schema(dictionaries, resources, config.groups)
+    columns = [column_of[name] for name, _ in schema.columns]
     train = _labelled([t for r in fold.train_rumour_ids
                        for t in dataset.rumour_tweets(r)])
     test = _labelled([t for r in fold.test_rumour_ids
@@ -346,13 +371,10 @@ def _evaluate_fold(dataset, analyses, resources, config, fold):
         raise EvalError(f"fold {fold.fold_id}: no labelled training tweets")
     if not test:
         raise EvalError(f"fold {fold.fold_id}: no labelled test tweets")
-    train_vectors = [vectorize(analyses[t.tweet_id], dictionaries, schema)
-                     for t in train]
-    test_vectors = [vectorize(analyses[t.tweet_id], dictionaries, schema)
-                    for t in test]
-    model = fit_classifier(config.classifier, train_vectors, schema, config.params,
-                           fold_seed(config.seed, fold.fold_id))
-    predictions = predict_many(model, test_vectors)
+    train_rows = [row_of[t.tweet_id] for t in train]
+    model = fit_classifier(config, X[np.ix_(train_rows, columns)], y[train_rows],
+                           schema.fingerprint, fold_seed(config.seed, fold.fold_id))
+    predictions = predict_many(model, X[np.ix_([row_of[t.tweet_id] for t in test], columns)])
     events = {dataset.event_of_rumour(r) for r in fold.test_rumour_ids}
     if len(events) != 1:
         raise EvalError(f"fold {fold.fold_id}: test rumours span events {sorted(events)}")
@@ -410,19 +432,21 @@ def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
              scope: str) -> list:
     """One leave-one-rumour-out report per config, in order. The configs
     share `now`, so every tweet is analysed once, into a table that all
-    their folds count vocabularies and vectorize from and that is dropped
-    on return; unlabelled tweets are in it because vocabularies count them.
-    _evaluate_fold is looked up by name on each call, so wrappers installed
-    on it (by a tracer, say) see every fold."""
+    their folds count vocabularies from (unlabelled tweets are in it
+    because vocabularies count them), and every labelled tweet is
+    vectorized once, into the run matrix that all their folds slice; both
+    are dropped on return. _evaluate_fold is looked up by name on each
+    call, so wrappers installed on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
     now = resolve_now(configs[0].now, dataset)
     threads = thread_index(build_threads(dataset))
     analyses = {a.tweet_id: a for a in
                 analyse_many(dataset.tweets, threads, resources, now)}
+    run_matrix = _run_matrix(dataset, analyses, resources)
     protocol = f"loo_{scope}"
     reports = []
     for config in configs:
-        results = [_evaluate_fold(dataset, analyses, resources, config, fold)
+        results = [_evaluate_fold(dataset, analyses, run_matrix, resources, config, fold)
                    for fold in folds]
         echo = _resolved_config(config, dataset, resources, protocol, now)
         reports.append(_reduce_report(protocol, results, echo))
@@ -455,10 +479,12 @@ def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
     train_vectors = [v for v in vectors if v.label is not None]
     test_vectors = featurize(test_records, thread_index(build_threads(test)),
                              dictionaries, resources, schema, now)
-    model = fit_classifier(config.classifier, train_vectors, schema, config.params,
+    model = fit_classifier(config, to_dense(train_vectors, len(schema)),
+                           label_indices(train_vectors), schema.fingerprint,
                            fold_seed(config.seed, "split"))
+    predictions = predict_many(model, to_dense(test_vectors, len(schema)))
     by_event: dict = {}
-    for record, prediction in zip(test_records, predict_many(model, test_vectors)):
+    for record, prediction in zip(test_records, predictions):
         by_event.setdefault(record.event_id, []).append((record, prediction))
     results = []
     for event in sorted(by_event):

@@ -63,6 +63,14 @@ def _as_count(value) -> int:
     return max(0, n)
 
 
+def _as_flag(user: dict, name: str) -> bool:
+    """A user flag: false when absent or null, else a JSON boolean."""
+    value = _first(user, name, default=False)
+    if not isinstance(value, bool):
+        raise CorpusError(f"user field {name!r} must be true or false, got {value!r}")
+    return value
+
+
 def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
     """Map one raw tweet object to the normalized ingestion schema."""
     if not isinstance(obj, dict):
@@ -91,12 +99,12 @@ def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
     description = user.get("description")
     normalized_user = {
         "statuses_count": _as_count(_first(user, "statuses_count", "statuses")),
-        "verified": bool(user.get("verified", False)),
+        "verified": _as_flag(user, "verified"),
         "followers": _as_count(_first(user, "followers", "followers_count")),
         "followees": _as_count(_first(user, "followees", "friends_count", "following")),
         "favourites_count": _as_count(_first(user, "favourites_count", "favorites_count")),
         "account_created": format_rfc3339(account_created),
-        "geo_enabled": bool(user.get("geo_enabled", False)),
+        "geo_enabled": _as_flag(user, "geo_enabled"),
         "description": str(description) if description else None,
     }
     label = _first(obj, "label", "stance")
@@ -116,27 +124,28 @@ def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
     """Normalize a raw JSONL export; returns {"kept": n, "dropped": n}.
 
     Tweets with an annotation outside the four-class set are dropped, except
-    source tweets, which are kept with the label cleared.
+    source tweets, which are kept with the label cleared. Every line is
+    normalized before `out_path` is opened, so a bad line writes nothing.
     """
     raw_path = Path(raw_path)
     out_path = Path(out_path)
-    kept = 0
+    lines = []
     dropped = 0
+    for lineno, obj in read_json_lines(raw_path):
+        try:
+            record = normalize_record(obj, default_event=default_event)
+        except CorpusError as exc:
+            raise CorpusError(f"{raw_path}:{lineno}: {exc}") from None
+        label = record["label"]
+        if label is not None and label.strip().lower() not in _LABEL_ALIASES:
+            if record["in_reply_to"] is None:
+                record["label"] = None  # keep sources for thread structure
+            else:
+                dropped += 1
+                continue
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
     with out_path.open("w", encoding="utf-8") as fout:
-        for lineno, obj in read_json_lines(raw_path):
-            try:
-                record = normalize_record(obj, default_event=default_event)
-            except CorpusError as exc:
-                raise CorpusError(f"{raw_path}:{lineno}: {exc}") from None
-            label = record["label"]
-            if label is not None and label.strip().lower() not in _LABEL_ALIASES:
-                if record["in_reply_to"] is None:
-                    record["label"] = None  # keep sources for thread structure
-                else:
-                    dropped += 1
-                    continue
-            fout.write(json.dumps(record, ensure_ascii=False) + "\n")
-            kept += 1
+        fout.writelines(lines)
     if dropped:
         log.warning("dropped %d tweets with out-of-set annotations", dropped)
-    return {"kept": kept, "dropped": dropped}
+    return {"kept": len(lines), "dropped": dropped}

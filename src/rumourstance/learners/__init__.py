@@ -1,10 +1,12 @@
-"""Native classifiers over sparse feature vectors: pruned decision tree,
+"""Native classifiers over dense feature matrices: pruned decision tree,
 random forest, distance-weighted k-NN, plus the model container."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ModelError
-from .base import TrainedModel, argmax_label, scores_dict, to_dense
+from .base import CLASS_NAMES, TrainedModel, argmax_label, scores_dict, to_dense
 from .forest import ForestParams, fit_forest
 from .io import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from .knn import KnnParams, fit_knn
@@ -14,23 +16,37 @@ from .tree import TreeParams, fit_tree, info_gain_ratio
 __all__ = [
     "LEARNERS", "MODEL_MAGIC", "MODEL_VERSION", "TrainedModel",
     "TreeParams", "ForestParams", "KnnParams",
-    "fit_tree", "fit_forest", "fit_knn",
+    "fit_tree", "fit_forest", "fit_knn", "fit_model",
     "info_gain_ratio", "predict", "predict_many",
     "save_model", "load_model",
 ]
 
 
-def predict_many(model: TrainedModel, vectors) -> list:
-    """(label, per-class scores summing to 1) for each feature vector."""
-    for vector in vectors:
-        if vector.schema_fingerprint != model.schema_fingerprint:
-            raise ModelError(
-                "vector schema fingerprint does not match the model; "
-                "refeaturize with the schema the model was trained under")
-    rows = LEARNERS[model.kind].scores(model, to_dense(vectors, model.n_features))
+def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params,
+              schema_fingerprint: int) -> TrainedModel:
+    """The `kind` model fitted on the rows of X, whose class indices are y,
+    with the kind's params object; it predicts only vectors of the schema
+    with that fingerprint, over X's columns."""
+    if not len(y):
+        raise ValueError(f"cannot fit {kind} on an empty training set")
+    return TrainedModel(kind=kind, schema_fingerprint=schema_fingerprint,
+                        n_features=X.shape[1], classes=CLASS_NAMES,
+                        payload=LEARNERS[kind].fit(X, y, params))
+
+
+def predict_many(model: TrainedModel, X: np.ndarray) -> list:
+    """(label, per-class scores summing to 1) for each row of X."""
+    if X.shape[1] != model.n_features:
+        raise ModelError(f"got {X.shape[1]} columns for a model over {model.n_features}")
+    rows = LEARNERS[model.kind].scores(model, X)
     return [(argmax_label(scores), scores_dict(scores)) for scores in rows]
 
 
 def predict(model: TrainedModel, vector) -> tuple:
-    """predict_many() of one vector."""
-    return predict_many(model, [vector])[0]
+    """predict_many() of one feature vector, which must carry the
+    fingerprint of the schema the model was trained under."""
+    if vector.schema_fingerprint != model.schema_fingerprint:
+        raise ModelError(
+            "vector schema fingerprint does not match the model; "
+            "refeaturize with the schema the model was trained under")
+    return predict_many(model, to_dense([vector], model.n_features))[0]

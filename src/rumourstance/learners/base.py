@@ -9,9 +9,8 @@ import numpy as np
 
 from ..corpus import CLASS_ORDER, StanceLabel
 
-# learners speak plain label strings; enums are accepted and normalized
+# learners speak plain label strings and class indices in this order
 CLASS_NAMES = tuple(label.value for label in CLASS_ORDER)
-LABEL_INDEX = {name: i for i, name in enumerate(CLASS_NAMES)}
 N_CLASSES = len(CLASS_NAMES)
 
 
@@ -32,18 +31,10 @@ class TrainedModel:
 
 
 def label_indices(vectors) -> np.ndarray:
-    """Class index of each vector's label, given as a string or an enum."""
-    out = []
-    for i, vector in enumerate(vectors):
-        label = vector.label
-        if label is None:
-            raise ValueError(f"vector {i} has no label")
-        if isinstance(label, StanceLabel):
-            label = label.value
-        if label not in LABEL_INDEX:
-            raise ValueError(f"unknown label {label!r} at position {i}")
-        out.append(LABEL_INDEX[label])
-    return np.array(out, dtype=np.int64)
+    """Class index of each vector's label, given as a string or an enum;
+    ValueError for a missing or unknown label."""
+    return np.array([CLASS_ORDER.index(StanceLabel(v.label)) for v in vectors],
+                    dtype=np.int64)
 
 
 def is_finite_number(value) -> bool:
@@ -67,15 +58,6 @@ def to_dense(vectors, n_features: int) -> np.ndarray:
         for index, value in vector.values.items():
             X[row, index] = value
     return X
-
-
-def training_matrix(what: str, vectors, n_features: int) -> tuple:
-    """(schema fingerprint, dense matrix, label indices) of labelled
-    training vectors; the fingerprint is the one the vectors carry."""
-    if not vectors:
-        raise ValueError(f"cannot fit {what} on an empty training set")
-    indices = label_indices(vectors)
-    return vectors[0].schema_fingerprint, to_dense(vectors, n_features), indices
 
 
 def argmax_label(scores: np.ndarray) -> str:

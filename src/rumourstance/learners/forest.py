@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ModelError
-from .base import CLASS_NAMES, TrainedModel, is_int, training_matrix
+from .base import is_int
 from .tree import TreeParams, check_tree, grow_tree, tree_distribution
 
 _FEATURE_RULES = ("log2", "sqrt", "all")
@@ -66,22 +66,15 @@ def _fit_one_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
     return grow_tree(X, y, rows, tree_params, columns_for_node=draw_columns)
 
 
-def fit_forest(vectors, params: ForestParams = ForestParams(), *,
-               n_features: int) -> TrainedModel:
-    """Fit n_trees unpruned trees on labelled FeatureVectors."""
-    fingerprint, dense, indices = training_matrix("a forest", vectors, n_features)
+def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> dict:
+    """The payload of n_trees unpruned trees fitted on the rows of X, whose
+    class indices are y."""
     # unpruned, same leaf floor as the standalone tree so a 1-tree forest
     # without bagging degenerates to it exactly
     tree_params = TreeParams(pruning=False)
-    trees = [_fit_one_tree(dense, indices, params, i, tree_params)
-             for i in range(params.n_trees)]
-    return TrainedModel(
-        kind="forest",
-        schema_fingerprint=fingerprint,
-        n_features=n_features,
-        classes=CLASS_NAMES,
-        payload={"trees": trees, "params": asdict(params)},
-    )
+    return {"trees": [_fit_one_tree(X, y, params, i, tree_params)
+                      for i in range(params.n_trees)],
+            "params": asdict(params)}
 
 
 def forest_distribution(payload: dict, row: np.ndarray) -> np.ndarray:

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelError
-from .base import (
-    CLASS_NAMES,
-    N_CLASSES,
-    TrainedModel,
-    is_finite_number,
-    is_index,
-    is_int,
-    training_matrix,
-)
+from .base import N_CLASSES, is_finite_number, is_index, is_int
 
 log = logging.getLogger(__name__)
 
@@ -50,34 +42,27 @@ def normalize_columns(X: np.ndarray, mins: np.ndarray,
     return out
 
 
-def fit_knn(vectors, params: KnnParams = KnnParams(), *,
-            n_features: int) -> TrainedModel:
-    fingerprint, dense, indices = training_matrix("k-NN", vectors, n_features)
+def fit_knn(X: np.ndarray, y: np.ndarray, params: KnnParams) -> dict:
+    """The k-NN payload of the rows of X, whose class indices are y: each
+    row normalized and stored sparsely, in training order."""
     k = params.k
-    if k > len(vectors):
-        log.warning("k=%d exceeds the %d training instances; clamping", k, len(vectors))
-        k = len(vectors)
-    mins = dense.min(axis=0)
-    ranges = dense.max(axis=0) - mins
-    normalized = normalize_columns(dense, mins, ranges)
+    if k > len(y):
+        log.warning("k=%d exceeds the %d training instances; clamping", k, len(y))
+        k = len(y)
+    mins = X.min(axis=0)
+    ranges = X.max(axis=0) - mins
     instances = []
-    for row in normalized:
+    for row in normalize_columns(X, mins, ranges):
         nz = np.nonzero(row)[0]
         instances.append({str(int(i)): float(row[i]) for i in nz})
-    return TrainedModel(
-        kind="knn",
-        schema_fingerprint=fingerprint,
-        n_features=n_features,
-        classes=CLASS_NAMES,
-        payload={
-            "instances": instances,
-            "labels": [int(i) for i in indices],
-            "mins": [float(v) for v in mins],
-            "ranges": [float(v) for v in ranges],
-            "k": k,
-            "weighting": params.weighting,
-        },
-    )
+    return {
+        "instances": instances,
+        "labels": [int(i) for i in y],
+        "mins": [float(v) for v in mins],
+        "ranges": [float(v) for v in ranges],
+        "k": k,
+        "weighting": params.weighting,
+    }
 
 
 def knn_scores(payload: dict, X: np.ndarray, n_features: int) -> list:

@@ -1,9 +1,10 @@
 """The learner table: everything that depends on the classifier kind.
 
 Each entry builds the kind's params from a settings dict and the run seed,
-fits a model, scores the rows of a dense matrix, and checks a loaded payload. The fit
-functions are looked up by name when called, so wrappers installed on them
-(by a tracer, say) see every fit.
+fits a payload on a dense matrix, scores the rows of a dense matrix, and
+checks a loaded payload. The fit functions are looked up by name when
+called, so wrappers installed on them (by a tracer, say) see every fit.
+`learners.fit_model` wraps a fitted payload into the TrainedModel.
 """
 
 from __future__ import annotations
@@ -19,27 +20,27 @@ from .tree import TreeParams, check_tree, fit_tree, tree_distribution
 @dataclass(frozen=True)
 class Learner:
     params: Callable        # (settings dict, seed) -> params object
-    fit: Callable           # (vectors, params object, schema) -> TrainedModel
-    scores: Callable        # (model, dense rows) -> per-row scores summing to 1
+    fit: Callable           # (dense X, class indices y, params object) -> payload
+    scores: Callable        # (model, dense X) -> per-row scores summing to 1
     check: Callable         # (payload, n_features) -> None; raises ModelError
 
 
 LEARNERS = {
     "tree": Learner(
         params=lambda settings, seed: TreeParams(**settings),
-        fit=lambda vectors, params, schema: fit_tree(vectors, params, n_features=len(schema)),
+        fit=lambda X, y, params: fit_tree(X, y, params),
         scores=lambda model, X: [tree_distribution(model.payload["root"], row) for row in X],
         check=lambda payload, n_features: check_tree(payload.get("root"), n_features),
     ),
     "forest": Learner(
         params=lambda settings, seed: ForestParams(seed=seed, **settings),
-        fit=lambda vectors, params, schema: fit_forest(vectors, params, n_features=len(schema)),
+        fit=lambda X, y, params: fit_forest(X, y, params),
         scores=lambda model, X: [forest_distribution(model.payload, row) for row in X],
         check=check_forest,
     ),
     "knn": Learner(
         params=lambda settings, seed: KnnParams(**settings),
-        fit=lambda vectors, params, schema: fit_knn(vectors, params, n_features=len(schema)),
+        fit=lambda X, y, params: fit_knn(X, y, params),
         scores=lambda model, X: knn_scores(model.payload, X, model.n_features),
         check=check_knn,
     ),

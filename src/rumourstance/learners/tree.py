@@ -23,15 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ModelError
-from .base import (
-    CLASS_NAMES,
-    N_CLASSES,
-    TrainedModel,
-    is_finite_number,
-    is_index,
-    is_int,
-    training_matrix,
-)
+from .base import N_CLASSES, is_finite_number, is_index, is_int
 
 _GAIN_EPS = 1e-12
 _PRUNE_SLACK = 0.1
@@ -261,18 +253,10 @@ def _estimated_errors(counts: np.ndarray, confidence: float) -> float:
 # --- public fit/predict ----------------------------------------------------------
 
 
-def fit_tree(vectors, params: TreeParams = TreeParams(), *,
-             n_features: int) -> TrainedModel:
-    """Fit on labelled FeatureVectors over n_features columns."""
-    fingerprint, dense, indices = training_matrix("a tree", vectors, n_features)
-    root = grow_tree(dense, indices, np.arange(len(indices)), params)
-    return TrainedModel(
-        kind="tree",
-        schema_fingerprint=fingerprint,
-        n_features=n_features,
-        classes=CLASS_NAMES,
-        payload={"root": root, "params": asdict(params)},
-    )
+def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> dict:
+    """The tree payload fitted on the rows of X, whose class indices are y."""
+    return {"root": grow_tree(X, y, np.arange(len(y)), params),
+            "params": asdict(params)}
 
 
 def tree_distribution(node: dict, row: np.ndarray) -> np.ndarray:

@@ -35,9 +35,7 @@ from rumourstance.learners import (
     ForestParams,
     KnnParams,
     TreeParams,
-    fit_forest,
-    fit_knn,
-    fit_tree,
+    fit_model,
     predict,
 )
 from rumourstance.learners.tree import info_gain_ratio
@@ -63,6 +61,10 @@ def criterion(capsys, tag, detail=""):
 
 def sparse(row):
     return {j: float(v) for j, v in enumerate(row) if v != 0.0}
+
+
+def classes(labels):
+    return np.array([CLASSES.index(label) for label in labels])
 
 
 def vectors_from(X, labels):
@@ -134,9 +136,7 @@ def test_c1_oracle_equivalence(capsys):
             labels = rng.choice(CLASSES, size=n).tolist()
             k = int(rng.integers(1, n + 1))
             weighting = ("inverse_distance", "uniform")[trial % 2]
-            model = fit_knn(
-                vectors_from(X, labels), params=KnnParams(k=k, weighting=weighting), n_features=m
-            )
+            model = fit_model("knn", X, classes(labels), KnnParams(k=k, weighting=weighting), 0)
             for row in rng.uniform(-2, 2, size=(5, m)):
                 probe = FeatureVector(
                     tweet_id="q", schema_fingerprint=0,
@@ -158,14 +158,12 @@ def test_c2_degeneracy_ladder(capsys):
             n, m = int(rng.integers(4, 40)), int(rng.integers(1, 6))
             X = rng.normal(size=(n, m)).round(2)
             labels = rng.choice(CLASSES, size=n).tolist()
-            vecs = vectors_from(X, labels)
-            forest = fit_forest(
-                vecs,
-                params=ForestParams(n_trees=1, bagging=False, features_per_split="all", seed=0),
-                n_features=m,
+            forest = fit_model(
+                "forest", X, classes(labels),
+                ForestParams(n_trees=1, bagging=False, features_per_split="all", seed=0), 0,
             )
-            tree = fit_tree(vecs, params=TreeParams(pruning=False), n_features=m)
-            probes = vecs + vectors_from(rng.normal(size=(10, m)).round(2), [None] * 10)
+            tree = fit_model("tree", X, classes(labels), TreeParams(pruning=False), 0)
+            probes = vectors_from(X, labels) + vectors_from(rng.normal(size=(10, m)).round(2), [None] * 10)
             for probe in probes:
                 assert predict(forest, probe) == predict(tree, probe)
 
@@ -175,9 +173,7 @@ def test_c2_degeneracy_ladder(capsys):
             labels = rng.choice(CLASSES, size=n).tolist()
             counts = Counter(labels)
             majority = max(CLASSES, key=lambda c: (counts.get(c, 0), -CLASSES.index(c)))
-            model = fit_knn(
-                vectors_from(X, labels), params=KnnParams(k=n, weighting="uniform"), n_features=m
-            )
+            model = fit_model("knn", X, classes(labels), KnnParams(k=n, weighting="uniform"), 0)
             probe = FeatureVector(
                 tweet_id="q", schema_fingerprint=0,
                 values=dict(enumerate(map(float, rng.normal(size=m)))), label=None,
@@ -185,11 +181,11 @@ def test_c2_degeneracy_ladder(capsys):
             assert predict(model, probe)[0] == majority
 
         X = np.arange(20, dtype=float).reshape(10, 2)
-        constant = vectors_from(X, ["deny"] * 10)
+        constant = classes(["deny"] * 10)
         fits = (
-            fit_tree(constant, n_features=2),
-            fit_forest(constant, params=ForestParams(n_trees=3, seed=1), n_features=2),
-            fit_knn(constant, params=KnnParams(k=3), n_features=2),
+            fit_model("tree", X, constant, TreeParams(), 0),
+            fit_model("forest", X, constant, ForestParams(n_trees=3, seed=1), 0),
+            fit_model("knn", X, constant, KnnParams(k=3), 0),
         )
         probe = FeatureVector(tweet_id="q", schema_fingerprint=0, values={0: 3.0}, label=None)
         for model in fits:

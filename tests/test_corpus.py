@@ -183,12 +183,21 @@ def _with_field(field, value) -> bytes:
     pytest.param("featurize", _with_field("label", 3), id="featurize-label-3"),
     pytest.param("featurize", b"5", id="featurize-bare-5"),
     pytest.param("featurize", b"\xff\xfe{}", id="featurize-not-utf8"),
+    pytest.param("featurize", _with_field("user.verified", "false"),
+                 id="featurize-verified-string"),
+    pytest.param("featurize", _with_field("user.geo_enabled", "no"),
+                 id="featurize-geo-enabled-string"),
+    pytest.param("featurize", _with_field("user.verified", 0), id="featurize-verified-0"),
     pytest.param("ingest", b"5", id="ingest-bare-5"),
     pytest.param("ingest", _with_field("user", 5), id="ingest-user-5"),
     pytest.param("ingest", _with_field("user", [1]), id="ingest-user-list"),
     pytest.param("ingest", _with_field("created_at", float("inf")),
                  id="ingest-created-infinity"),
     pytest.param("ingest", b"\xff\xfe{}", id="ingest-not-utf8"),
+    pytest.param("ingest", _with_field("user.verified", "false"), id="ingest-verified-string"),
+    pytest.param("ingest", _with_field("user.geo_enabled", "no"),
+                 id="ingest-geo-enabled-string"),
+    pytest.param("ingest", _with_field("user.geo_enabled", 1), id="ingest-geo-enabled-1"),
 ])
 def test_bad_input_line_is_a_one_line_error(command, bad_line, tmp_path, capsys):
     path = tmp_path / "input.jsonl"
@@ -199,6 +208,32 @@ def test_bad_input_line_is_a_one_line_error(command, bad_line, tmp_path, capsys)
     assert code == 1
     assert err.startswith(f"error: {path}:2: ")
     assert err.count("\n") == 1
+    # a bad export writes nothing, not the lines before the bad one
+    assert not (tmp_path / "out" / "normalized.jsonl").exists()
+
+
+@pytest.mark.parametrize("field, value", [("verified", "false"), ("geo_enabled", "no"),
+                                          ("verified", 1), ("geo_enabled", [True])])
+def test_user_flags_must_be_json_booleans(field, value, tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(_GOOD_LINE + _with_field(f"user.{field}", value) + b"\n")
+    normalized = tmp_path / "normalized.jsonl"
+    for load in (load_dataset, lambda p: ingest_file(p, normalized)):
+        with pytest.raises(CorpusError, match=f"user field '{field}' must be true or false"):
+            load(path)
+
+
+def test_ingest_reads_an_absent_or_null_user_flag_as_false(tmp_path):
+    source = json.loads(_GOOD_LINE)
+    del source["user"]["verified"]
+    source["user"]["geo_enabled"] = True
+    reply = json.loads(_with_field("user.geo_enabled", None))
+    reply["user"]["verified"] = True
+    path, normalized = tmp_path / "in.jsonl", tmp_path / "normalized.jsonl"
+    path.write_text(json.dumps(source) + "\n" + json.dumps(reply) + "\n")
+    ingest_file(path, normalized)
+    flags = [(t.user.verified, t.user.geo_enabled) for t in load_dataset(normalized).tweets]
+    assert flags == [(False, True), (True, False)]
 
 
 _lines = st.one_of(

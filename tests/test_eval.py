@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rumourstance.evaluation as evaluation
+import rumourstance.features as features
 from rumourstance.cli import main
 from rumourstance.corpus import Dataset, build_threads, save_dataset, thread_index
 from rumourstance.errors import EvalError, LeakageError
@@ -40,6 +41,8 @@ from rumourstance.features import (
     build_schema,
     resolve_now,
 )
+from rumourstance.learners import LEARNERS
+from rumourstance.learners.base import CLASS_NAMES, to_dense
 from rumourstance.text import tokenize
 
 
@@ -358,22 +361,22 @@ def test_train_vocabulary_counts_unlabelled_tweets(part_unlabelled, bundle, tmp_
 def test_loo_vectors_equal_fresh_per_fold_assembly(part_unlabelled, bundle,
                                                    monkeypatch, scope):
     # every fold of the baseline and of the AF-removed rerun, as the
-    # learners receive them, against assembling each tweet afresh per fold
-    # under vocabularies counted afresh
+    # learner table receives them, against assembling each tweet afresh per
+    # fold under vocabularies counted afresh
     dataset = part_unlabelled
     seen = []
-    fit, predict = evaluation.fit_classifier, evaluation.predict_many
+    learner = LEARNERS["knn"]
 
-    def recording_fit(classifier, vectors, schema, params, seed):
-        seen.append([schema, vectors])
-        return fit(classifier, vectors, schema, params, seed)
+    def recording_fit(X, y, params):
+        seen.append([X, y])
+        return learner.fit(X, y, params)
 
-    def recording_predict(model, vectors):
-        seen[-1].append(vectors)
-        return predict(model, vectors)
+    def recording_scores(model, X):
+        seen[-1] += [model.schema_fingerprint, X]
+        return learner.scores(model, X)
 
-    monkeypatch.setattr(evaluation, "fit_classifier", recording_fit)
-    monkeypatch.setattr(evaluation, "predict_many", recording_predict)
+    monkeypatch.setitem(LEARNERS, "knn", replace(learner, fit=recording_fit,
+                                                 scores=recording_scores))
     ablate(dataset, bundle, RunConfig(classifier="knn", params={"k": 3}),
            removals=("AF",), scope=scope)
 
@@ -383,17 +386,38 @@ def test_loo_vectors_equal_fresh_per_fold_assembly(part_unlabelled, bundle,
     assert len(seen) == len(runs)
     threads = thread_index(build_threads(dataset))
     now = resolve_now(None, dataset)
-    for (groups, fold), (schema, train_vectors, test_vectors) in zip(runs, seen):
+    for (groups, fold), (train_X, train_y, fingerprint, test_X) in zip(runs, seen):
         dicts = oracle_dictionaries(
             [t for r in fold.train_rumour_ids for t in dataset.rumour_tweets(r)],
             bundle, fold.train_rumour_ids)
-        assert schema == build_schema(dicts, bundle, groups)
-        for rumours, vectors in ((fold.train_rumour_ids, train_vectors),
-                                 (fold.test_rumour_ids, test_vectors)):
+        schema = build_schema(dicts, bundle, groups)
+        assert fingerprint == schema.fingerprint
+        for rumours, X in ((fold.train_rumour_ids, train_X),
+                           (fold.test_rumour_ids, test_X)):
             tweets = [t for r in rumours for t in dataset.rumour_tweets(r)
                       if t.label is not None]
-            assert vectors == [assemble(t, threads[t.rumour_id], dicts, bundle,
-                                        schema, now) for t in tweets]
+            want = to_dense([assemble(t, threads[t.rumour_id], dicts, bundle, schema, now)
+                             for t in tweets], len(schema))
+            assert X.shape == want.shape and (X == want).all()
+            assert X.tobytes() == want.tobytes()
+        train = [t for r in fold.train_rumour_ids for t in dataset.rumour_tweets(r)
+                 if t.label is not None]
+        assert train_y.tolist() == [CLASS_NAMES.index(t.label.value) for t in train]
+
+
+def test_ablation_vectorizes_each_labelled_tweet_once(micro, bundle, monkeypatch):
+    vectorized = []
+    original = features.vectorize
+
+    def recording(analysis, *args):
+        vectorized.append(analysis.tweet_id)
+        return original(analysis, *args)
+
+    for module in (features, evaluation):
+        monkeypatch.setattr(module, "vectorize", recording)
+    ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}),
+           removals=("AF",))
+    assert sorted(vectorized) == sorted(t.tweet_id for t in micro.labelled())
 
 
 def test_ablation_analyses_each_tweet_once(micro, bundle, analysed_texts,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rumourstance.features import FeatureVector
-from rumourstance.learners import KnnParams, fit_knn, predict
+from rumourstance.learners import KnnParams, fit_knn, fit_model, predict
+from rumourstance.learners.base import label_indices, to_dense
 
 CLASSES = ("support", "deny", "query", "comment")
 
@@ -24,6 +25,11 @@ def make_vectors(rng, n, m):
         for i, (row, lab) in enumerate(zip(X, labels))
     ]
     return X, labels, vecs
+
+
+def fit_vectors(vecs, params, n_features):
+    """The k-NN model of labelled vectors, as `stance train` fits one."""
+    return fit_model("knn", to_dense(vecs, n_features), label_indices(vecs), params, 0)
 
 
 def oracle_predict(X, labels, x, k, weighting):
@@ -55,7 +61,7 @@ def oracle_predict(X, labels, x, k, weighting):
 def test_predictions_match_oracle(k, weighting):
     rng = np.random.default_rng(100 + k)
     X, labels, vecs = make_vectors(rng, 40, 5)
-    model = fit_knn(vecs, params=KnnParams(k=k, weighting=weighting), n_features=5)
+    model = fit_vectors(vecs, KnnParams(k=k, weighting=weighting), 5)
     probes = rng.uniform(-3, 3, size=(25, 5))
     for row in probes:
         vec = FeatureVector(
@@ -69,7 +75,7 @@ def test_predictions_match_oracle(k, weighting):
 def test_exact_duplicate_dominates_inverse_distance():
     rng = np.random.default_rng(5)
     X, labels, vecs = make_vectors(rng, 20, 4)
-    model = fit_knn(vecs, params=KnnParams(k=5, weighting="inverse_distance"), n_features=4)
+    model = fit_vectors(vecs, KnnParams(k=5, weighting="inverse_distance"), 4)
     label, scores = predict(model, vecs[3])
     assert label == labels[3]
     assert scores[labels[3]] > 0.99
@@ -78,7 +84,7 @@ def test_exact_duplicate_dominates_inverse_distance():
 def test_k_of_n_uniform_is_class_frequency():
     rng = np.random.default_rng(6)
     X, labels, vecs = make_vectors(rng, 24, 3)
-    model = fit_knn(vecs, params=KnnParams(k=24, weighting="uniform"), n_features=3)
+    model = fit_vectors(vecs, KnnParams(k=24, weighting="uniform"), 3)
     probe = FeatureVector(tweet_id="p", schema_fingerprint=0, values={0: 0.1}, label=None)
     _, scores = predict(model, probe)
     for name in CLASSES:
@@ -88,8 +94,8 @@ def test_k_of_n_uniform_is_class_frequency():
 def test_k_larger_than_n_means_all_neighbours():
     rng = np.random.default_rng(7)
     X, labels, vecs = make_vectors(rng, 6, 3)
-    big = fit_knn(vecs, params=KnnParams(k=50, weighting="uniform"), n_features=3)
-    all_of_them = fit_knn(vecs, params=KnnParams(k=6, weighting="uniform"), n_features=3)
+    big = fit_vectors(vecs, KnnParams(k=50, weighting="uniform"), 3)
+    all_of_them = fit_vectors(vecs, KnnParams(k=6, weighting="uniform"), 3)
     probe = FeatureVector(tweet_id="p", schema_fingerprint=0, values={1: 0.5}, label=None)
     assert predict(big, probe) == predict(all_of_them, probe)
 
@@ -100,7 +106,7 @@ def test_constant_column_is_ignored():
         FeatureVector(tweet_id="a", schema_fingerprint=0, values={0: 0.0, 1: 7.0}, label="support"),
         FeatureVector(tweet_id="b", schema_fingerprint=0, values={0: 1.0, 1: 7.0}, label="deny"),
     ]
-    model = fit_knn(base, params=KnnParams(k=1), n_features=2)
+    model = fit_vectors(base, KnnParams(k=1), 2)
     near_a = FeatureVector(tweet_id="p", schema_fingerprint=0, values={0: 0.1, 1: -100.0}, label=None)
     assert predict(model, near_a)[0] == "support"
 
@@ -108,6 +114,6 @@ def test_constant_column_is_ignored():
 def test_deterministic():
     rng = np.random.default_rng(8)
     _, _, vecs = make_vectors(rng, 15, 4)
-    a = fit_knn(vecs, params=KnnParams(k=3), n_features=4)
-    b = fit_knn(vecs, params=KnnParams(k=3), n_features=4)
-    assert a.payload == b.payload
+    a = fit_knn(to_dense(vecs, 4), label_indices(vecs), KnnParams(k=3))
+    b = fit_knn(to_dense(vecs, 4), label_indices(vecs), KnnParams(k=3))
+    assert a == b

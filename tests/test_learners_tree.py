@@ -14,10 +14,12 @@ from rumourstance.learners import (
     ModelError,
     TreeParams,
     fit_forest,
+    fit_model,
     fit_tree,
     predict,
+    predict_many,
 )
-from rumourstance.learners.base import CLASS_NAMES
+from rumourstance.learners.base import CLASS_NAMES, label_indices, to_dense
 from rumourstance.learners.tree import (
     _best_split,
     _best_split_in_column,
@@ -73,6 +75,16 @@ def random_column(rng, n):
     values = rng.normal(size=n).round(3).tolist()
     labels = rng.choice(["support", "deny", "query", "comment"], size=n).tolist()
     return values, labels
+
+
+def classes(labels):
+    return np.array([CLASS_NAMES.index(label) for label in labels])
+
+
+def fit_vectors(vecs, params, n_features):
+    """The tree model of labelled vectors, as `stance train` fits one."""
+    return fit_model("tree", to_dense(vecs, n_features), label_indices(vecs), params,
+                     vecs[0].schema_fingerprint)
 
 
 def make_vectors(X, labels):
@@ -213,13 +225,13 @@ LABELS = ["support", "deny", "query", "comment", "comment", "deny", "comment",
 @pytest.mark.parametrize("n_features, values", [(0, {}), (3, {0: 1.0, 2: -2.5})],
                          ids=["no-columns", "constant-columns"])
 def test_no_varying_column_gives_leaves(n_features, values):
-    vecs = [FeatureVector(tweet_id=str(i), schema_fingerprint=0, values=dict(values),
-                          label=label)
-            for i, label in enumerate(LABELS)]
-    tree = fit_tree(vecs, n_features=n_features)
-    assert tree.payload["root"] == {"kind": "leaf", "counts": [2.0, 2.0, 2.0, 3.0]}
-    forest = fit_forest(vecs, ForestParams(n_trees=3, seed=7), n_features=n_features)
-    assert forest.payload["trees"] == [
+    X = np.zeros((len(LABELS), n_features))
+    for column, value in values.items():
+        X[:, column] = value
+    tree = fit_tree(X, classes(LABELS), TreeParams())
+    assert tree["root"] == {"kind": "leaf", "counts": [2.0, 2.0, 2.0, 3.0]}
+    forest = fit_forest(X, classes(LABELS), ForestParams(n_trees=3, seed=7))
+    assert forest["trees"] == [
         {"kind": "leaf", "counts": [1.0, 1.0, 3.0, 4.0]},
         {"kind": "leaf", "counts": [1.0, 1.0, 1.0, 6.0]},
         {"kind": "leaf", "counts": [3.0, 0.0, 2.0, 4.0]},
@@ -257,7 +269,7 @@ def test_tree_learns_clean_split():
             X[i, 1] = rng.uniform(-3.0, -2.0)
             labels.append("deny")
         X[i, 0] = rng.normal()
-    model = fit_tree(make_vectors(X, labels), n_features=3)
+    model = fit_model("tree", X, classes(labels), TreeParams(), 0)
     for vec, lab in zip(make_vectors(X, labels), labels):
         assert predict(model, vec)[0] == lab
 
@@ -266,9 +278,9 @@ def test_tree_deterministic():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 4))
     labels = rng.choice(["support", "deny", "query"], size=30).tolist()
-    a = fit_tree(make_vectors(X, labels), n_features=4)
-    b = fit_tree(make_vectors(X, labels), n_features=4)
-    assert a.payload == b.payload
+    a = fit_tree(X, classes(labels), TreeParams())
+    b = fit_tree(X, classes(labels), TreeParams())
+    assert a == b
 
 
 def count_nodes(node):
@@ -281,10 +293,9 @@ def test_pruning_never_grows_the_tree():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(60, 5))
     labels = rng.choice(["support", "deny", "query", "comment"], size=60).tolist()
-    vecs = make_vectors(X, labels)
-    pruned = fit_tree(vecs, params=TreeParams(pruning=True), n_features=5)
-    raw = fit_tree(vecs, params=TreeParams(pruning=False), n_features=5)
-    assert count_nodes(pruned.payload["root"]) <= count_nodes(raw.payload["root"])
+    pruned = fit_tree(X, classes(labels), TreeParams(pruning=True))
+    raw = fit_tree(X, classes(labels), TreeParams(pruning=False))
+    assert count_nodes(pruned["root"]) <= count_nodes(raw["root"])
 
 
 def post_hoc_prune(node, X, labels, rows, confidence):
@@ -318,17 +329,16 @@ def test_pruning_during_growth_equals_post_hoc_pruning():
         labels = np.where(X[:, 0] + X[:, 3] > 0.5, "support", "comment")
         noisy = rng.random(n) < 0.3
         labels[noisy] = rng.choice(list(CLASS_NAMES), size=int(noisy.sum()))
-        vecs = make_vectors(X, labels.tolist())
         for confidence in (0.1, 0.25, 0.5):
             for min_leaf in (1, 2, 3):
                 for max_depth in (None, 2):
                     settings = dict(confidence=confidence, min_leaf=min_leaf,
                                     max_depth=max_depth)
-                    raw = fit_tree(vecs, TreeParams(pruning=False, **settings),
-                                   n_features=6).payload["root"]
+                    raw = fit_tree(X, classes(labels),
+                                   TreeParams(pruning=False, **settings))["root"]
                     want, _ = post_hoc_prune(raw, X, labels, range(n), confidence)
-                    got = fit_tree(vecs, TreeParams(pruning=True, **settings),
-                                   n_features=6).payload["root"]
+                    got = fit_tree(X, classes(labels),
+                                   TreeParams(pruning=True, **settings))["root"]
                     assert got == want, (seed, settings)
                     collapsed += count_nodes(raw) > count_nodes(got)
                     kept += got["kind"] == "split"
@@ -346,13 +356,13 @@ def test_min_leaf_respected():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(50, 4))
     labels = rng.choice(["support", "deny"], size=50).tolist()
-    model = fit_tree(make_vectors(X, labels), params=TreeParams(min_leaf=5), n_features=4)
-    assert min_leaf_ok(model.payload["root"], 5)
+    payload = fit_tree(X, classes(labels), TreeParams(min_leaf=5))
+    assert min_leaf_ok(payload["root"], 5)
 
 
 def test_single_class_input_gives_constant_tree():
     X = np.arange(12, dtype=float).reshape(6, 2)
-    model = fit_tree(make_vectors(X, ["query"] * 6), n_features=2)
+    model = fit_model("tree", X, classes(["query"] * 6), TreeParams(), 0)
     root = model.payload["root"]
     assert root["kind"] == "leaf"
     for row in X:
@@ -373,7 +383,7 @@ def test_missing_columns_read_as_zero():
         FeatureVector(tweet_id="e", schema_fingerprint=0, values={0: 5.0}, label="support"),
         FeatureVector(tweet_id="f", schema_fingerprint=0, values={}, label="deny"),
     ]
-    model = fit_tree(vecs, params=TreeParams(min_leaf=1), n_features=1)
+    model = fit_vectors(vecs, TreeParams(min_leaf=1), 1)
     dense_zero = FeatureVector(tweet_id="z", schema_fingerprint=0, values={0: 0.0}, label=None)
     sparse_zero = FeatureVector(tweet_id="s", schema_fingerprint=0, values={}, label=None)
     assert predict(model, dense_zero) == predict(model, sparse_zero)
@@ -386,7 +396,7 @@ def test_tie_break_prefers_class_order():
         FeatureVector(tweet_id=str(i), schema_fingerprint=0, values={}, label=lab)
         for i, lab in enumerate(["comment", "support", "comment", "support"])
     ]
-    model = fit_tree(vecs, n_features=1)
+    model = fit_vectors(vecs, TreeParams(), 1)
     probe = FeatureVector(tweet_id="p", schema_fingerprint=0, values={}, label=None)
     assert predict(model, probe)[0] == "support"
 
@@ -396,8 +406,15 @@ def test_fingerprint_guard():
         FeatureVector(tweet_id=str(i), schema_fingerprint=77, values={0: float(i)}, label="support")
         for i in range(4)
     ]
-    model = fit_tree(vecs, n_features=1)
+    model = fit_vectors(vecs, TreeParams(), 1)
     assert model.schema_fingerprint == 77
     alien = FeatureVector(tweet_id="x", schema_fingerprint=88, values={0: 1.0}, label=None)
     with pytest.raises(ModelError):
         predict(model, alien)
+
+
+def test_matrix_of_another_width_is_rejected():
+    model = fit_model("tree", np.zeros((4, 1)), classes(["support"] * 4), TreeParams(), 0)
+    assert predict_many(model, np.zeros((1, 1)))[0][0] == "support"
+    with pytest.raises(ModelError):
+        predict_many(model, np.zeros((1, 2)))

@@ -14,13 +14,13 @@ from rumourstance.learners import (
     ForestParams,
     KnnParams,
     ModelError,
-    fit_forest,
-    fit_knn,
-    fit_tree,
+    TreeParams,
+    fit_model,
     load_model,
     predict_many,
     save_model,
 )
+from rumourstance.learners.base import label_indices, to_dense
 
 
 @pytest.fixture()
@@ -37,14 +37,18 @@ def vectors():
     ]
 
 
+def fit(kind, vectors, params):
+    return fit_model(kind, to_dense(vectors, 5), label_indices(vectors), params, 4242)
+
+
 @pytest.mark.parametrize("kind", ["tree", "forest", "knn"])
 def test_round_trip_preserves_predictions(kind, vectors, tmp_path):
     if kind == "tree":
-        model = fit_tree(vectors, n_features=5)
+        model = fit("tree", vectors, TreeParams())
     elif kind == "forest":
-        model = fit_forest(vectors, params=ForestParams(n_trees=5, seed=3), n_features=5)
+        model = fit("forest", vectors, ForestParams(n_trees=5, seed=3))
     else:
-        model = fit_knn(vectors, params=KnnParams(k=3), n_features=5)
+        model = fit("knn", vectors, KnnParams(k=3))
     model.context["note"] = "round-trip"
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -55,11 +59,12 @@ def test_round_trip_preserves_predictions(kind, vectors, tmp_path):
     assert again.classes == model.classes
     assert again.payload == model.payload
     assert again.context == model.context
-    assert predict_many(again, vectors) == predict_many(model, vectors)
+    X = to_dense(vectors, 5)
+    assert predict_many(again, X) == predict_many(model, X)
 
 
 def test_saved_file_is_json_with_header(vectors, tmp_path):
-    model = fit_tree(vectors, n_features=5)
+    model = fit("tree", vectors, TreeParams())
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
@@ -70,7 +75,7 @@ def test_saved_file_is_json_with_header(vectors, tmp_path):
 
 
 def test_wrong_magic_rejected(vectors, tmp_path):
-    model = fit_tree(vectors, n_features=5)
+    model = fit("tree", vectors, TreeParams())
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
@@ -81,7 +86,7 @@ def test_wrong_magic_rejected(vectors, tmp_path):
 
 
 def test_wrong_version_rejected(vectors, tmp_path):
-    model = fit_tree(vectors, n_features=5)
+    model = fit("tree", vectors, TreeParams())
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
@@ -92,7 +97,7 @@ def test_wrong_version_rejected(vectors, tmp_path):
 
 
 def test_truncated_file_rejected(vectors, tmp_path):
-    model = fit_forest(vectors, params=ForestParams(n_trees=3, seed=0), n_features=5)
+    model = fit("forest", vectors, ForestParams(n_trees=3, seed=0))
     path = tmp_path / "model.json"
     save_model(model, path)
     text = path.read_text()
@@ -107,7 +112,7 @@ def test_missing_file_rejected(tmp_path):
 
 
 def test_unknown_kind_rejected(vectors, tmp_path):
-    model = fit_knn(vectors, params=KnnParams(k=2), n_features=5)
+    model = fit("knn", vectors, KnnParams(k=2))
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
