@@ -81,7 +81,7 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -120,7 +120,7 @@ def _parse_params(value) -> dict:
         return value
     try:
         obj = json.loads(value)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("--params must be a JSON object")

@@ -357,10 +357,3 @@ def build_threads(dataset: Dataset) -> list:
 def thread_index(threads: list) -> dict:
     """Map rumour_id -> Thread for quick lookup during feature extraction."""
     return {th.rumour_id: th for th in threads}
-
-
-def subset_by_rumours(dataset: Dataset, rumour_ids, name: Optional[str] = None) -> Dataset:
-    """A new Dataset containing only the given rumours, preserving order."""
-    wanted = set(rumour_ids)
-    records = [t for t in dataset.tweets if t.rumour_id in wanted]
-    return _build_dataset(records, name or dataset.name)

@@ -340,7 +340,7 @@ def _fold_result(fold_id: str, event_id: str, test_rumours, records,
         "test_rumours": list(test_rumours),
         "n_test": len(records),
         "n_correct": correct,
-        "accuracy": correct / len(records),
+        "accuracy": accuracy([p for p, _ in predictions], [r.label.value for r in records]),
         "confusion": confusion,
     }
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from ..errors import ModelError
-from .base import CLASS_NAMES, TrainedModel
+from .base import CLASS_NAMES, TrainedModel, is_int
 from .table import LEARNERS
 
 MODEL_MAGIC = "STANCEMODEL"
@@ -35,7 +35,7 @@ def load_model(path) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             container = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"{path}: corrupted model file: {exc}") from None
     except OSError as exc:
         raise ModelError(f"{path}: cannot read model file: {exc}") from None
@@ -56,8 +56,8 @@ def load_model(path) -> TrainedModel:
     fingerprint, n_features = container["schema_fingerprint"], container["n_features"]
     payload, context = container["payload"], container.get("context", {})
     for ok, problem in (
-            (isinstance(fingerprint, int), "schema_fingerprint is not an integer"),
-            (isinstance(n_features, int) and n_features >= 0, f"bad n_features {n_features!r}"),
+            (is_int(fingerprint), "schema_fingerprint is not an integer"),
+            (is_int(n_features) and n_features >= 0, f"bad n_features {n_features!r}"),
             (container["classes"] == list(CLASS_NAMES), f"classes are not {list(CLASS_NAMES)}"),
             (isinstance(payload, dict), "payload is not an object"),
             (isinstance(context, dict), "context is not an object")):

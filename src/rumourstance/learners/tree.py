@@ -8,9 +8,9 @@ majority tie-break is the fixed class order Support < Deny < Query < Comment.
 
 A node scores all its candidate columns at once: columns constant on the
 node's rows are skipped, two-valued columns (one midpoint each) are scored
-in one batch, and only columns with three or more values go through the
-per-column search. Ties still go to the lowest column, then the lowest
-threshold.
+by one product, and columns with three or more values are sorted together,
+with one cumulative class count per column, and every boundary between
+their distinct values is scored in one call.
 """
 
 from __future__ import annotations
@@ -121,32 +121,14 @@ def _gain_ratios(left_counts: np.ndarray, left_sizes: np.ndarray, total: np.ndar
     return np.where(admissible, gain / split_info, -np.inf)
 
 
-def _best_split_in_column(v: np.ndarray, y: np.ndarray, min_leaf: int,
-                          parent_entropy: float):
-    """(gain_ratio, threshold) of the best admissible midpoint split, or
-    None when the column offers no split with positive gain."""
-    n = len(v)
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    cum = np.cumsum(np.eye(N_CLASSES)[y[order]], axis=0)
-    boundaries = np.nonzero(sv[1:] > sv[:-1])[0]
-    if boundaries.size == 0:
-        return None
-    ratio = _gain_ratios(cum[boundaries], boundaries + 1, cum[-1], n, min_leaf,
-                         parent_entropy)
-    best = int(np.argmax(ratio))
-    if not np.isfinite(ratio[best]):
-        return None
-    threshold = (sv[boundaries[best]] + sv[boundaries[best] + 1]) / 2.0
-    return float(ratio[best]), float(threshold)
-
-
 def _best_split(X: np.ndarray, rows: np.ndarray, yr: np.ndarray,
                 candidates: np.ndarray, min_leaf: int, parent_entropy: float):
     """(column, threshold) of the best admissible split of `rows` over the
-    sorted candidate columns, or None: the split that scanning
-    `_best_split_in_column` over them in order, keeping strictly higher
-    ratios, finds. np.argmax takes the first maximum, the lowest column."""
+    sorted candidate columns, or None. Constant columns are skipped;
+    two-valued columns are scored by one product, the rest by sorting them
+    together and scoring every boundary between distinct sorted values.
+    Each column keeps its first maximum, the lowest threshold, and
+    np.argmax over columns takes the first maximum, the lowest column."""
     sub = X[rows[:, None], candidates]
     lo, hi = sub.min(axis=0), sub.max(axis=0)
     varying = np.flatnonzero(lo < hi)
@@ -157,19 +139,30 @@ def _best_split(X: np.ndarray, rows: np.ndarray, yr: np.ndarray,
     two_valued = (at_lo | (sub == hi)).all(axis=0)
     ratios = np.full(varying.size, -np.inf)
     thresholds = (lo + hi) / 2.0
+    n = len(rows)
+    onehot = np.eye(N_CLASSES)[yr]
+    total = onehot.sum(axis=0)
 
     two = np.flatnonzero(two_valued)
     if two.size:
         left = at_lo[:, two]
-        onehot = np.eye(N_CLASSES)[yr]
         ratios[two] = _gain_ratios(left.T.astype(np.float64) @ onehot,
-                                   np.count_nonzero(left, axis=0), onehot.sum(axis=0),
-                                   len(rows), min_leaf, parent_entropy)
+                                   np.count_nonzero(left, axis=0), total, n,
+                                   min_leaf, parent_entropy)
 
-    for j in np.flatnonzero(~two_valued):
-        found = _best_split_in_column(sub[:, j], yr, min_leaf, parent_entropy)
-        if found is not None:
-            ratios[j], thresholds[j] = found
+    many = np.flatnonzero(~two_valued)
+    if many.size:
+        values, columns = sub[:, many], np.arange(many.size)
+        order = np.argsort(values, axis=0)
+        sv = values[order, columns]
+        cum = onehot[order].cumsum(axis=0)
+        at, col = np.nonzero(sv[1:] > sv[:-1])
+        scored = np.full((n - 1, many.size), -np.inf)
+        scored[at, col] = _gain_ratios(cum[at, col], at + 1, total, n, min_leaf,
+                                       parent_entropy)
+        first = scored.argmax(axis=0)
+        ratios[many] = scored[first, columns]
+        thresholds[many] = (sv[first, columns] + sv[first + 1, columns]) / 2.0
 
     best = int(np.argmax(ratios))
     if ratios[best] == -np.inf:

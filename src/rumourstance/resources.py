@@ -9,7 +9,9 @@ confidence and mood scores live here too.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,6 +68,19 @@ class EmbeddingTable:
         return np.zeros(self.dimension)
 
 
+def _numbered_lines(path: Path):
+    """(line number, line) of each line of a bundle text file, as iterating
+    the file in text mode gives them; a byte sequence that is not UTF-8 is a
+    ResourceError naming the file and the line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ResourceError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
 def _looks_like_header(parts: list) -> bool:
     if len(parts) != 2:
         return False
@@ -81,29 +96,30 @@ def load_embeddings(path) -> EmbeddingTable:
     path = Path(path)
     vectors: dict = {}
     dimension = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if lineno == 1 and _looks_like_header(parts):
-                continue
-            word = parts[0].lower()
-            try:
-                values = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise ResourceError(f"{path}:{lineno}: non-numeric vector component") from None
-            if not values:
-                raise ResourceError(f"{path}:{lineno}: entry has no vector components")
-            if dimension is None:
-                dimension = len(values)
-            elif len(values) != dimension:
-                raise ResourceError(
-                    f"{path}:{lineno}: dimension {len(values)} != {dimension} from first entry")
-            if word in vectors:
-                log.warning("duplicate embedding entry %r at %s:%d; last one wins",
-                            word, path, lineno)
-            vectors[word] = np.array(values, dtype=np.float64)
+    for lineno, line in _numbered_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if lineno == 1 and _looks_like_header(parts):
+            continue
+        word = parts[0].lower()
+        try:
+            values = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise ResourceError(f"{path}:{lineno}: non-numeric vector component") from None
+        if not values:
+            raise ResourceError(f"{path}:{lineno}: entry has no vector components")
+        if not all(math.isfinite(v) for v in values):
+            raise ResourceError(f"{path}:{lineno}: vector component is not a finite number")
+        if dimension is None:
+            dimension = len(values)
+        elif len(values) != dimension:
+            raise ResourceError(
+                f"{path}:{lineno}: dimension {len(values)} != {dimension} from first entry")
+        if word in vectors:
+            log.warning("duplicate embedding entry %r at %s:%d; last one wins",
+                        word, path, lineno)
+        vectors[word] = np.array(values, dtype=np.float64)
     if dimension is None:
         raise ResourceError(f"{path}: embedding file is empty")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
@@ -127,26 +143,25 @@ def load_brown(path) -> BrownTable:
     path = Path(path)
     bitstring_ids: dict = {}
     word_to_cluster: dict = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ResourceError(f"{path}:{lineno}: expected bitstring<TAB>word[<TAB>count]")
-            bitstring, word = parts[0], parts[1].lower()
-            if bitstring not in bitstring_ids:
-                if len(bitstring_ids) >= BROWN_CLUSTER_COUNT:
-                    raise ResourceError(
-                        f"{path}:{lineno}: more than {BROWN_CLUSTER_COUNT} distinct clusters")
-                bitstring_ids[bitstring] = len(bitstring_ids)
-            cluster = bitstring_ids[bitstring]
-            previous = word_to_cluster.get(word)
-            if previous is not None and previous != cluster:
+    for lineno, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise ResourceError(f"{path}:{lineno}: expected bitstring<TAB>word[<TAB>count]")
+        bitstring, word = parts[0], parts[1].lower()
+        if bitstring not in bitstring_ids:
+            if len(bitstring_ids) >= BROWN_CLUSTER_COUNT:
                 raise ResourceError(
-                    f"{path}:{lineno}: word {word!r} listed under two different clusters")
-            word_to_cluster[word] = cluster
+                    f"{path}:{lineno}: more than {BROWN_CLUSTER_COUNT} distinct clusters")
+            bitstring_ids[bitstring] = len(bitstring_ids)
+        cluster = bitstring_ids[bitstring]
+        previous = word_to_cluster.get(word)
+        if previous is not None and previous != cluster:
+            raise ResourceError(
+                f"{path}:{lineno}: word {word!r} listed under two different clusters")
+        word_to_cluster[word] = cluster
     return BrownTable(word_to_cluster)
 
 
@@ -227,11 +242,10 @@ class ResourceBundle:
 
 def _read_word_list(path: Path) -> tuple:
     words = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                words.append(word)
+    for _, line in _numbered_lines(path):
+        word = line.strip().lower()
+        if word and not word.startswith("#"):
+            words.append(word)
     return tuple(words)
 
 
@@ -241,37 +255,35 @@ def _read_word_set(path: Path) -> frozenset:
 
 def _read_sentiment(path: Path) -> dict:
     table = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ResourceError(f"{path}:{lineno}: expected word<TAB>polarity")
-            word = parts[0].strip().lower()
-            try:
-                polarity = int(parts[1])
-            except ValueError:
-                raise ResourceError(f"{path}:{lineno}: polarity must be an integer") from None
-            if not -2 <= polarity <= 2:
-                raise ResourceError(f"{path}:{lineno}: polarity {polarity} outside [-2, 2]")
-            table[word] = polarity
+    for lineno, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ResourceError(f"{path}:{lineno}: expected word<TAB>polarity")
+        word = parts[0].strip().lower()
+        try:
+            polarity = int(parts[1])
+        except ValueError:
+            raise ResourceError(f"{path}:{lineno}: polarity must be an integer") from None
+        if not -2 <= polarity <= 2:
+            raise ResourceError(f"{path}:{lineno}: polarity {polarity} outside [-2, 2]")
+        table[word] = polarity
     return table
 
 
 def _read_emoticons(path: Path) -> dict:
     groups: dict = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ResourceError(f"{path}:{lineno}: expected emoticon<TAB>category")
-            emoticon, category = parts[0], parts[1].strip().lower()
-            groups.setdefault(category, set()).add(emoticon)
+    for lineno, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ResourceError(f"{path}:{lineno}: expected emoticon<TAB>category")
+        emoticon, category = parts[0], parts[1].strip().lower()
+        groups.setdefault(category, set()).add(emoticon)
     return {category: frozenset(members) for category, members in groups.items()}
 
 
@@ -290,16 +302,15 @@ def _search_equivalent(source: str) -> str:
 def _read_regex_pack(path: Path):
     patterns = []
     sources = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            source = line.rstrip("\n")
-            if not source.strip():
-                continue
-            sources.append(source)
-            try:
-                patterns.append(re.compile(_search_equivalent(source), re.IGNORECASE))
-            except re.error as exc:
-                raise ResourceError(f"{path}: bad pattern {source!r}: {exc}") from None
+    for lineno, line in _numbered_lines(path):
+        source = line.rstrip("\n")
+        if not source.strip():
+            continue
+        sources.append(source)
+        try:
+            patterns.append(re.compile(_search_equivalent(source), re.IGNORECASE))
+        except re.error as exc:
+            raise ResourceError(f"{path}:{lineno}: bad pattern {source!r}: {exc}") from None
     if len(patterns) != REGEX_PACK_SIZE:
         raise ResourceError(
             f"{path}: regex pack must hold exactly {REGEX_PACK_SIZE} patterns, found {len(patterns)}")

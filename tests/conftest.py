@@ -1,6 +1,8 @@
 """Shared fixtures: the built-in resource bundle and datasets load once per session."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import rumourstance.features as features
@@ -22,6 +24,22 @@ def micro():
 @pytest.fixture(scope="session")
 def ottawa():
     return load_dataset(ottawa_path())
+
+
+@pytest.fixture(scope="session")
+def micro_split(tmp_path_factory):
+    """(train, test) JSONL paths holding the micro corpus lines of its
+    sorted rumours 0-3 and 4-5."""
+    lines = micro_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    rumour_of = [json.loads(line)["rumour_id"] for line in lines]
+    train_rumours = set(sorted(set(rumour_of))[:4])
+    root = tmp_path_factory.mktemp("micro-split")
+    paths = root / "train.jsonl", root / "test.jsonl"
+    for path, in_train in zip(paths, (True, False)):
+        path.write_text("".join(line for line, rumour in zip(lines, rumour_of)
+                                if (rumour in train_rumours) == in_train),
+                        encoding="utf-8")
+    return paths
 
 
 @pytest.fixture(scope="session")

@@ -41,11 +41,18 @@ def test_unknown_config_key_rejected(tmp_path, out, capsys):
     assert "tree_count" in capsys.readouterr().err
 
 
+DEEP = "[" * 200_000 + "]" * 200_000   # nested past Python's recursion limit
+
+
 def test_malformed_config_rejected(tmp_path, out, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    code = run(["eval-loo", "--config", cfg, "--out", out])
-    assert code == 2
+    for text in ("{not json", DEEP,
+                 json.dumps({"dataset": str(micro_corpus_path()), "classifier_params": DEEP})):
+        cfg.write_text(text)
+        code = run(["eval-loo", "--config", cfg, "--out", out])
+        assert code == 2, text[:40]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_bad_group_name_rejected(out, capsys):
@@ -56,13 +63,32 @@ def test_bad_group_name_rejected(out, capsys):
     assert "NOPE" in capsys.readouterr().err
 
 
+def leaf_model(**changes):
+    """The JSON text of a one-leaf tree model with `changes` applied."""
+    container = {
+        "magic": "STANCEMODEL", "version": 1, "kind": "tree",
+        "schema_fingerprint": 0, "n_features": 1,
+        "classes": ["support", "deny", "query", "comment"],
+        "payload": {"root": {"kind": "leaf", "counts": [1, 0, 0, 0]}}, "context": {},
+    }
+    return json.dumps({**container, **changes})
+
+
 def test_corrupt_model_is_a_runtime_error(tmp_path, out, capsys):
     model = tmp_path / "model.json"
-    model.write_text('{"magic": "junk"}')
-    code = run([
-        "predict", "--model", model, "--input", micro_corpus_path(), "--out", out,
-    ])
-    assert code == 1
+    for text, problem in (
+            ('{"magic": "junk"}', "not a stance model file"),
+            (DEEP, "corrupted model file: maximum recursion depth"),
+            (leaf_model(schema_fingerprint=True), "schema_fingerprint is not an integer"),
+            (leaf_model(n_features=True), "bad n_features True")):
+        model.write_text(text)
+        code = run([
+            "predict", "--model", model, "--input", micro_corpus_path(), "--out", out,
+        ])
+        assert code == 1, problem
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert problem in err
 
 
 @pytest.mark.parametrize("classifier, params", [
@@ -234,14 +260,8 @@ def test_eval_loo_writes_reports(out):
     assert "accuracy" in text.lower()
 
 
-def test_eval_split_command(micro, tmp_path, out):
-    from rumourstance.corpus import save_dataset, subset_by_rumours
-
-    rumours = sorted(micro.rumours)
-    train_path = tmp_path / "train.jsonl"
-    test_path = tmp_path / "test.jsonl"
-    save_dataset(subset_by_rumours(micro, tuple(rumours[:4])), train_path)
-    save_dataset(subset_by_rumours(micro, tuple(rumours[4:])), test_path)
+def test_eval_split_command(micro_split, out):
+    train_path, test_path = micro_split
     code = run([
         "eval-split", "--dataset", train_path, "--test-dataset", test_path,
         "--classifier", "knn", "--params", '{"k": 3}', "--out", out,

@@ -21,7 +21,6 @@ from rumourstance.corpus import (
     parse_rfc3339,
     parse_stance_label,
     save_dataset,
-    subset_by_rumours,
     thread_index,
 )
 from rumourstance.errors import StanceError
@@ -112,15 +111,6 @@ def test_thread_index_keys(micro):
     threads = build_threads(micro)
     index = thread_index(threads)
     assert set(index) == set(micro.rumours)
-
-
-def test_subset_by_rumours(micro):
-    keep = tuple(sorted(micro.rumours))[:2]
-    sub = subset_by_rumours(micro, keep)
-    assert set(sub.rumours) == set(keep)
-    assert all(t.rumour_id in keep for t in sub.tweets)
-    # original untouched
-    assert len(micro.rumours) == 6
 
 
 def test_save_load_round_trip(micro, tmp_path):

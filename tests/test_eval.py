@@ -13,7 +13,7 @@ import pytest
 import rumourstance.evaluation as evaluation
 import rumourstance.features as features
 from rumourstance.cli import main
-from rumourstance.corpus import Dataset, build_threads, save_dataset, thread_index
+from rumourstance.corpus import Dataset, build_threads, load_dataset, save_dataset, thread_index
 from rumourstance.errors import EvalError, LeakageError
 from rumourstance.evaluation import (
     FoldSpec,
@@ -253,12 +253,8 @@ def test_run_loo_by_event_reports_events(micro, bundle, knn_config):
     assert report.macro_mean == pytest.approx(macro)
 
 
-def test_run_split_disjoint_sets(micro, bundle, knn_config):
-    from rumourstance.corpus import subset_by_rumours
-
-    rumours = sorted(micro.rumours)
-    train = subset_by_rumours(micro, tuple(rumours[:4]))
-    test = subset_by_rumours(micro, tuple(rumours[4:]))
+def test_run_split_disjoint_sets(micro_split, bundle, knn_config):
+    train, test = (load_dataset(path) for path in micro_split)
     report = run_split(train, test, bundle, knn_config)
     assert report.protocol == "split"
     labelled = sum(1 for t in test.tweets if t.label is not None)

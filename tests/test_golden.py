@@ -1,6 +1,7 @@
 """Golden artifacts: the sha256 of every file the micro-corpus commands
-write. A refactor that claims no behaviour change must leave them all
-byte-identical; regenerate the digests only for an intended change."""
+write, an eval-split over micro rumours 0-3 and 4-5 included. A refactor
+that claims no behaviour change must leave them all byte-identical;
+regenerate the digests only for an intended change."""
 from __future__ import annotations
 
 import hashlib
@@ -19,6 +20,7 @@ EXPERIMENTS = (
     ("ablate-forest", ["ablate", "--classifier", "forest", "--remove", "AF"]),
     ("featurize", ["featurize"]),
     ("train-forest", ["train", "--classifier", "forest"]),
+    ("train-knn", ["train", "--classifier", "knn"]),
     ("train-tree", ["train", "--classifier", "tree"]),
 )
 
@@ -53,6 +55,12 @@ GOLDEN = {
         "fd1df1dbe709fc1311564d921109eb7c52f687a116af0e53a81853f043add223",
     "eval-loo-tree/resolved_config.json":
         "3b2e281aeec11f6d751f14058f8f595dd67e583ca5b2bacf27d6e0a61fc0aec7",
+    "eval-split-tree/report.json":
+        "f3d76a3959b313a5830cb84a0504e66f8141862de1b26c8852b68ad984ad76e4",
+    "eval-split-tree/report.txt":
+        "8228c1f9df0c63b54d2103253dcceef06ebb036663209ffeaf6dae1805e5df91",
+    "eval-split-tree/resolved_config.json":
+        "4d8c70f816b44e1d7be2c3371614cb5e3fe465cf4cd7b359af73afb4287e6453",
     "featurize/resolved_config.json":
         "dc0233d7bab74e4a8de7d868f970d9a02cf7ac5db6bb2f644b672fa7fae63f42",
     "featurize/schema.tsv":
@@ -63,10 +71,16 @@ GOLDEN = {
         "5609b3cd0a76d4449b0d1abab30e81b084e970411469ceb210893f54f720bd42",
     "predict-forest/predictions.tsv":
         "81ddf493ef0569aa491a206c812a0f2d05caf13a98f85dbe3d70b9ffc79192ad",
+    "predict-knn/predictions.tsv":
+        "992859a605a92864e9a7757d1d99be28e8adbe1670e769e30d8e201ba0e1549a",
     "train-forest/model.json":
         "0ecb856d8c7821318d629095c2883100cce49dd7d958882bcfc7e3c315f3f7b8",
     "train-forest/resolved_config.json":
         "cbd8d462b4b4ff5f77d239b0c5d7e49495592ea775b47b67a90b2d31bad16412",
+    "train-knn/model.json":
+        "aa9aec9183fbb8b38c7d7ff3d5bd849d01de20e5ce227deecce1c311c36a798c",
+    "train-knn/resolved_config.json":
+        "544137627b193b1bf6573184c86c1bb0cc0d5577321d89bd52310428e23b9a45",
     "train-tree/model.json":
         "14e7958d01303ba985a0d56d14b24ce6a37e193e1750fc3fd8d4d1e23493dd85",
     "train-tree/resolved_config.json":
@@ -79,14 +93,17 @@ def sha256(path) -> str:
 
 
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
+def artifacts(tmp_path_factory, micro_split):
     root = tmp_path_factory.mktemp("golden")
     corpus = str(micro_corpus_path())
-    for name, argv in EXPERIMENTS:
-        code = main(argv + ["--dataset", corpus, "--seed", "1",
-                            "--out", str(root / name)])
+    train, test = (str(path) for path in micro_split)
+    runs = [(name, argv + ["--dataset", corpus]) for name, argv in EXPERIMENTS]
+    runs.append(("eval-split-tree", ["eval-split", "--classifier", "tree",
+                                     "--dataset", train, "--test-dataset", test]))
+    for name, argv in runs:
+        code = main(argv + ["--seed", "1", "--out", str(root / name)])
         assert code == 0, name
-    for kind in ("forest", "tree"):
+    for kind in ("forest", "knn", "tree"):
         code = main(["predict", "--model", str(root / f"train-{kind}" / "model.json"),
                      "--input", corpus, "--out", str(root / f"predict-{kind}")])
         assert code == 0, kind

@@ -1,8 +1,11 @@
 """Import hygiene: every name a `rumourstance` module imports is used there,
-listed in its `__all__`, or marked `# noqa: F401` on its line."""
+listed in its `__all__`, or marked `# noqa: F401` on its line; and every
+module-level function is named somewhere in the package outside its own
+body."""
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import rumourstance
@@ -44,3 +47,49 @@ def test_unused_import_is_found():
               "import json\nfrom sys import argv, exit\n"
               "__all__ = ['argv']\n")
     assert unused_imports(source) == ["exit (line 3)", "json (line 2)"]
+
+
+# public entry points with no caller in the package: the C5 scorers, which
+# the acceptance tests and the tracer call, and the bundled corpus paths
+# behind the test fixtures
+UNCALLED_API = {"extract_af", "extract_mood", "micro_corpus_path", "ottawa_path"}
+
+
+def named(node) -> Counter:
+    """How often each name is used, imported or listed in `__all__` in the
+    syntax tree `node`."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[(sub.asname or sub.name).split(".")[-1]] += 1
+        elif (isinstance(sub, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in sub.targets)):
+            names.update(ast.literal_eval(sub.value))
+    return names
+
+
+def unnamed_functions(sources: list) -> list:
+    """Module-level functions of the given module sources that no module
+    names outside the function's own body."""
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum((named(tree) for tree in trees), Counter())
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and everywhere[node.name] <= named(node)[node.name])
+
+
+def test_every_function_has_a_caller_in_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))]
+    assert unnamed_functions(sources) == sorted(UNCALLED_API)
+
+
+def test_unnamed_function_is_found():
+    sources = ["def used():\n    return 1\n\ndef again(n):\n    return again(n - 1)\n"
+               "\ndef exported():\n    pass\n\n__all__ = ['exported']\n",
+               "from a import used\nimport b.imported\n",
+               "def imported():\n    pass\n\ndef orphan():\n    pass\n"]
+    assert unnamed_functions(sources) == ["again", "orphan"]

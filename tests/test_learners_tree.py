@@ -8,7 +8,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from rumourstance.features import FeatureVector
+import rumourstance.learners.tree as tree
+from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
 from rumourstance.learners import (
     ForestParams,
     ModelError,
@@ -22,8 +23,8 @@ from rumourstance.learners import (
 from rumourstance.learners.base import CLASS_NAMES, label_indices, to_dense
 from rumourstance.learners.tree import (
     _best_split,
-    _best_split_in_column,
     _entropy,
+    _gain_ratios,
     added_errors,
     info_gain_ratio,
 )
@@ -128,6 +129,7 @@ def admissible_midpoints(values, min_leaf):
 
 
 def test_best_split_in_column_is_the_best_gain_ratio_midpoint():
+    """`_best_split` on one-column nodes."""
     rng = np.random.default_rng(23)
     found = mirrored = 0
     for trial in range(300):
@@ -142,21 +144,43 @@ def test_best_split_in_column_is_the_best_gain_ratio_midpoint():
         labels = [CLASS_NAMES[k] for k in y]
         min_leaf = int(rng.integers(1, 4))
         parent = _entropy(np.bincount(y, minlength=len(CLASS_NAMES)))
-        got = _best_split_in_column(values, y, min_leaf, parent)
+        got = _best_split(values[:, None], np.arange(len(y)), y, np.array([0]),
+                          min_leaf, parent)
         scored = [(info_gain_ratio(values.tolist(), labels, t), t)
                   for t in admissible_midpoints(values.tolist(), min_leaf)]
         if got is None:
             assert all(ratio <= 1e-9 for ratio, _ in scored)
             continue
         found += 1
+        column, threshold = got
         best = max(ratio for ratio, _ in scored)
-        assert abs(got[0] - best) <= 1e-12
-        assert got[1] in [t for ratio, t in scored if ratio >= best - 1e-12]
+        assert column == 0
+        assert abs(info_gain_ratio(values.tolist(), labels, threshold) - best) <= 1e-12
+        assert threshold in [t for ratio, t in scored if ratio >= best - 1e-12]
         if mirror:
             # the lower of the two tied midpoints
-            assert got[1] <= 0.0
-            mirrored += got[1] < 0.0
+            assert threshold <= 0.0
+            mirrored += threshold < 0.0
     assert found > 200 and mirrored > 50
+
+
+def best_split_in_column(v, y, min_leaf, parent_entropy):
+    """(gain_ratio, threshold) of the best admissible midpoint split of one
+    column, or None when it offers no split with positive gain."""
+    n = len(v)
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    cum = np.cumsum(np.eye(len(CLASS_NAMES))[y[order]], axis=0)
+    boundaries = np.nonzero(sv[1:] > sv[:-1])[0]
+    if boundaries.size == 0:
+        return None
+    ratio = _gain_ratios(cum[boundaries], boundaries + 1, cum[-1], n, min_leaf,
+                         parent_entropy)
+    best = int(np.argmax(ratio))
+    if not np.isfinite(ratio[best]):
+        return None
+    threshold = (sv[boundaries[best]] + sv[boundaries[best] + 1]) / 2.0
+    return float(ratio[best]), float(threshold)
 
 
 def scan_columns(X, rows, yr, candidates, min_leaf, parent_entropy):
@@ -164,7 +188,7 @@ def scan_columns(X, rows, yr, candidates, min_leaf, parent_entropy):
     in turn, kept only when its ratio is strictly higher."""
     best_ratio, best = -np.inf, None
     for column in candidates:
-        found = _best_split_in_column(X[rows, column], yr, min_leaf, parent_entropy)
+        found = best_split_in_column(X[rows, column], yr, min_leaf, parent_entropy)
         if found is not None and found[0] > best_ratio:
             best_ratio, best = found[0], (int(column), found[1])
     return best
@@ -216,6 +240,32 @@ def test_node_scorer_equals_the_per_column_scan():
             tied += any(np.array_equal(X[rows, got[0]], X[rows, c])
                         for c in candidates if c > got[0])
     assert split > 300 and tied > 40
+
+
+def test_fitted_trees_split_as_the_per_column_scan(monkeypatch, micro, bundle):
+    """Every split search of a micro tree fit and of a 5-tree forest fit,
+    replayed through the per-column scan."""
+    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
+    vectors = [v for v in vectors if v.label is not None]
+    X, y = to_dense(vectors, len(schema)), label_indices(vectors)
+    calls = []
+
+    def recording(*args):
+        found = _best_split(*args)
+        calls.append((args, found))
+        return found
+
+    monkeypatch.setattr(tree, "_best_split", recording)
+    fit_tree(X, y, TreeParams())
+    n_tree = len(calls)
+    fit_forest(X, y, ForestParams(n_trees=5, seed=1))
+    assert n_tree == 4 and len(calls) - n_tree > 40
+    many_valued = 0
+    for args, found in calls:
+        assert found == scan_columns(*args)
+        X_, rows, _, candidates = args[:4]
+        many_valued += any(len(np.unique(X_[rows, c])) > 2 for c in candidates)
+    assert many_valued > 10
 
 
 LABELS = ["support", "deny", "query", "comment", "comment", "deny", "comment",

@@ -7,10 +7,12 @@ import shutil
 import numpy as np
 import pytest
 
-from rumourstance.bundled import default_bundle_path
+from rumourstance.bundled import default_bundle_path, micro_corpus_path
+from rumourstance.cli import main
 from rumourstance.errors import ResourceError
 from rumourstance.resources import (
     BROWN_CLUSTER_COUNT,
+    REQUIRED_BUNDLE_FILES,
     bundle_content_hash,
     load_bundle,
     missing_bundle_files,
@@ -148,3 +150,59 @@ def test_load_rejects_incomplete_bundle(tmp_path):
 
 def test_loaded_bundle_exposes_hash(bundle):
     assert bundle.content_hash == bundle_content_hash(bundle.path)
+
+
+def bundle_copy(tmp_path):
+    dst = tmp_path / "bundle"
+    shutil.copytree(default_bundle_path(), dst)
+    return dst
+
+
+def first_component(value):
+    """An edit that sets the first vector component of an embedding line."""
+    def edit(line):
+        parts = line.split(b" ")
+        parts[1] = value
+        return b" ".join(parts)
+    return edit
+
+
+def edit_line(path, lineno, edit):
+    """Rewrite line `lineno` (1-based) of the file at `path` with `edit`,
+    a function of its bytes without the newline."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("rel", REQUIRED_BUNDLE_FILES)
+def test_bundle_file_that_is_not_utf8_is_a_resource_error(rel, tmp_path):
+    dst = bundle_copy(tmp_path)
+    edit_line(dst / rel, 2, lambda line: line[:1] + b"\xff" + line[1:])
+    with pytest.raises(ResourceError, match=re.escape(f"{rel}:2: not UTF-8")):
+        load_bundle(dst)
+
+
+@pytest.mark.parametrize("component", ["nan", "-inf", "1e999"])
+def test_non_finite_embedding_component_is_a_resource_error(component, tmp_path):
+    dst = bundle_copy(tmp_path)
+    edit_line(dst / "embeddings.txt", 3, first_component(component.encode()))
+    with pytest.raises(ResourceError, match=re.escape("embeddings.txt:3: vector component")):
+        load_bundle(dst)
+
+
+@pytest.mark.parametrize("rel, lineno, edit", [
+    ("dicts/slang.txt", 2, lambda line: b"\xc3" + line),
+    ("embeddings.txt", 3, first_component(b"nan")),
+], ids=["slang-not-utf8", "embedding-nan"])
+def test_bad_bundle_file_is_a_one_line_runtime_error(rel, lineno, edit, tmp_path, capsys):
+    dst = bundle_copy(tmp_path)
+    edit_line(dst / rel, lineno, edit)
+    out = tmp_path / "out"
+    code = main(["featurize", "--dataset", str(micro_corpus_path()), "--bundle", str(dst),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"{rel}:{lineno}:" in err
+    assert not (out / "vectors.tsv").exists()
