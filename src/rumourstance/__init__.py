@@ -11,7 +11,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .corpus import CLASS_ORDER, StanceLabel, load_dataset, save_dataset
+from .corpus import CLASS_ORDER, StanceLabel, load_dataset
 from .errors import StanceError
 from .resources import load_bundle
 
@@ -22,5 +22,4 @@ __all__ = [
     "__version__",
     "load_bundle",
     "load_dataset",
-    "save_dataset",
 ]

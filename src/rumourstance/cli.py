@@ -171,8 +171,11 @@ def _resolve_run_config(ns: argparse.Namespace, file_cfg: dict) -> RunConfig:
     now = _setting(ns, file_cfg, "now")
     # checked so that saved configs stay valid, but folds always run serially
     _require_int(_setting(ns, file_cfg, "jobs", 1), "jobs", 1)
+    classifier = _setting(ns, file_cfg, "classifier", "forest")
+    if classifier not in LEARNERS:
+        raise ConfigError(f"unknown classifier {classifier!r}; expected one of {tuple(LEARNERS)}")
     return RunConfig(
-        classifier=_setting(ns, file_cfg, "classifier", "forest"),
+        classifier=classifier,
         params=_parse_params(params),
         groups=None if groups is None else _parse_groups(groups),
         seed=_require_int(_setting(ns, file_cfg, "seed", 0), "seed", 0),

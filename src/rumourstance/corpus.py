@@ -154,6 +154,8 @@ class Dataset:
         return max(t.created_at for t in self.tweets)
 
 
+MAX_COUNT = 2 ** 53  # user counts feed float features, which hold every int up to it
+
 _USER_FIELDS = ("statuses_count", "verified", "followers", "followees",
                 "favourites_count", "account_created", "geo_enabled", "description")
 
@@ -166,8 +168,8 @@ def _parse_user(obj, created_at: float) -> UserStats:
             raise CorpusError(f"user object missing field {name!r}")
     for name in ("statuses_count", "followers", "followees", "favourites_count"):
         value = obj[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise CorpusError(f"user field {name!r} must be a non-negative integer, got {value!r}")
+        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= MAX_COUNT:
+            raise CorpusError(f"user field {name!r} must be an int in [0, 2**53], got {value!r}")
     for name in ("verified", "geo_enabled"):
         if not isinstance(obj[name], bool):
             raise CorpusError(f"user field {name!r} must be true or false, got {obj[name]!r}")
@@ -300,36 +302,6 @@ def _build_dataset(records: list, name: str) -> Dataset:
     if fixed:
         log.info("reattached %d dangling replies to their rumour sources", fixed)
     return Dataset(name=name, tweets=repaired, rumours=rumours, events=events)
-
-
-def record_to_obj(t: TweetRecord) -> dict:
-    return {
-        "tweet_id": t.tweet_id,
-        "text": t.text,
-        "created_at": format_rfc3339(t.created_at),
-        "in_reply_to": t.in_reply_to,
-        "rumour_id": t.rumour_id,
-        "event_id": t.event_id,
-        "label": t.label.value if t.label is not None else None,
-        "user": {
-            "statuses_count": t.user.statuses_count,
-            "verified": t.user.verified,
-            "followers": t.user.followers,
-            "followees": t.user.followees,
-            "favourites_count": t.user.favourites_count,
-            "account_created": format_rfc3339(t.user.account_created),
-            "geo_enabled": t.user.geo_enabled,
-            "description": t.user.description,
-        },
-    }
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Serialize a Dataset back to the JSONL ingestion schema."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for t in dataset.tweets:
-            fh.write(json.dumps(record_to_obj(t), ensure_ascii=False) + "\n")
 
 
 def build_threads(dataset: Dataset) -> list:

@@ -56,8 +56,8 @@ _NE_COLUMNS = ("ne_person", "ne_organization", "ne_date", "ne_location",
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered (name, group) columns; the contract every vector and model
-    is checked against via a 64-bit fingerprint of the schema file text."""
+    """Ordered (name, group) columns; a model records the 64-bit fingerprint
+    of their text, which `stance predict` checks its rebuilt schema against."""
 
     columns: tuple
 
@@ -123,7 +123,6 @@ class TweetAnalysis:
 @dataclass
 class FeatureVector:
     tweet_id: str
-    schema_fingerprint: int
     values: dict = field(default_factory=dict)
     label: Optional[StanceLabel] = None
 
@@ -462,9 +461,7 @@ def vectorize(a: TweetAnalysis, d: FeatureDictionaries,
         index = index_of.get(name)
         if index is not None:
             values[index] = value
-    return FeatureVector(tweet_id=a.tweet_id,
-                         schema_fingerprint=schema.fingerprint,
-                         values=values, label=a.label)
+    return FeatureVector(tweet_id=a.tweet_id, values=values, label=a.label)
 
 
 def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,

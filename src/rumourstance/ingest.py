@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .corpus import (
     _LABEL_ALIASES,
+    MAX_COUNT,
     CorpusError,
     format_rfc3339,
     parse_rfc3339,
@@ -53,13 +54,16 @@ def _first(obj: dict, *names, default=None):
     return default
 
 
-def _as_count(value) -> int:
+def _as_count(user: dict, *names) -> int:
+    value = _first(user, *names)
     if value is None:
         return 0
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         return 0
+    if n > MAX_COUNT:
+        raise CorpusError(f"user field {names[0]!r} is above 2**53")
     return max(0, n)
 
 
@@ -98,11 +102,11 @@ def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
     account_created = min(account_created, created_at)
     description = user.get("description")
     normalized_user = {
-        "statuses_count": _as_count(_first(user, "statuses_count", "statuses")),
+        "statuses_count": _as_count(user, "statuses_count", "statuses"),
         "verified": _as_flag(user, "verified"),
-        "followers": _as_count(_first(user, "followers", "followers_count")),
-        "followees": _as_count(_first(user, "followees", "friends_count", "following")),
-        "favourites_count": _as_count(_first(user, "favourites_count", "favorites_count")),
+        "followers": _as_count(user, "followers", "followers_count"),
+        "followees": _as_count(user, "followees", "friends_count", "following"),
+        "favourites_count": _as_count(user, "favourites_count", "favorites_count"),
         "account_created": format_rfc3339(account_created),
         "geo_enabled": _as_flag(user, "geo_enabled"),
         "description": str(description) if description else None,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import CLASS_NAMES, TrainedModel, argmax_label, scores_dict, to_dense
+from .base import CLASS_NAMES, TrainedModel, argmax_label, scores_dict
 from .forest import ForestParams, fit_forest
 from .io import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from .knn import KnnParams, fit_knn
@@ -17,7 +17,7 @@ __all__ = [
     "LEARNERS", "MODEL_MAGIC", "MODEL_VERSION", "TrainedModel",
     "TreeParams", "ForestParams", "KnnParams",
     "fit_tree", "fit_forest", "fit_knn", "fit_model",
-    "info_gain_ratio", "predict", "predict_many",
+    "info_gain_ratio", "predict_many",
     "save_model", "load_model",
 ]
 
@@ -25,8 +25,8 @@ __all__ = [
 def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params,
               schema_fingerprint: int) -> TrainedModel:
     """The `kind` model fitted on the rows of X, whose class indices are y,
-    with the kind's params object; it predicts only vectors of the schema
-    with that fingerprint, over X's columns."""
+    with the kind's params object; it records the fingerprint of the schema
+    that X's columns follow."""
     if not len(y):
         raise ValueError(f"cannot fit {kind} on an empty training set")
     return TrainedModel(kind=kind, schema_fingerprint=schema_fingerprint,
@@ -41,12 +41,3 @@ def predict_many(model: TrainedModel, X: np.ndarray) -> list:
     rows = LEARNERS[model.kind].scores(model, X)
     return [(argmax_label(scores), scores_dict(scores)) for scores in rows]
 
-
-def predict(model: TrainedModel, vector) -> tuple:
-    """predict_many() of one feature vector, which must carry the
-    fingerprint of the schema the model was trained under."""
-    if vector.schema_fingerprint != model.schema_fingerprint:
-        raise ModelError(
-            "vector schema fingerprint does not match the model; "
-            "refeaturize with the schema the model was trained under")
-    return predict_many(model, to_dense([vector], model.n_features))[0]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +16,7 @@ N_CLASSES = len(CLASS_NAMES)
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A fitted classifier plus everything predict needs to police inputs.
+    """A fitted classifier plus what is needed to police its inputs.
 
     context is free-form JSON-serializable metadata the caller may attach
     (resolved params, dictionaries, schema text); learners never read it.
@@ -38,9 +38,9 @@ def label_indices(vectors) -> np.ndarray:
 
 
 def is_finite_number(value) -> bool:
-    """A real JSON number (not a bool) that is neither infinite nor NaN."""
+    """A real JSON number (not a bool) within the finite float range."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def is_int(value) -> bool:

@@ -51,7 +51,7 @@ def load_model(path) -> TrainedModel:
     if missing:
         raise ModelError(f"{path}: corrupted model file: missing {missing}")
     kind = container["kind"]
-    if kind not in LEARNERS:
+    if not isinstance(kind, str) or kind not in LEARNERS:
         raise ModelError(f"{path}: unknown model kind {kind!r}")
     fingerprint, n_features = container["schema_fingerprint"], container["n_features"]
     payload, context = container["payload"], container.get("context", {})

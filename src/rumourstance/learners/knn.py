@@ -83,7 +83,10 @@ def knn_scores(payload: dict, X: np.ndarray, n_features: int) -> list:
             weight = 1.0 if payload["weighting"] == "uniform" \
                 else 1.0 / (distances[i] + DISTANCE_FLOOR)
             votes[payload["labels"][i]] += weight
-        out.append(votes / votes.sum())
+        total = votes.sum()
+        if not 0 < total < np.inf:  # every neighbour at infinite distance
+            raise ModelError(f"k-NN vote total {total} is not finite and positive")
+        out.append(votes / total)
     return out
 
 

@@ -262,8 +262,8 @@ def tree_distribution(node: dict, row: np.ndarray) -> np.ndarray:
 
 def check_tree(root, n_features: int) -> None:
     """Raise ModelError unless `root` is a tree payload over n_features
-    columns: splits on an existing column at a finite threshold, leaves
-    with one finite non-negative count per class and a positive total."""
+    columns: splits on an existing column at a finite threshold, leaves with
+    one finite non-negative count per class and a finite positive total."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -276,10 +276,12 @@ def check_tree(root, n_features: int) -> None:
             stack += [node.get("left"), node.get("right")]
         elif kind == "leaf":
             counts = node.get("counts")
-            if not (isinstance(counts, list) and len(counts) == N_CLASSES
-                    and all(is_finite_number(c) and c >= 0 for c in counts)
-                    and sum(counts) > 0):
+            with np.errstate(over="ignore"):  # an overflowing total reads inf
+                ok = (isinstance(counts, list) and len(counts) == N_CLASSES
+                      and all(is_finite_number(c) and c >= 0 for c in counts)
+                      and 0 < np.sum(counts, dtype=np.float64) < np.inf)
+            if not ok:
                 raise ModelError(f"tree leaf counts {counts!r} are not {N_CLASSES} "
-                                 "finite non-negative numbers with a positive sum")
+                                 "finite non-negative numbers with a finite positive sum")
         else:
             raise ModelError(f"tree node of unknown kind {kind!r}")

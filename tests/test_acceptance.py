@@ -36,8 +36,9 @@ from rumourstance.learners import (
     KnnParams,
     TreeParams,
     fit_model,
-    predict,
+    predict_many,
 )
+from rumourstance.learners.base import to_dense
 from rumourstance.learners.tree import info_gain_ratio
 from rumourstance.resources import EmbeddingTable
 from rumourstance.text import tokenize
@@ -69,9 +70,14 @@ def classes(labels):
 
 def vectors_from(X, labels):
     return [
-        FeatureVector(tweet_id=str(i), schema_fingerprint=0, values=sparse(row), label=lab)
+        FeatureVector(tweet_id=str(i), values=sparse(row), label=lab)
         for i, (row, lab) in enumerate(zip(X, labels))
     ]
+
+
+def predict_one(model, vector):
+    """predict_many() of one feature vector."""
+    return predict_many(model, to_dense([vector], model.n_features))[0]
 
 
 # --------------------------------------------------------------- criterion 1
@@ -139,10 +145,9 @@ def test_c1_oracle_equivalence(capsys):
             model = fit_model("knn", X, classes(labels), KnnParams(k=k, weighting=weighting), 0)
             for row in rng.uniform(-2, 2, size=(5, m)):
                 probe = FeatureVector(
-                    tweet_id="q", schema_fingerprint=0,
-                    values=dict(enumerate(map(float, row))), label=None,
+                    tweet_id="q", values=dict(enumerate(map(float, row))), label=None,
                 )
-                assert predict(model, probe)[0] == brute_knn(X, labels, row, k, weighting)
+                assert predict_one(model, probe)[0] == brute_knn(X, labels, row, k, weighting)
         assert time.monotonic() - started < 10.0
 
 
@@ -165,7 +170,7 @@ def test_c2_degeneracy_ladder(capsys):
             tree = fit_model("tree", X, classes(labels), TreeParams(pruning=False), 0)
             probes = vectors_from(X, labels) + vectors_from(rng.normal(size=(10, m)).round(2), [None] * 10)
             for probe in probes:
-                assert predict(forest, probe) == predict(tree, probe)
+                assert predict_one(forest, probe) == predict_one(tree, probe)
 
         for _ in range(10):
             n, m = int(rng.integers(4, 25)), int(rng.integers(1, 4))
@@ -175,10 +180,9 @@ def test_c2_degeneracy_ladder(capsys):
             majority = max(CLASSES, key=lambda c: (counts.get(c, 0), -CLASSES.index(c)))
             model = fit_model("knn", X, classes(labels), KnnParams(k=n, weighting="uniform"), 0)
             probe = FeatureVector(
-                tweet_id="q", schema_fingerprint=0,
-                values=dict(enumerate(map(float, rng.normal(size=m)))), label=None,
+                tweet_id="q", values=dict(enumerate(map(float, rng.normal(size=m)))), label=None,
             )
-            assert predict(model, probe)[0] == majority
+            assert predict_one(model, probe)[0] == majority
 
         X = np.arange(20, dtype=float).reshape(10, 2)
         constant = classes(["deny"] * 10)
@@ -187,9 +191,9 @@ def test_c2_degeneracy_ladder(capsys):
             fit_model("forest", X, constant, ForestParams(n_trees=3, seed=1), 0),
             fit_model("knn", X, constant, KnnParams(k=3), 0),
         )
-        probe = FeatureVector(tweet_id="q", schema_fingerprint=0, values={0: 3.0}, label=None)
+        probe = FeatureVector(tweet_id="q", values={0: 3.0}, label=None)
         for model in fits:
-            label, scores = predict(model, probe)
+            label, scores = predict_one(model, probe)
             assert label == "deny"
             assert scores["deny"] == 1.0
 

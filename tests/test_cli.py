@@ -47,7 +47,8 @@ DEEP = "[" * 200_000 + "]" * 200_000   # nested past Python's recursion limit
 def test_malformed_config_rejected(tmp_path, out, capsys):
     cfg = tmp_path / "cfg.json"
     for text in ("{not json", DEEP,
-                 json.dumps({"dataset": str(micro_corpus_path()), "classifier_params": DEEP})):
+                 json.dumps({"dataset": str(micro_corpus_path()), "classifier_params": DEEP}),
+                 json.dumps({"dataset": str(micro_corpus_path()), "classifier": "svm"})):
         cfg.write_text(text)
         code = run(["eval-loo", "--config", cfg, "--out", out])
         assert code == 2, text[:40]

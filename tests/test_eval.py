@@ -12,8 +12,9 @@ import pytest
 
 import rumourstance.evaluation as evaluation
 import rumourstance.features as features
+from rumourstance.bundled import micro_corpus_path
 from rumourstance.cli import main
-from rumourstance.corpus import Dataset, build_threads, load_dataset, save_dataset, thread_index
+from rumourstance.corpus import Dataset, build_threads, load_dataset, thread_index
 from rumourstance.errors import EvalError, LeakageError
 from rumourstance.evaluation import (
     FoldSpec,
@@ -341,8 +342,14 @@ def test_fold_dictionaries_count_unlabelled_tweets(part_unlabelled, bundle,
 
 
 def test_train_vocabulary_counts_unlabelled_tweets(part_unlabelled, bundle, tmp_path):
+    cleared = {t.tweet_id for t in part_unlabelled.tweets if t.label is None}
     corpus = tmp_path / "corpus.jsonl"
-    save_dataset(part_unlabelled, corpus)
+    with corpus.open("w", encoding="utf-8") as fh:
+        for line in micro_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True):
+            obj = json.loads(line)
+            fh.write(json.dumps({**obj, "label": None}) + "\n"
+                     if obj["tweet_id"] in cleared else line)
+    assert load_dataset(corpus).tweets == part_unlabelled.tweets
     out = tmp_path / "out"
     assert main(["train", "--dataset", str(corpus), "--classifier", "tree",
                  "--out", str(out)]) == 0

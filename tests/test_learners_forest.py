@@ -11,9 +11,9 @@ from rumourstance.learners import (
     fit_forest,
     fit_model,
     fit_tree,
-    predict,
+    predict_many,
 )
-from rumourstance.learners.base import CLASS_NAMES
+from rumourstance.learners.base import CLASS_NAMES, to_dense
 
 
 def make_data(rng, n, m, classes=("support", "deny", "query", "comment")):
@@ -23,13 +23,17 @@ def make_data(rng, n, m, classes=("support", "deny", "query", "comment")):
     vecs = [
         FeatureVector(
             tweet_id=str(i),
-            schema_fingerprint=0,
             values={j: float(v) for j, v in enumerate(row)},
             label=lab,
         )
         for i, (row, lab) in enumerate(zip(X, labels))
     ]
     return X, np.array([CLASS_NAMES.index(lab) for lab in labels]), vecs
+
+
+def predict_one(model, vector):
+    """predict_many() of one feature vector."""
+    return predict_many(model, to_dense([vector], model.n_features))[0]
 
 
 def test_same_seed_same_forest():
@@ -68,7 +72,7 @@ def test_degenerate_forest_equals_unpruned_tree():
     tree = fit_model("tree", X, y, TreeParams(pruning=False), 0)
     assert forest.payload["trees"][0] == tree.payload["root"]
     for probe in make_data(rng, 10, 4)[2]:
-        assert predict(forest, probe) == predict(tree, probe)
+        assert predict_one(forest, probe) == predict_one(tree, probe)
 
 
 def test_forest_votes_average_distributions():
@@ -84,7 +88,7 @@ def test_forest_votes_average_distributions():
     want = np.mean(per_tree, axis=0)
     got = forest_distribution(model.payload, row)
     assert np.allclose(got, want)
-    label, scores = predict(model, probe)
+    label, scores = predict_one(model, probe)
     assert scores["support"] == pytest.approx(float(want[0]))
 
 
@@ -93,7 +97,7 @@ def test_scores_sum_to_one():
     X, y, vecs = make_data(rng, 30, 4)
     model = fit_model("forest", X, y, ForestParams(n_trees=9, seed=2), 0)
     for probe in vecs[:10]:
-        _, scores = predict(model, probe)
+        _, scores = predict_one(model, probe)
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
         assert list(scores) == ["support", "deny", "query", "comment"]
 
@@ -103,6 +107,6 @@ def test_single_class_forest_is_constant():
     X, y, vecs = make_data(rng, 12, 3, classes=("comment",))
     model = fit_model("forest", X, y, ForestParams(n_trees=4, seed=0), 0)
     for probe in vecs:
-        label, scores = predict(model, probe)
+        label, scores = predict_one(model, probe)
         assert label == "comment"
         assert scores["comment"] == 1.0

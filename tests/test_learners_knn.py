@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rumourstance.features import FeatureVector
-from rumourstance.learners import KnnParams, fit_knn, fit_model, predict
+from rumourstance.learners import KnnParams, fit_knn, fit_model, predict_many
 from rumourstance.learners.base import label_indices, to_dense
 
 CLASSES = ("support", "deny", "query", "comment")
@@ -18,7 +18,6 @@ def make_vectors(rng, n, m):
     vecs = [
         FeatureVector(
             tweet_id=str(i),
-            schema_fingerprint=0,
             values={j: float(v) for j, v in enumerate(row)},
             label=lab,
         )
@@ -30,6 +29,11 @@ def make_vectors(rng, n, m):
 def fit_vectors(vecs, params, n_features):
     """The k-NN model of labelled vectors, as `stance train` fits one."""
     return fit_model("knn", to_dense(vecs, n_features), label_indices(vecs), params, 0)
+
+
+def predict_one(model, vector):
+    """predict_many() of one feature vector."""
+    return predict_many(model, to_dense([vector], model.n_features))[0]
 
 
 def oracle_predict(X, labels, x, k, weighting):
@@ -65,9 +69,9 @@ def test_predictions_match_oracle(k, weighting):
     probes = rng.uniform(-3, 3, size=(25, 5))
     for row in probes:
         vec = FeatureVector(
-            tweet_id="p", schema_fingerprint=0, values=dict(enumerate(map(float, row))), label=None
+            tweet_id="p", values=dict(enumerate(map(float, row))), label=None
         )
-        got, _ = predict(model, vec)
+        got, _ = predict_one(model, vec)
         want = oracle_predict(X, labels, row, k, weighting)
         assert got == want
 
@@ -76,7 +80,7 @@ def test_exact_duplicate_dominates_inverse_distance():
     rng = np.random.default_rng(5)
     X, labels, vecs = make_vectors(rng, 20, 4)
     model = fit_vectors(vecs, KnnParams(k=5, weighting="inverse_distance"), 4)
-    label, scores = predict(model, vecs[3])
+    label, scores = predict_one(model, vecs[3])
     assert label == labels[3]
     assert scores[labels[3]] > 0.99
 
@@ -85,8 +89,8 @@ def test_k_of_n_uniform_is_class_frequency():
     rng = np.random.default_rng(6)
     X, labels, vecs = make_vectors(rng, 24, 3)
     model = fit_vectors(vecs, KnnParams(k=24, weighting="uniform"), 3)
-    probe = FeatureVector(tweet_id="p", schema_fingerprint=0, values={0: 0.1}, label=None)
-    _, scores = predict(model, probe)
+    probe = FeatureVector(tweet_id="p", values={0: 0.1}, label=None)
+    _, scores = predict_one(model, probe)
     for name in CLASSES:
         assert scores[name] == pytest.approx(labels.count(name) / len(labels))
 
@@ -96,19 +100,19 @@ def test_k_larger_than_n_means_all_neighbours():
     X, labels, vecs = make_vectors(rng, 6, 3)
     big = fit_vectors(vecs, KnnParams(k=50, weighting="uniform"), 3)
     all_of_them = fit_vectors(vecs, KnnParams(k=6, weighting="uniform"), 3)
-    probe = FeatureVector(tweet_id="p", schema_fingerprint=0, values={1: 0.5}, label=None)
-    assert predict(big, probe) == predict(all_of_them, probe)
+    probe = FeatureVector(tweet_id="p", values={1: 0.5}, label=None)
+    assert predict_one(big, probe) == predict_one(all_of_them, probe)
 
 
 def test_constant_column_is_ignored():
     # a feature with zero range must not contribute to distances
     base = [
-        FeatureVector(tweet_id="a", schema_fingerprint=0, values={0: 0.0, 1: 7.0}, label="support"),
-        FeatureVector(tweet_id="b", schema_fingerprint=0, values={0: 1.0, 1: 7.0}, label="deny"),
+        FeatureVector(tweet_id="a", values={0: 0.0, 1: 7.0}, label="support"),
+        FeatureVector(tweet_id="b", values={0: 1.0, 1: 7.0}, label="deny"),
     ]
     model = fit_vectors(base, KnnParams(k=1), 2)
-    near_a = FeatureVector(tweet_id="p", schema_fingerprint=0, values={0: 0.1, 1: -100.0}, label=None)
-    assert predict(model, near_a)[0] == "support"
+    near_a = FeatureVector(tweet_id="p", values={0: 0.1, 1: -100.0}, label=None)
+    assert predict_one(model, near_a)[0] == "support"
 
 
 def test_deterministic():

@@ -17,7 +17,6 @@ from rumourstance.learners import (
     fit_forest,
     fit_model,
     fit_tree,
-    predict,
     predict_many,
 )
 from rumourstance.learners.base import CLASS_NAMES, label_indices, to_dense
@@ -84,15 +83,18 @@ def classes(labels):
 
 def fit_vectors(vecs, params, n_features):
     """The tree model of labelled vectors, as `stance train` fits one."""
-    return fit_model("tree", to_dense(vecs, n_features), label_indices(vecs), params,
-                     vecs[0].schema_fingerprint)
+    return fit_model("tree", to_dense(vecs, n_features), label_indices(vecs), params, 0)
+
+
+def predict_one(model, vector):
+    """predict_many() of one feature vector."""
+    return predict_many(model, to_dense([vector], model.n_features))[0]
 
 
 def make_vectors(X, labels):
     return [
         FeatureVector(
             tweet_id=str(i),
-            schema_fingerprint=0,
             values={j: float(v) for j, v in enumerate(row) if v != 0.0},
             label=lab,
         )
@@ -321,7 +323,7 @@ def test_tree_learns_clean_split():
         X[i, 0] = rng.normal()
     model = fit_model("tree", X, classes(labels), TreeParams(), 0)
     for vec, lab in zip(make_vectors(X, labels), labels):
-        assert predict(model, vec)[0] == lab
+        assert predict_one(model, vec)[0] == lab
 
 
 def test_tree_deterministic():
@@ -417,50 +419,38 @@ def test_single_class_input_gives_constant_tree():
     assert root["kind"] == "leaf"
     for row in X:
         vec = FeatureVector(
-            tweet_id="p", schema_fingerprint=0, values=dict(enumerate(map(float, row))), label=None
+            tweet_id="p", values=dict(enumerate(map(float, row))), label=None
         )
-        label, scores = predict(model, vec)
+        label, scores = predict_one(model, vec)
         assert label == "query"
         assert scores["query"] == 1.0
 
 
 def test_missing_columns_read_as_zero():
     vecs = [
-        FeatureVector(tweet_id="a", schema_fingerprint=0, values={0: 5.0}, label="support"),
-        FeatureVector(tweet_id="b", schema_fingerprint=0, values={}, label="deny"),
-        FeatureVector(tweet_id="c", schema_fingerprint=0, values={0: 5.0}, label="support"),
-        FeatureVector(tweet_id="d", schema_fingerprint=0, values={}, label="deny"),
-        FeatureVector(tweet_id="e", schema_fingerprint=0, values={0: 5.0}, label="support"),
-        FeatureVector(tweet_id="f", schema_fingerprint=0, values={}, label="deny"),
+        FeatureVector(tweet_id="a", values={0: 5.0}, label="support"),
+        FeatureVector(tweet_id="b", values={}, label="deny"),
+        FeatureVector(tweet_id="c", values={0: 5.0}, label="support"),
+        FeatureVector(tweet_id="d", values={}, label="deny"),
+        FeatureVector(tweet_id="e", values={0: 5.0}, label="support"),
+        FeatureVector(tweet_id="f", values={}, label="deny"),
     ]
     model = fit_vectors(vecs, TreeParams(min_leaf=1), 1)
-    dense_zero = FeatureVector(tweet_id="z", schema_fingerprint=0, values={0: 0.0}, label=None)
-    sparse_zero = FeatureVector(tweet_id="s", schema_fingerprint=0, values={}, label=None)
-    assert predict(model, dense_zero) == predict(model, sparse_zero)
-    assert predict(model, sparse_zero)[0] == "deny"
+    dense_zero = FeatureVector(tweet_id="z", values={0: 0.0}, label=None)
+    sparse_zero = FeatureVector(tweet_id="s", values={}, label=None)
+    assert predict_one(model, dense_zero) == predict_one(model, sparse_zero)
+    assert predict_one(model, sparse_zero)[0] == "deny"
 
 
 def test_tie_break_prefers_class_order():
     # perfectly balanced leaf: Support wins the argmax by order
     vecs = [
-        FeatureVector(tweet_id=str(i), schema_fingerprint=0, values={}, label=lab)
+        FeatureVector(tweet_id=str(i), values={}, label=lab)
         for i, lab in enumerate(["comment", "support", "comment", "support"])
     ]
     model = fit_vectors(vecs, TreeParams(), 1)
-    probe = FeatureVector(tweet_id="p", schema_fingerprint=0, values={}, label=None)
-    assert predict(model, probe)[0] == "support"
-
-
-def test_fingerprint_guard():
-    vecs = [
-        FeatureVector(tweet_id=str(i), schema_fingerprint=77, values={0: float(i)}, label="support")
-        for i in range(4)
-    ]
-    model = fit_vectors(vecs, TreeParams(), 1)
-    assert model.schema_fingerprint == 77
-    alien = FeatureVector(tweet_id="x", schema_fingerprint=88, values={0: 1.0}, label=None)
-    with pytest.raises(ModelError):
-        predict(model, alien)
+    probe = FeatureVector(tweet_id="p", values={}, label=None)
+    assert predict_one(model, probe)[0] == "support"
 
 
 def test_matrix_of_another_width_is_rejected():

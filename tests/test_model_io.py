@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumourstance.bundled import micro_corpus_path
 from rumourstance.cli import main
-from rumourstance.features import FeatureVector
+from rumourstance.errors import StanceError
+from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
 from rumourstance.learners import (
     ForestParams,
     KnnParams,
@@ -29,7 +33,6 @@ def vectors():
     return [
         FeatureVector(
             tweet_id=str(i),
-            schema_fingerprint=4242,
             values={j: float(v) for j, v in enumerate(rng.normal(size=5))},
             label=["support", "deny", "query", "comment"][i % 4],
         )
@@ -184,6 +187,26 @@ def posng_vocab_not_strings(model):
     model["context"]["posng_vocab"] = [1, [2]]
 
 
+def drop_first_bow_word(model):
+    # the schema rebuilt from the shorter vocabulary differs from the model's
+    model["context"]["bow_vocab"].pop(0)
+
+
+def other_fingerprint(model):
+    model["schema_fingerprint"] += 1
+
+
+def tiny_ranges(model):
+    # every normalized distance overflows, so no neighbour gets a vote
+    ranges = model["payload"]["ranges"]
+    model["payload"]["ranges"] = [1e-300 if r > 0 else r for r in ranges]
+
+
+def overflowing_leaf_counts(model):
+    for leaf in leaves(model["payload"]["root"]):
+        leaf["counts"] = [1e308, 1e308, 0, 0]
+
+
 @pytest.mark.parametrize("kind, mutate", [
     ("tree", drop_threshold),
     ("tree", three_features),
@@ -194,6 +217,10 @@ def posng_vocab_not_strings(model):
     ("tree", bow_vocab_not_a_list),
     ("tree", provenance_not_a_list),
     ("tree", posng_vocab_not_strings),
+    ("tree", drop_first_bow_word),
+    ("tree", other_fingerprint),
+    ("knn", tiny_ranges),
+    ("tree", overflowing_leaf_counts),
 ])
 def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
                                                     tmp_path, capsys):
@@ -209,3 +236,76 @@ def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not re.search(r"\bnan\b", captured.err.lower())
+
+
+# ------------------------------------------- any one edit of a saved model
+
+
+@pytest.fixture(scope="module")
+def micro_saved(micro, bundle, tmp_path_factory):
+    """(the micro matrix, a directory holding a model of each kind trained
+    on it, each saved under the kind's name)."""
+    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
+    labelled = [v for v in vectors if v.label is not None]
+    root = tmp_path_factory.mktemp("saved")
+    for kind, params in (("tree", TreeParams()), ("forest", ForestParams(n_trees=3, seed=1)),
+                         ("knn", KnnParams())):
+        model = fit_model(kind, to_dense(labelled, len(schema)), label_indices(labelled),
+                          params, schema.fingerprint)
+        save_model(model, root / kind)
+    return to_dense(vectors, len(schema)), root
+
+
+# 10**400 is a JSON number that no float can hold; scalars are drawn as
+# often as containers
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+                 | st.text(max_size=4))
+_json_values = _json_scalars | st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def key_paths(node) -> list:
+    """The path of keys and indices to each value inside the JSON value
+    `node`."""
+    paths, stack = [], [((), node)]
+    while stack:
+        prefix, value = stack.pop()
+        keys = value if isinstance(value, dict) else \
+            range(len(value)) if isinstance(value, list) else ()
+        for key in keys:
+            paths.append(prefix + (key,))
+            stack.append((paths[-1], value[key]))
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["tree", "forest", "knn"]),
+       value=_json_values, drop=st.booleans())
+def test_edited_model_fails_cleanly_or_scores_finitely(micro_saved, data, kind, value, drop):
+    X, root = micro_saved
+    model = json.loads((root / kind).read_text())
+    # a depth first, so that shallow keys are drawn as often as deep ones
+    by_depth = {}
+    for key_path in key_paths(model):
+        by_depth.setdefault(len(key_path), []).append(key_path)
+    depth = data.draw(st.sampled_from(sorted(by_depth)))
+    *parents, key = data.draw(st.sampled_from(by_depth[depth]))
+    node = model
+    for parent in parents:
+        node = node[parent]
+    if drop:
+        del node[key]
+    else:
+        node[key] = value
+    path = root / "edited.json"
+    path.write_text(json.dumps(model))
+    try:
+        rows = predict_many(load_model(path), X)
+    except StanceError:
+        return
+    for _, scores in rows:
+        assert all(math.isfinite(v) for v in scores.values())
+        assert abs(sum(scores.values()) - 1.0) <= 1e-9
