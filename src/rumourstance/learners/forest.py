@@ -2,7 +2,10 @@
 
 Every random draw for tree i comes from a counter-based stream keyed by
 (seed, i), so the fitted forest is a pure function of (data, params, seed),
-and growing more trees keeps the earlier ones.
+and growing more trees keeps the earlier ones. The trees are independent,
+so they grow in lockstep, one batched split search per step covering the
+current node of every tree; each tree still draws in pre-order from its
+own stream, as if grown alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from ..errors import ModelError
 from .base import is_int
-from .tree import TreeParams, check_tree, grow_tree, tree_distribution
+from .tree import TreeParams, check_tree, grow_trees, tree_distribution
 
 _FEATURE_RULES = ("log2", "sqrt", "all")
 _MASK64 = (1 << 64) - 1
@@ -51,29 +54,29 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _fit_one_tree(X: np.ndarray, y: np.ndarray, params: ForestParams,
-                  tree_index: int, tree_params: TreeParams) -> dict:
-    rng = _tree_rng(params.seed, tree_index)
-    rows = rng.integers(0, len(y), size=len(y)) if params.bagging \
-        else np.arange(len(y))
-    k = subset_size(params.features_per_split, X.shape[1])
-
-    def draw_columns() -> np.ndarray:
-        if k >= X.shape[1]:
-            return np.arange(X.shape[1])
-        return np.sort(rng.permutation(X.shape[1])[:k])
-
-    return grow_tree(X, y, rows, tree_params, columns_for_node=draw_columns)
+def _column_draw(rng: np.random.Generator, n_columns: int, k: int):
+    """The candidate columns of each searched node of a tree: k of the
+    n_columns, sorted, drawn from its stream, or all without a draw."""
+    if k >= n_columns:
+        columns = np.arange(n_columns)
+        return lambda: columns
+    return lambda: np.sort(rng.permutation(n_columns)[:k])
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> dict:
     """The payload of n_trees unpruned trees fitted on the rows of X, whose
-    class indices are y."""
+    class indices are y. Tree i draws its bootstrap rows, then its
+    candidate columns node by node, from the stream keyed by (seed, i)."""
+    k = subset_size(params.features_per_split, X.shape[1])
+    roots, draws = [], []
+    for i in range(params.n_trees):
+        rng = _tree_rng(params.seed, i)
+        roots.append(rng.integers(0, len(y), size=len(y)) if params.bagging
+                     else np.arange(len(y)))
+        draws.append(_column_draw(rng, X.shape[1], k))
     # unpruned, same leaf floor as the standalone tree so a 1-tree forest
     # without bagging degenerates to it exactly
-    tree_params = TreeParams(pruning=False)
-    return {"trees": [_fit_one_tree(X, y, params, i, tree_params)
-                      for i in range(params.n_trees)],
+    return {"trees": grow_trees(X, y, roots, TreeParams(pruning=False), draws),
             "params": asdict(params)}
 
 

@@ -75,7 +75,8 @@ def knn_scores(payload: dict, X: np.ndarray, n_features: int) -> list:
     out = []
     for row in X:
         query = normalize_columns(row.reshape(1, -1), mins, ranges)[0]
-        distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):  # an overflowing distance reads inf
+            distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
         # stable sort keeps training order among equal distances
         order = np.argsort(distances, kind="stable")[:payload["k"]]
         votes = np.zeros(N_CLASSES, dtype=np.float64)

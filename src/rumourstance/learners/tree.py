@@ -6,11 +6,15 @@ a column. Ties on gain ratio go to the lowest column index, then the lowest
 threshold, so refits are reproducible. Leaves hold raw class counts; the
 majority tie-break is the fixed class order Support < Deny < Query < Comment.
 
-A node scores all its candidate columns at once: columns constant on the
-node's rows are skipped, two-valued columns (one midpoint each) are scored
-by one product, and columns with three or more values are sorted together,
-with one cumulative class count per column, and every boundary between
-their distinct values is scored in one call.
+Trees grow in lockstep (`grow_trees`): each keeps a depth-first stack, and
+on every step one batched search (`_best_splits`) scores the node each tree
+is at. A search skips (node, column) pairs constant on the node's rows,
+scores the two-valued pairs (one midpoint each) by one matrix product, and
+sorts the pairs with three or more values together, with one cumulative
+class count each, scoring every boundary between their distinct values in
+one call. The standalone tree is a batch of one with every column a
+candidate; with pruning on, a post-order pass over the grown payload
+collapses splits bottom-up.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .base import N_CLASSES, is_finite_number, is_index, is_int
 
 _GAIN_EPS = 1e-12
 _PRUNE_SLACK = 0.1
+_BATCH_CELLS = 1 << 16  # (row, candidate) cells per batched split search
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,9 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _gain_ratios(left_counts: np.ndarray, left_sizes: np.ndarray, total: np.ndarray,
-                 n: int, min_leaf: int, parent_entropy: float) -> np.ndarray:
-    """Gain ratio of each binary split of n rows with class counts `total`
-    whose left side holds left_sizes[i] rows with class counts
+                 n: np.ndarray, min_leaf: int, parent_entropy: np.ndarray) -> np.ndarray:
+    """Gain ratio of each binary split i of n[i] rows with class counts
+    total[i] whose left side holds left_sizes[i] rows with class counts
     left_counts[i]; -inf where a side has fewer than min_leaf rows or the
     gain is not positive. Both sides must be non-empty."""
     right_sizes = n - left_sizes
@@ -121,98 +126,126 @@ def _gain_ratios(left_counts: np.ndarray, left_sizes: np.ndarray, total: np.ndar
     return np.where(admissible, gain / split_info, -np.inf)
 
 
-def _best_split(X: np.ndarray, rows: np.ndarray, yr: np.ndarray,
-                candidates: np.ndarray, min_leaf: int, parent_entropy: float):
-    """(column, threshold) of the best admissible split of `rows` over the
-    sorted candidate columns, or None. Constant columns are skipped;
-    two-valued columns are scored by one product, the rest by sorting them
-    together and scoring every boundary between distinct sorted values.
-    Each column keeps its first maximum, the lowest threshold, and
-    np.argmax over columns takes the first maximum, the lowest column."""
-    sub = X[rows[:, None], candidates]
-    lo, hi = sub.min(axis=0), sub.max(axis=0)
+def _best_splits(X: np.ndarray, y: np.ndarray, nodes: list, min_leaf: int) -> list:
+    """(column, threshold) of the best admissible split of each node, or
+    None. A node is (rows, candidates): row indices into X and y (a row
+    listed twice counts twice) and sorted distinct candidate columns, as
+    many for every node. The rows are stacked side by side in class
+    blocks, padded so that each position holds one class in every node;
+    pad cells read as the column's maximum on the node, so they are never
+    left of a split. Each pair keeps its first maximum, the lowest
+    threshold, and each node its first maximal pair, the lowest column."""
+    sizes = np.array([len(rows) for rows, _ in nodes])
+    n_nodes = len(nodes)
+    flat = np.concatenate([rows for rows, _ in nodes])
+    node_of = np.repeat(np.arange(n_nodes), sizes)
+    order = np.lexsort((y[flat], node_of))
+    flat, labels = flat[order], y[flat[order]]
+    counts = np.bincount(node_of * N_CLASSES + labels,
+                         minlength=n_nodes * N_CLASSES).reshape(n_nodes, N_CLASSES)
+    block = counts.max(axis=0)  # rows of class c: the most any node has
+    block_start = np.cumsum(block) - block
+    group_start = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    rank = np.arange(len(flat)) - group_start[node_of, labels]
+    n_pad = int(block.sum())
+    padded = np.repeat(flat[np.cumsum(sizes) - sizes][None, :], n_pad, axis=0)
+    padded[block_start[labels] + rank, node_of] = flat
+    onehot = np.repeat(np.eye(N_CLASSES), block, axis=0)
+    parent_entropy = _entropy_rows(counts.astype(np.float64))
+
+    candidates = np.stack([columns for _, columns in nodes])
+    width = candidates.shape[1]
+    if width == X.shape[1]:  # every column: gather whole rows
+        values = X[padded]
+    else:
+        values = X[padded[:, :, None], candidates[None, :, :]]
+    values = values.reshape(n_pad, n_nodes * width)
+    lo, hi = values.min(axis=0), values.max(axis=0)  # pads repeat a row of the node
     varying = np.flatnonzero(lo < hi)
     if varying.size == 0:
-        return None
-    sub, lo, hi = sub[:, varying], lo[varying], hi[varying]
-    at_lo = sub == lo
-    two_valued = (at_lo | (sub == hi)).all(axis=0)
-    ratios = np.full(varying.size, -np.inf)
-    thresholds = (lo + hi) / 2.0
-    n = len(rows)
-    onehot = np.eye(N_CLASSES)[yr]
-    total = onehot.sum(axis=0)
+        return [None] * n_nodes
+    node, lo, hi = varying // width, lo[varying], hi[varying]
+    values = values[:, varying]
+    if n_pad * n_nodes > len(flat):
+        block_rank = np.arange(n_pad) - np.repeat(block_start, block)
+        real = block_rank[:, None] < counts[:, np.repeat(np.arange(N_CLASSES), block)].T
+        values = np.where(real[:, node], values, hi)
+    n, total, parent = sizes[node], counts[node].astype(np.float64), parent_entropy[node]
+    at_lo = values == lo
+    two_valued = (at_lo | (values == hi)).all(axis=0)
+    ratios = np.full(n_nodes * width, -np.inf)
+    thresholds = np.zeros(n_nodes * width)
+    thresholds[varying] = (lo + hi) / 2.0
 
     two = np.flatnonzero(two_valued)
     if two.size:
-        left = at_lo[:, two]
-        ratios[two] = _gain_ratios(left.T.astype(np.float64) @ onehot,
-                                   np.count_nonzero(left, axis=0), total, n,
-                                   min_leaf, parent_entropy)
+        left = at_lo[:, two].T.astype(np.float64) @ onehot
+        ratios[varying[two]] = _gain_ratios(left, left.sum(axis=1), total[two], n[two],
+                                            min_leaf, parent[two])
 
     many = np.flatnonzero(~two_valued)
     if many.size:
-        values, columns = sub[:, many], np.arange(many.size)
-        order = np.argsort(values, axis=0)
-        sv = values[order, columns]
+        columns = np.arange(many.size)
+        order = np.argsort(values[:, many], axis=0)
+        sv = values[order, many]
         cum = onehot[order].cumsum(axis=0)
         at, col = np.nonzero(sv[1:] > sv[:-1])
-        scored = np.full((n - 1, many.size), -np.inf)
-        scored[at, col] = _gain_ratios(cum[at, col], at + 1, total, n, min_leaf,
-                                       parent_entropy)
+        pair = many[col]
+        scored = np.full((n_pad - 1, many.size), -np.inf)
+        scored[at, col] = _gain_ratios(cum[at, col], at + 1, total[pair], n[pair],
+                                       min_leaf, parent[pair])
         first = scored.argmax(axis=0)
-        ratios[many] = scored[first, columns]
-        thresholds[many] = (sv[first, columns] + sv[first + 1, columns]) / 2.0
+        ratios[varying[many]] = scored[first, columns]
+        thresholds[varying[many]] = (sv[first, columns] + sv[first + 1, columns]) / 2.0
 
-    best = int(np.argmax(ratios))
-    if ratios[best] == -np.inf:
-        return None
-    return int(candidates[varying[best]]), float(thresholds[best])
-
-
-def grow_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, params: TreeParams,
-              columns_for_node=None) -> dict:
-    """The tree payload grown on the rows `rows` of X and y; a row listed
-    twice (a bootstrap draw) counts twice. columns_for_node, when given,
-    supplies the candidate column indices for each node (used by the forest
-    for per-split feature subsampling); it must return a sorted array.
-
-    With pruning on, a split collapses to a leaf as soon as both its
-    subtrees are grown, whenever predicting the majority class there is
-    estimated to err no worse (within a small slack) than the subtrees'
-    summed estimates: bottom-up subtree replacement, done during growth."""
-    return _grow(X, y, rows, 0, params, columns_for_node)[0]
+    ratios, thresholds = ratios.reshape(n_nodes, width), thresholds.reshape(n_nodes, width)
+    best = ratios.argmax(axis=1)
+    return [(int(candidates[i, b]), float(thresholds[i, b])) if ratios[i, b] > -np.inf
+            else None for i, b in enumerate(best)]
 
 
-def _grow(X, y, rows: np.ndarray, depth: int, params: TreeParams,
-          columns_for_node) -> tuple:
-    """(payload, estimated errors) of the subtree on `rows`; the estimate
-    is 0 with pruning off. A module function, not a closure over itself:
-    such a closure is a reference cycle that keeps X alive until the cycle
-    collector runs."""
-    yr = y[rows]
-    counts = np.bincount(yr, minlength=N_CLASSES).astype(np.float64)
-    as_leaf = _estimated_errors(counts, params.confidence) if params.pruning else 0.0
-    leaf = {"kind": "leaf", "counts": [float(c) for c in counts]}, as_leaf
-    if counts.max() == len(rows) or len(rows) < 2 * params.min_leaf:
-        return leaf
-    if params.max_depth is not None and depth >= params.max_depth:
-        return leaf
-    parent_entropy = _entropy(counts)
-    candidates = np.arange(X.shape[1]) if columns_for_node is None \
-        else columns_for_node()
-    found = _best_split(X, rows, yr, candidates, params.min_leaf, parent_entropy)
-    if found is None:
-        return leaf
-    best_column, best_threshold = found
-    mask = X[rows, best_column] <= best_threshold
-    left, left_errors = _grow(X, y, rows[mask], depth + 1, params, columns_for_node)
-    right, right_errors = _grow(X, y, rows[~mask], depth + 1, params, columns_for_node)
-    subtree = left_errors + right_errors
-    if params.pruning and as_leaf <= subtree + _PRUNE_SLACK:
-        return leaf
-    return {"kind": "split", "column": best_column, "threshold": best_threshold,
-            "left": left, "right": right}, subtree
+def grow_trees(X: np.ndarray, y: np.ndarray, roots: list, params: TreeParams,
+               draws: list) -> list:
+    """The unpruned payloads of trees grown in lockstep, tree t on the rows
+    roots[t] of X and y; draws[t]() gives the sorted candidate columns of
+    each node of tree t that is searched, in pre-order, as many for every
+    tree. On each step every tree pops nodes off its depth-first stack
+    until one needs a split search (pure nodes, nodes too small for two
+    leaves and nodes at max_depth become leaves without a draw), one
+    batched search scores those nodes, and each split pushes its right,
+    then its left child."""
+    holders = [{} for _ in roots]
+    stacks = [[(rows, 0, holder, "root")] for rows, holder in zip(roots, holders)]
+    while True:
+        searched = []
+        for tree, stack in enumerate(stacks):
+            while stack:
+                rows, depth, parent, side = stack.pop()
+                counts = np.bincount(y[rows], minlength=N_CLASSES).tolist()
+                parent[side] = {"kind": "leaf", "counts": [float(c) for c in counts]}
+                if max(counts) < len(rows) and len(rows) >= 2 * params.min_leaf \
+                        and (params.max_depth is None or depth < params.max_depth):
+                    searched.append((tree, rows, depth, parent, side, draws[tree]()))
+                    break
+        if not searched:
+            return [holder["root"] for holder in holders]
+        splits, batch, cells = [], [], 0
+        for _, rows, _, _, _, columns in searched:
+            if batch and cells + len(rows) * len(columns) > _BATCH_CELLS:
+                splits += _best_splits(X, y, batch, params.min_leaf)
+                batch, cells = [], 0
+            batch.append((rows, columns))
+            cells += len(rows) * len(columns)
+        splits += _best_splits(X, y, batch, params.min_leaf)
+        for (tree, rows, depth, parent, side, _), split in zip(searched, splits):
+            if split is None:
+                continue
+            column, threshold = split
+            node = parent[side] = {"kind": "split", "column": column, "threshold": threshold,
+                                   "left": None, "right": None}
+            goes_left = X[rows, column] <= threshold
+            stacks[tree] += [(rows[~goes_left], depth + 1, node, "right"),
+                             (rows[goes_left], depth + 1, node, "left")]
 
 
 # --- pessimistic error pruning -------------------------------------------------
@@ -243,13 +276,37 @@ def _estimated_errors(counts: np.ndarray, confidence: float) -> float:
     return e + added_errors(n, e, confidence)
 
 
+def _prune(node: dict, confidence: float) -> tuple:
+    """(pruned node, estimated errors, class counts) of a grown subtree,
+    post-order: a split's class counts are the sums of the leaf counts
+    below it, and it collapses to a leaf whenever predicting the majority
+    class there is estimated to err no worse (within a small slack) than
+    its pruned subtrees' summed estimates."""
+    if node["kind"] == "leaf":
+        counts = np.array(node["counts"])
+        return node, _estimated_errors(counts, confidence), counts
+    left, left_errors, left_counts = _prune(node["left"], confidence)
+    right, right_errors, right_counts = _prune(node["right"], confidence)
+    counts = left_counts + right_counts
+    as_leaf = _estimated_errors(counts, confidence)
+    subtree = left_errors + right_errors
+    if as_leaf <= subtree + _PRUNE_SLACK:
+        return {"kind": "leaf", "counts": [float(c) for c in counts]}, as_leaf, counts
+    node["left"], node["right"] = left, right
+    return node, subtree, counts
+
+
 # --- public fit/predict ----------------------------------------------------------
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> dict:
-    """The tree payload fitted on the rows of X, whose class indices are y."""
-    return {"root": grow_tree(X, y, np.arange(len(y)), params),
-            "params": asdict(params)}
+    """The tree payload fitted on the rows of X, whose class indices are y;
+    every column is a candidate at every node."""
+    columns = np.arange(X.shape[1])
+    root, = grow_trees(X, y, [np.arange(len(y))], params, [lambda: columns])
+    if params.pruning:
+        root = _prune(root, params.confidence)[0]
+    return {"root": root, "params": asdict(params)}
 
 
 def tree_distribution(node: dict, row: np.ndarray) -> np.ndarray:

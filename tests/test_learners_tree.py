@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import asdict
 from statistics import NormalDist
 
 import numpy as np
@@ -20,9 +21,11 @@ from rumourstance.learners import (
     predict_many,
 )
 from rumourstance.learners.base import CLASS_NAMES, label_indices, to_dense
+from rumourstance.learners.forest import _tree_rng, subset_size
 from rumourstance.learners.tree import (
-    _best_split,
+    _best_splits,
     _entropy,
+    _estimated_errors,
     _gain_ratios,
     added_errors,
     info_gain_ratio,
@@ -131,7 +134,7 @@ def admissible_midpoints(values, min_leaf):
 
 
 def test_best_split_in_column_is_the_best_gain_ratio_midpoint():
-    """`_best_split` on one-column nodes."""
+    """`_best_splits` on one-column nodes."""
     rng = np.random.default_rng(23)
     found = mirrored = 0
     for trial in range(300):
@@ -145,9 +148,7 @@ def test_best_split_in_column_is_the_best_gain_ratio_midpoint():
             values, y = np.concatenate([values, -values]), np.concatenate([y, y])
         labels = [CLASS_NAMES[k] for k in y]
         min_leaf = int(rng.integers(1, 4))
-        parent = _entropy(np.bincount(y, minlength=len(CLASS_NAMES)))
-        got = _best_split(values[:, None], np.arange(len(y)), y, np.array([0]),
-                          min_leaf, parent)
+        got, = _best_splits(values[:, None], y, [(np.arange(len(y)), np.array([0]))], min_leaf)
         scored = [(info_gain_ratio(values.tolist(), labels, t), t)
                   for t in admissible_midpoints(values.tolist(), min_leaf)]
         if got is None:
@@ -186,14 +187,21 @@ def best_split_in_column(v, y, min_leaf, parent_entropy):
 
 
 def scan_columns(X, rows, yr, candidates, min_leaf, parent_entropy):
-    """Reference for `_best_split`: each candidate column's best midpoint
-    in turn, kept only when its ratio is strictly higher."""
+    """Reference for one node of `_best_splits`: each candidate column's
+    best midpoint in turn, kept only when its ratio is strictly higher."""
     best_ratio, best = -np.inf, None
     for column in candidates:
         found = best_split_in_column(X[rows, column], yr, min_leaf, parent_entropy)
         if found is not None and found[0] > best_ratio:
             best_ratio, best = found[0], (int(column), found[1])
     return best
+
+
+def scan_node(X, y, rows, candidates, min_leaf):
+    """scan_columns() of one node of a `_best_splits` batch."""
+    yr = y[rows]
+    parent = _entropy(np.bincount(yr, minlength=len(CLASS_NAMES)))
+    return scan_columns(X, rows, yr, candidates, min_leaf, parent)
 
 
 def random_node_matrix(rng, n):
@@ -214,60 +222,170 @@ def random_node_matrix(rng, n):
     return np.column_stack(columns)
 
 
+def random_rows(rng, n_rows, size, bootstrap):
+    """`size` row indices of an n_rows matrix in random order: a bootstrap
+    draw (with duplicates) or distinct rows, sometimes sorted."""
+    rows = rng.integers(0, n_rows, size=size) if bootstrap \
+        else rng.permutation(n_rows)[:size]
+    return np.sort(rows) if rng.random() < 0.5 else rows
+
+
 def test_node_scorer_equals_the_per_column_scan():
+    """Single nodes on all rows, and batches of 1-8 nodes of different row
+    counts: each node's answer is the scan of that node alone."""
     rng = np.random.default_rng(31)
-    split = tied = 0
+    split = tied = batched = 0
     for trial in range(600):
         n = int(rng.integers(2, 40))
         X = random_node_matrix(rng, n)
         y = rng.integers(0, int(rng.integers(1, 5)), size=n)
-        if trial % 2:
-            rows = np.sort(rng.integers(0, n, size=n))  # a bootstrap draw
-        else:
-            rows = np.arange(n)
         m = X.shape[1]
-        if trial % 3:
-            candidates = np.sort(rng.permutation(m)[: int(rng.integers(1, m + 1))])
+        width = int(rng.integers(1, m + 1)) if trial % 3 else m
+        if trial % 4:
+            nodes = [(random_rows(rng, n, int(rng.integers(2, n + 1)), bool(rng.integers(2))),
+                      np.sort(rng.permutation(m)[:width]))
+                     for _ in range(int(rng.integers(1, 9)))]
         else:
-            candidates = np.arange(m)
-        yr = y[rows]
-        parent = _entropy(np.bincount(yr, minlength=len(CLASS_NAMES)))
+            nodes = [(np.arange(n), np.sort(rng.permutation(m)[:width]))]
         min_leaf = int(rng.integers(1, 4))
-        want = scan_columns(X, rows, yr, candidates, min_leaf, parent)
-        got = _best_split(X, rows, yr, candidates, min_leaf, parent)
-        assert got == want, trial
-        if got is not None:
-            split += 1
-            # a later candidate equal on the node's rows scores the same
-            tied += any(np.array_equal(X[rows, got[0]], X[rows, c])
-                        for c in candidates if c > got[0])
-    assert split > 300 and tied > 40
+        got = _best_splits(X, y, nodes, min_leaf)
+        assert len(got) == len(nodes)
+        for (rows, candidates), found in zip(nodes, got):
+            assert found == scan_node(X, y, rows, candidates, min_leaf), trial
+            if found is not None:
+                split += 1
+                batched += len(nodes) > 1 and len({len(r) for r, _ in nodes}) > 1
+                # a later candidate equal on the node's rows scores the same
+                tied += any(np.array_equal(X[rows, found[0]], X[rows, c])
+                            for c in candidates if c > found[0])
+    assert split > 1000 and tied > 150 and batched > 500
 
 
-def test_fitted_trees_split_as_the_per_column_scan(monkeypatch, micro, bundle):
-    """Every split search of a micro tree fit and of a 5-tree forest fit,
-    replayed through the per-column scan."""
-    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
-    vectors = [v for v in vectors if v.label is not None]
-    X, y = to_dense(vectors, len(schema)), label_indices(vectors)
-    calls = []
+def recorded_searches(monkeypatch):
+    """A list that gains (X, y, node, min_leaf, answer) for every node of
+    every `_best_splits` call from now on."""
+    searches = []
 
-    def recording(*args):
-        found = _best_split(*args)
-        calls.append((args, found))
+    def recording(X, y, nodes, min_leaf):
+        found = _best_splits(X, y, nodes, min_leaf)
+        searches.extend((X, y, node, min_leaf, answer) for node, answer in zip(nodes, found))
         return found
 
-    monkeypatch.setattr(tree, "_best_split", recording)
+    monkeypatch.setattr(tree, "_best_splits", recording)
+    return searches
+
+
+@pytest.fixture(scope="module")
+def micro_matrix(micro, bundle):
+    """(X, y) of the labelled micro tweets, as `stance train` fits them."""
+    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
+    vectors = [v for v in vectors if v.label is not None]
+    return to_dense(vectors, len(schema)), label_indices(vectors)
+
+
+def test_fitted_trees_split_as_the_per_column_scan(monkeypatch, micro_matrix):
+    """Every node of every batched split search of a micro tree fit and of
+    a 5-tree forest fit, replayed alone through the per-column scan."""
+    X, y = micro_matrix
+    searches = recorded_searches(monkeypatch)
     fit_tree(X, y, TreeParams())
-    n_tree = len(calls)
+    n_tree = len(searches)
     fit_forest(X, y, ForestParams(n_trees=5, seed=1))
-    assert n_tree == 4 and len(calls) - n_tree > 40
+    assert n_tree == 4 and len(searches) - n_tree > 40
     many_valued = 0
-    for args, found in calls:
-        assert found == scan_columns(*args)
-        X_, rows, _, candidates = args[:4]
+    for X_, y_, (rows, candidates), min_leaf, found in searches:
+        assert found == scan_node(X_, y_, rows, candidates, min_leaf)
         many_valued += any(len(np.unique(X_[rows, c])) > 2 for c in candidates)
     assert many_valued > 10
+
+
+def reference_grow(X, y, rows, depth, params, columns_for_node):
+    """The recursive grower that the lockstep one replaced, with its
+    on-the-fly pruning: (payload, estimated errors) of the subtree on
+    `rows`, each node searched by the per-column scan. columns_for_node()
+    gives the sorted candidate columns of each searched node."""
+    yr = y[rows]
+    counts = np.bincount(yr, minlength=len(CLASS_NAMES)).astype(np.float64)
+    as_leaf = _estimated_errors(counts, params.confidence) if params.pruning else 0.0
+    leaf = {"kind": "leaf", "counts": [float(c) for c in counts]}, as_leaf
+    if counts.max() == len(rows) or len(rows) < 2 * params.min_leaf:
+        return leaf
+    if params.max_depth is not None and depth >= params.max_depth:
+        return leaf
+    found = scan_columns(X, rows, yr, columns_for_node(), params.min_leaf, _entropy(counts))
+    if found is None:
+        return leaf
+    column, threshold = found
+    mask = X[rows, column] <= threshold
+    left, left_errors = reference_grow(X, y, rows[mask], depth + 1, params, columns_for_node)
+    right, right_errors = reference_grow(X, y, rows[~mask], depth + 1, params, columns_for_node)
+    subtree = left_errors + right_errors
+    if params.pruning and as_leaf <= subtree + 0.1:
+        return leaf
+    return {"kind": "split", "column": column, "threshold": threshold,
+            "left": left, "right": right}, subtree
+
+
+def reference_tree(X, y, params):
+    root, _ = reference_grow(X, y, np.arange(len(y)), 0, params, lambda: np.arange(X.shape[1]))
+    return {"root": root, "params": asdict(params)}
+
+
+def reference_forest(X, y, params):
+    """One tree after another, each drawing from its own stream."""
+    k = subset_size(params.features_per_split, X.shape[1])
+    trees = []
+    for i in range(params.n_trees):
+        rng = _tree_rng(params.seed, i)
+        rows = rng.integers(0, len(y), size=len(y)) if params.bagging else np.arange(len(y))
+
+        def draw_columns(rng=rng):
+            if k >= X.shape[1]:
+                return np.arange(X.shape[1])
+            return np.sort(rng.permutation(X.shape[1])[:k])
+
+        trees.append(reference_grow(X, y, rows, 0, TreeParams(pruning=False), draw_columns)[0])
+    return {"trees": trees, "params": asdict(params)}
+
+
+def grower_inputs(micro_matrix):
+    """(name, X, y): micro with the columns that vary on it, and random
+    node matrices."""
+    X, y = micro_matrix
+    yield "micro", X[:, X.min(axis=0) < X.max(axis=0)], y
+    rng = np.random.default_rng(41)
+    for i in range(3):
+        n = int(rng.integers(8, 60))
+        yield f"random-{i}", random_node_matrix(rng, n), rng.integers(0, 4, size=n)
+
+
+def test_tree_equals_the_recursive_reference(micro_matrix):
+    split = 0
+    for name, X, y in grower_inputs(micro_matrix):
+        for pruning in (True, False):
+            for max_depth in (0, 2, None):
+                for min_leaf in (1, 2, 3):
+                    params = TreeParams(pruning=pruning, min_leaf=min_leaf, max_depth=max_depth)
+                    got = fit_tree(X, y, params)
+                    assert got == reference_tree(X, y, params), (name, params)
+                    split += got["root"]["kind"] == "split"
+    assert split > 40
+
+
+def test_forest_equals_the_recursive_reference(micro_matrix):
+    for name, X, y in grower_inputs(micro_matrix):
+        for bagging in (True, False):
+            for rule in ("log2", "sqrt", "all"):
+                for seed in (0, 5):
+                    params = ForestParams(n_trees=7, features_per_split=rule,
+                                          bagging=bagging, seed=seed)
+                    want = reference_forest(X, y, params)
+                    assert fit_forest(X, y, params) == want, (name, params)
+                    # the reference grows tree i from stream (seed, i) alone
+                    one = ForestParams(n_trees=1, features_per_split=rule,
+                                       bagging=bagging, seed=seed)
+                    assert fit_forest(X, y, one) == {"trees": want["trees"][:1],
+                                                     "params": asdict(one)}, (name, one)
 
 
 LABELS = ["support", "deny", "query", "comment", "comment", "deny", "comment",
@@ -372,6 +490,8 @@ def post_hoc_prune(node, X, labels, rows, confidence):
 
 
 def test_pruning_during_growth_equals_post_hoc_pruning():
+    """The pruned fit equals pruning the unpruned fit with each node's
+    class counts taken by routing the training rows down it."""
     collapsed = kept = 0
     for seed in range(4):
         rng = np.random.default_rng(100 + seed)
