@@ -394,8 +394,8 @@ def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
     for tweet, (label, scores) in zip(dataset.tweets,
                                       predict_many(model, to_dense(vectors, len(schema)))):
         cells = " ".join(f"{name}:{value:.6f}" for name, value in scores.items())
-        lines.append(f"{tweet.tweet_id}\t{label}\t{cells}")
-    text = "\n".join(lines) + "\n"
+        lines.append(f"{tweet.tweet_id}\t{label}\t{cells}\n")
+    text = "".join(lines)
     sys.stdout.write(text)
     if ns.out is not None:
         out = Path(ns.out)

@@ -23,7 +23,7 @@ def save_model(model: TrainedModel, path) -> None:
         "schema_fingerprint": model.schema_fingerprint,
         "n_features": model.n_features,
         "classes": list(model.classes),
-        "payload": model.payload,
+        "payload": LEARNERS[model.kind].encode(model.payload),
         "context": model.context,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -64,7 +64,7 @@ def load_model(path) -> TrainedModel:
         if not ok:
             raise ModelError(f"{path}: corrupted model file: {problem}")
     try:
-        LEARNERS[kind].check(payload, n_features)
+        payload = LEARNERS[kind].load(payload, n_features)
     except ModelError as exc:
         raise ModelError(f"{path}: corrupted {kind} model: {exc}") from None
     return TrainedModel(

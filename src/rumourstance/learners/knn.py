@@ -36,59 +36,64 @@ class KnnParams:
 
 def normalize_columns(X: np.ndarray, mins: np.ndarray,
                       ranges: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(X)
-    nonzero = ranges > 0
-    out[:, nonzero] = (X[:, nonzero] - mins[nonzero]) / ranges[nonzero]
-    return out
+    return np.divide(X - mins, ranges, out=np.zeros_like(X), where=ranges > 0)
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, params: KnnParams) -> dict:
-    """The k-NN payload of the rows of X, whose class indices are y: each
-    row normalized and stored sparsely, in training order."""
+    """The in-memory k-NN payload of the rows of X, whose class indices are
+    y: the normalized training matrix, in training order, with its labels."""
     k = params.k
     if k > len(y):
         log.warning("k=%d exceeds the %d training instances; clamping", k, len(y))
         k = len(y)
     mins = X.min(axis=0)
     ranges = X.max(axis=0) - mins
-    instances = []
-    for row in normalize_columns(X, mins, ranges):
-        nz = np.nonzero(row)[0]
-        instances.append({str(int(i)): float(row[i]) for i in nz})
-    return {
-        "instances": instances,
-        "labels": [int(i) for i in y],
-        "mins": [float(v) for v in mins],
-        "ranges": [float(v) for v in ranges],
-        "k": k,
-        "weighting": params.weighting,
-    }
+    return {"matrix": normalize_columns(X, mins, ranges), "labels": np.asarray(y, dtype=np.int64),
+            "mins": mins, "ranges": ranges, "k": k, "weighting": params.weighting}
 
 
-def knn_scores(payload: dict, X: np.ndarray, n_features: int) -> list:
+def knn_scores(payload: dict, X: np.ndarray) -> list:
     """Class scores of each row of X."""
-    matrix = np.zeros((len(payload["instances"]), n_features), dtype=np.float64)
-    for row, sparse in enumerate(payload["instances"]):
-        for index_text, value in sparse.items():
-            matrix[row, int(index_text)] = value
-    mins, ranges = np.asarray(payload["mins"]), np.asarray(payload["ranges"])
+    matrix, labels, k = payload["matrix"], payload["labels"], payload["k"]
     out = []
-    for row in X:
-        query = normalize_columns(row.reshape(1, -1), mins, ranges)[0]
+    for row in X:  # row by row: a normalized copy of a large batch would raise peak memory
+        query = normalize_columns(row, payload["mins"], payload["ranges"])
         with np.errstate(over="ignore"):  # an overflowing distance reads inf
             distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
         # stable sort keeps training order among equal distances
-        order = np.argsort(distances, kind="stable")[:payload["k"]]
+        order = np.argsort(distances, kind="stable")[:k]
+        weights = np.ones(len(order)) if payload["weighting"] == "uniform" \
+            else 1.0 / (distances[order] + DISTANCE_FLOOR)
         votes = np.zeros(N_CLASSES, dtype=np.float64)
-        for i in order:
-            weight = 1.0 if payload["weighting"] == "uniform" \
-                else 1.0 / (distances[i] + DISTANCE_FLOOR)
-            votes[payload["labels"][i]] += weight
+        np.add.at(votes, labels[order], weights)  # summed in neighbour order
         total = votes.sum()
         if not 0 < total < np.inf:  # every neighbour at infinite distance
             raise ModelError(f"k-NN vote total {total} is not finite and positive")
         out.append(votes / total)
     return out
+
+
+def encode_knn(payload: dict) -> dict:
+    """The JSON form of an in-memory k-NN payload: each training row stored
+    sparsely as {column: value}."""
+    instances = []
+    for row in payload["matrix"]:
+        nz = np.nonzero(row)[0]
+        instances.append(dict(zip(map(str, nz.tolist()), row[nz].tolist())))
+    return {"instances": instances, "labels": payload["labels"].tolist(),
+            "mins": payload["mins"].tolist(), "ranges": payload["ranges"].tolist(),
+            "k": payload["k"], "weighting": payload["weighting"]}
+
+
+def load_knn(payload: dict, n_features: int) -> dict:
+    """The in-memory form of a checked JSON k-NN payload."""
+    check_knn(payload, n_features)
+    matrix = np.zeros((len(payload["instances"]), n_features), dtype=np.float64)
+    for row, sparse in enumerate(payload["instances"]):
+        matrix[row, [int(key) for key in sparse]] = list(sparse.values())
+    return {"matrix": matrix, "labels": np.array(payload["labels"], dtype=np.int64),
+            "mins": np.array(payload["mins"], float), "ranges": np.array(payload["ranges"], float),
+            "k": payload["k"], "weighting": payload["weighting"]}
 
 
 def check_knn(payload: dict, n_features: int) -> None:

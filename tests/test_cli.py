@@ -232,6 +232,18 @@ def test_train_then_predict_round_trip(tmp_path, out):
             assert len(frac) == 6
 
 
+def test_predict_on_a_corpus_without_tweets_writes_nothing(tmp_path, out, capsys):
+    run(["train", "--dataset", micro_corpus_path(), "--classifier", "knn", "--out", out / "train"])
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    code = run(["predict", "--model", out / "train" / "model.json", "--input", empty,
+                "--out", out / "pred"])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert (out / "pred" / "predictions.tsv").read_bytes() == b""
+
+
 def test_predict_is_deterministic(out):
     train_out = out / "train"
     run([

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rumourstance.features import FeatureVector
+from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
 from rumourstance.learners import KnnParams, fit_knn, fit_model, predict_many
 from rumourstance.learners.base import label_indices, to_dense
+from rumourstance.learners.knn import encode_knn, knn_scores
 
 CLASSES = ("support", "deny", "query", "comment")
 
@@ -120,4 +121,94 @@ def test_deterministic():
     _, _, vecs = make_vectors(rng, 15, 4)
     a = fit_knn(to_dense(vecs, 4), label_indices(vecs), KnnParams(k=3))
     b = fit_knn(to_dense(vecs, 4), label_indices(vecs), KnnParams(k=3))
-    assert a == b
+    assert encode_knn(a) == encode_knn(b)
+    assert all(np.array_equal(a[key], b[key]) for key in ("matrix", "labels", "mins", "ranges"))
+
+
+# ------------------------- the kept matrix against the per-row dict path
+
+
+def reference_normalize(row, mins, ranges):
+    """One row min-max normalized; zero-range columns read 0."""
+    out = np.zeros_like(row)
+    varies = ranges > 0
+    out[varies] = (row[varies] - mins[varies]) / ranges[varies]
+    return out
+
+
+def reference_fit(X, y, params):
+    """The JSON k-NN payload, each normalized training row turned into a
+    {column: value} dict as it is fitted."""
+    mins = X.min(axis=0)
+    ranges = X.max(axis=0) - mins
+    instances = []
+    for row in X:
+        row = reference_normalize(row, mins, ranges)
+        instances.append({str(int(i)): float(row[i]) for i in np.nonzero(row)[0]})
+    return {"instances": instances, "labels": [int(i) for i in y],
+            "mins": [float(v) for v in mins], "ranges": [float(v) for v in ranges],
+            "k": min(params.k, len(y)), "weighting": params.weighting}
+
+
+def reference_scores(payload, X, n_features):
+    """Class scores of each row of X under a JSON k-NN payload: the
+    training matrix rebuilt from its dicts on every call, each query
+    normalized alone, and the votes added one neighbour at a time."""
+    matrix = np.zeros((len(payload["instances"]), n_features))
+    for row, sparse in enumerate(payload["instances"]):
+        for index_text, value in sparse.items():
+            matrix[row, int(index_text)] = value
+    mins, ranges = np.asarray(payload["mins"]), np.asarray(payload["ranges"])
+    out = []
+    for x in X:
+        query = reference_normalize(x, mins, ranges)
+        distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        votes = np.zeros(len(CLASSES))
+        for i in np.argsort(distances, kind="stable")[:payload["k"]]:
+            weight = 1.0 if payload["weighting"] == "uniform" else 1.0 / (distances[i] + 1e-9)
+            votes[payload["labels"][i]] += weight
+        out.append(votes / votes.sum())
+    return out
+
+
+def assert_kept_matrix_matches_reference(X, y, queries, params):
+    kept = fit_knn(X, y, params)
+    reference = reference_fit(X, y, params)
+    assert encode_knn(kept) == reference
+    got = knn_scores(kept, queries)
+    want = reference_scores(reference, queries, X.shape[1])
+    assert len(got) == len(want) == len(queries)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("weighting", ["inverse_distance", "uniform"])
+@pytest.mark.parametrize("k", [1, 3, 10, 50])
+def test_kept_matrix_scores_equal_the_dict_path(k, weighting):
+    rng = np.random.default_rng(200 + k)
+    X = rng.uniform(-3, 3, size=(30, 6))
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X[:, 2] = 4.0                     # a constant column
+    X[10:15] = X[:5]                  # duplicate rows tie on distance
+    y = rng.integers(0, len(CLASSES), size=30)
+    y[10:15] = (y[:5] + 1) % len(CLASSES)
+    queries = np.vstack([rng.uniform(-4, 4, size=(20, 6)), X[:5], np.zeros((1, 6))])
+    assert_kept_matrix_matches_reference(X, y, queries, KnnParams(k=k, weighting=weighting))
+
+
+@pytest.fixture(scope="module")
+def micro_matrix(micro, bundle):
+    """(X, y) of the labelled micro tweets and the matrix of every micro
+    tweet, as `stance train` and `stance predict` build them."""
+    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
+    labelled = [v for v in vectors if v.label is not None]
+    return (to_dense(labelled, len(schema)), label_indices(labelled),
+            to_dense(vectors, len(schema)))
+
+
+@pytest.mark.parametrize("weighting", ["inverse_distance", "uniform"])
+@pytest.mark.parametrize("k", [1, 3, 10, 500])
+def test_kept_matrix_scores_equal_the_dict_path_on_micro(micro_matrix, k, weighting):
+    X, y, queries = micro_matrix
+    assert len(y) < 500  # so the last k takes every neighbour
+    assert_kept_matrix_matches_reference(X, y, queries, KnnParams(k=k, weighting=weighting))

@@ -15,6 +15,7 @@ from rumourstance.cli import main
 from rumourstance.errors import StanceError
 from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
 from rumourstance.learners import (
+    LEARNERS,
     ForestParams,
     KnnParams,
     ModelError,
@@ -60,10 +61,48 @@ def test_round_trip_preserves_predictions(kind, vectors, tmp_path):
     assert again.schema_fingerprint == model.schema_fingerprint
     assert again.n_features == model.n_features
     assert again.classes == model.classes
-    assert again.payload == model.payload
+    encode = LEARNERS[kind].encode
+    assert json.loads(path.read_text())["payload"] == encode(model.payload)
+    if kind == "knn":
+        # the in-memory payload holds arrays; the file holds sparse rows
+        for key in ("matrix", "labels", "mins", "ranges"):
+            assert again.payload[key].dtype == model.payload[key].dtype
+            assert np.array_equal(again.payload[key], model.payload[key])
+        assert encode(again.payload) == encode(model.payload)
+    else:
+        assert again.payload == model.payload
     assert again.context == model.context
     X = to_dense(vectors, 5)
     assert predict_many(again, X) == predict_many(model, X)
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+_cells = st.just(0.0) | st.floats(-10, 10).map(lambda v: round(v, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["tree", "forest", "knn"]),
+       n_rows=st.integers(1, 12), n_features=st.integers(1, 4))
+def test_round_trip_keeps_predictions_on_drawn_matrices(model_dir, data, kind, n_rows,
+                                                        n_features):
+    X = np.array(data.draw(st.lists(st.lists(_cells, min_size=n_features, max_size=n_features),
+                                    min_size=n_rows + 1, max_size=n_rows + 6)))
+    y = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_rows, max_size=n_rows)))
+    if kind == "tree":
+        params = TreeParams()
+    elif kind == "forest":
+        params = ForestParams(n_trees=3, seed=data.draw(st.integers(0, 9)))
+    else:
+        params = KnnParams(k=data.draw(st.integers(1, n_rows + 2)),
+                           weighting=data.draw(st.sampled_from(["inverse_distance", "uniform"])))
+    model = fit_model(kind, X[:n_rows], y, params, 7)
+    save_model(model, model_dir / kind)
+    # the training rows and one to six rows the model was not fitted on
+    assert predict_many(load_model(model_dir / kind), X) == predict_many(model, X)
 
 
 def test_saved_file_is_json_with_header(vectors, tmp_path):
