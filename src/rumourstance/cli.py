@@ -17,29 +17,27 @@ import sys
 from pathlib import Path
 
 from .bundled import default_bundle_path
-from .corpus import build_threads, load_dataset, parse_rfc3339, thread_index
+from .corpus import load_dataset, parse_rfc3339
 from .errors import ConfigError, ModelError, StanceError
 from .evaluation import (
     RunConfig,
     ablate,
-    fit_classifier,
+    label_tweets,
     run_loo,
     run_split,
+    train_model,
 )
 from .features import (
     GROUPS,
-    FeatureDictionaries,
-    build_schema,
     assemble,  # noqa: F401  (bound here for the perfbench tracer test)
-    featurize,
     featurize_corpus,
     resolve_now,
     write_schema_file,
     write_vectors,
 )
 from .ingest import ingest_file
-from .learners import LEARNERS, predict_many
-from .learners.base import is_finite_number, label_indices, to_dense
+from .learners import LEARNERS
+from .learners.base import is_finite_number, is_strings
 from .learners.io import load_model, save_model
 from .reports import (
     ablation_report_json,
@@ -57,10 +55,6 @@ CONFIG_KEYS = frozenset({
 _EVAL_PROTOCOLS = ("loo_by_event", "loo_global")
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 # (what it must be, test) for each config-file value whose type no later
 # step checks; a null value counts as absent
 _CONFIG_TYPES = {
@@ -69,7 +63,7 @@ _CONFIG_TYPES = {
     "classifier_params": ("an object or a JSON string",
                           lambda v: isinstance(v, (dict, str))),
     "feature_groups": ("a string or a list of strings",
-                       lambda v: isinstance(v, str) or _is_strings(v)),
+                       lambda v: isinstance(v, str) or is_strings(v)),
     "now": ("a number or an RFC 3339 string",
             lambda v: isinstance(v, str) or is_finite_number(v)),
 }
@@ -251,25 +245,8 @@ def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     out = _out_dir(ns, file_cfg)
-    if not dataset.labelled():
-        raise StanceError("no labelled tweets to train on")
     now = resolve_now(config.now, dataset)
-    dictionaries, schema, vectors = featurize_corpus(dataset, resources,
-                                                     config.groups, now)
-    vectors = [v for v in vectors if v.label is not None]
-    model = fit_classifier(config, to_dense(vectors, len(schema)), label_indices(vectors),
-                           schema.fingerprint, config.seed)
-    model.context.update({
-        "bow_vocab": list(dictionaries.bow_vocab),
-        "posng_vocab": list(dictionaries.posng_vocab),
-        "provenance": list(dictionaries.provenance),
-        "feature_groups": (None if config.groups is None
-                           else list(config.groups)),
-        "bundle_hash": resources.content_hash,
-        "now": now,
-        "trained_on": dataset.name,
-        "seed": config.seed,
-    })
+    model, schema, n_trained = train_model(dataset, resources, config, now, config.seed)
     save_model(model, out / "model.json")
     _write_config_echo(out, {
         "classifier": config.classifier,
@@ -277,11 +254,11 @@ def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
         "dataset": dataset.name,
         "bundle_hash": resources.content_hash,
         "feature_groups": sorted(schema.groups_present),
-        "n_training_vectors": len(vectors),
+        "n_training_vectors": n_trained,
         "now": now,
         "seed": config.seed,
     })
-    print(f"trained {config.classifier} on {len(vectors)} tweets -> {out / 'model.json'}")
+    print(f"trained {config.classifier} on {n_trained} tweets -> {out / 'model.json'}")
     return 0
 
 
@@ -339,60 +316,19 @@ def cmd_ablate(ns: argparse.Namespace, file_cfg: dict) -> int:
     return 0
 
 
-def _check_context(context: dict, path: Path) -> None:
-    """Raise ModelError unless each context entry predict reads has its type."""
-    groups, now, stored_hash = (context.get("feature_groups"), context.get("now"),
-                                context.get("bundle_hash"))
-    for what, expected, ok in (
-            ("BOW vocabulary", "a list of strings", _is_strings(context.get("bow_vocab", []))),
-            ("POS n-gram vocabulary", "a list of strings",
-             _is_strings(context.get("posng_vocab", []))),
-            ("training rumour list", "a list of strings",
-             _is_strings(context.get("provenance", []))),
-            ("feature group list", "null or a list of strings",
-             groups is None or _is_strings(groups)),
-            ("reference time", "a number", now is None or is_finite_number(now)),
-            ("bundle hash", "a string", stored_hash is None or isinstance(stored_hash, str))):
-        if not ok:
-            raise ModelError(f"{path}: corrupted model file: its {what} is not {expected}")
-
-
 def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
     model_path = _existing_file(ns.model, "--model")
     input_path = _existing_file(ns.input, "--input")
     bundle_path = _resolve_bundle_path(ns, file_cfg)
     model = load_model(model_path)
     resources = load_bundle(bundle_path)
-    context = model.context
-    _check_context(context, model_path)
-    stored_hash = context.get("bundle_hash")
-    if stored_hash is not None and stored_hash != resources.content_hash:
-        raise StanceError(
-            "model was trained against a different resource bundle "
-            f"(stored hash {stored_hash}, loaded {resources.content_hash})")
-    dictionaries = FeatureDictionaries(
-        bow_vocab={w: i for i, w in enumerate(context.get("bow_vocab", ()))},
-        posng_vocab={g: i for i, g in enumerate(context.get("posng_vocab", ()))},
-        provenance=tuple(context.get("provenance", ())),
-    )
-    groups = context.get("feature_groups")
-    schema = build_schema(dictionaries, resources,
-                          None if groups is None else tuple(groups))
-    if schema.fingerprint != model.schema_fingerprint:
-        raise StanceError(
-            "rebuilt feature schema does not match the model "
-            f"(model {model.schema_fingerprint}, rebuilt {schema.fingerprint})")
-    if model.n_features != len(schema):
-        raise StanceError(
-            f"model has {model.n_features} columns but its feature schema "
-            f"has {len(schema)}")
     dataset = load_dataset(input_path)
-    now = float(resolve_now(context.get("now"), dataset))
-    vectors = featurize(dataset.tweets, thread_index(build_threads(dataset)),
-                        dictionaries, resources, schema, now)
+    try:
+        predictions = label_tweets(model, dataset, resources)
+    except ModelError as exc:
+        raise ModelError(f"{model_path}: {exc}") from None
     lines = []
-    for tweet, (label, scores) in zip(dataset.tweets,
-                                      predict_many(model, to_dense(vectors, len(schema)))):
+    for tweet, (label, scores) in zip(dataset.tweets, predictions):
         cells = " ".join(f"{name}:{value:.6f}" for name, value in scores.items())
         lines.append(f"{tweet.tweet_id}\t{label}\t{cells}\n")
     text = "".join(lines)

@@ -130,12 +130,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.tweets)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (self.name == other.name and self.tweets == other.tweets
-                and self.rumours == other.rumours and self.events == other.events)
-
     def rumour_tweets(self, rumour_id: str) -> list:
         return [self._by_id[tid] for tid in self.rumours[rumour_id]]
 

@@ -1,6 +1,6 @@
-"""Experiment protocols: leave-one-rumour-out and fixed-split evaluation,
-pooled metrics, a native paired t-test, and the feature-group ablation
-harness.
+"""Experiment protocols (leave-one-rumour-out, fixed split, feature-group
+ablation), pooled metrics, a native paired t-test, and the one path that
+trains a model on a corpus and labels tweets with it through its context.
 
 A leave-one-rumour-out run vectorizes each labelled tweet once, into a run
 matrix over all groups and the vocabularies of every tweet. A fold's schema,
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import CLASS_ORDER, Dataset, build_threads, thread_index
-from .errors import EvalError, LeakageError
+from .errors import EvalError, LeakageError, ModelError
 from .features import (
     AF_GROUPS,
     GROUPS,
@@ -33,13 +33,12 @@ from .features import (
     build_dictionaries,
     assemble,  # noqa: F401  (bound here for the perfbench tracer test)
     build_schema,
-    featurize,
     featurize_corpus,
     resolve_now,
     vectorize,
 )
 from .learners import LEARNERS, fit_model, predict_many
-from .learners.base import label_indices, to_dense
+from .learners.base import TrainedModel, is_finite_number, is_strings, label_indices, to_dense
 from .resources import ResourceBundle
 
 log = logging.getLogger(__name__)
@@ -459,33 +458,92 @@ def run_loo(dataset: Dataset, resources: ResourceBundle,
     return _run_loo(dataset, resources, [config], scope)[0]
 
 
+def train_model(dataset: Dataset, resources: ResourceBundle, config: RunConfig,
+                now: float, seed: int) -> tuple:
+    """(model, schema, training tweet count): the config's classifier, with
+    its params under `seed`, fitted on the labelled tweets of the dataset
+    under vocabularies counted from all of its tweets. The model's context
+    records what `label_tweets` rebuilds the schema and `now` from."""
+    if not dataset.labelled():
+        raise EvalError("no labelled tweets to train on")
+    dictionaries, schema, vectors = featurize_corpus(dataset, resources, config.groups, now)
+    vectors = [v for v in vectors if v.label is not None]
+    model = fit_classifier(config, to_dense(vectors, len(schema)), label_indices(vectors),
+                           schema.fingerprint, seed)
+    model.context.update({
+        "bow_vocab": list(dictionaries.bow_vocab),
+        "posng_vocab": list(dictionaries.posng_vocab),
+        "provenance": list(dictionaries.provenance),
+        "feature_groups": None if config.groups is None else list(config.groups),
+        "bundle_hash": resources.content_hash,
+        "now": now,
+        "trained_on": dataset.name,
+        "seed": seed,
+    })
+    return model, schema, len(vectors)
+
+
+def _check_context(context: dict) -> None:
+    """Raise ModelError unless each context entry label_tweets reads is
+    absent, null or of its type."""
+    for key, what, expected, ok in (
+            ("bow_vocab", "BOW vocabulary", "a list of strings", is_strings),
+            ("posng_vocab", "POS n-gram vocabulary", "a list of strings", is_strings),
+            ("provenance", "training rumour list", "a list of strings", is_strings),
+            ("feature_groups", "feature group list", "null or a list of strings", is_strings),
+            ("now", "reference time", "a number", is_finite_number),
+            ("bundle_hash", "bundle hash", "a string", lambda v: isinstance(v, str))):
+        if context.get(key) is not None and not ok(context[key]):
+            raise ModelError(f"corrupted model file: its {what} is not {expected}")
+
+
+def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundle) -> list:
+    """(label, per-class scores) of every tweet of the dataset, in order, by
+    a model from `train_model`: each tweet is featurized in the context of
+    its thread under the schema and `now` rebuilt from the model's context.
+    A context of the wrong shape, or one that does not fit the bundle or the
+    model, is a ModelError."""
+    context = model.context
+    _check_context(context)
+    stored_hash = context.get("bundle_hash")
+    if stored_hash is not None and stored_hash != resources.content_hash:
+        raise ModelError(
+            "model was trained against a different resource bundle "
+            f"(stored hash {stored_hash}, loaded {resources.content_hash})")
+    dictionaries = FeatureDictionaries(
+        bow_vocab={w: i for i, w in enumerate(context.get("bow_vocab") or ())},
+        posng_vocab={g: i for i, g in enumerate(context.get("posng_vocab") or ())},
+        provenance=tuple(context.get("provenance") or ()),
+    )
+    groups = context.get("feature_groups")
+    schema = build_schema(dictionaries, resources, None if groups is None else tuple(groups))
+    if schema.fingerprint != model.schema_fingerprint:
+        raise ModelError(
+            "rebuilt feature schema does not match the model "
+            f"(model {model.schema_fingerprint}, rebuilt {schema.fingerprint})")
+    now = float(resolve_now(context.get("now"), dataset))
+    threads = thread_index(build_threads(dataset))
+    vectors = [vectorize(a, dictionaries, schema)
+               for a in analyse_many(dataset.tweets, threads, resources, now)]
+    return predict_many(model, to_dense(vectors, len(schema)))
+
+
 def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
               config: RunConfig = RunConfig()) -> EvalReport:
-    """Fixed train/test split: dictionaries and model from the training
-    dataset only, report over the test dataset."""
+    """Fixed train/test split: a model trained on the training dataset
+    labels the test dataset, and the report covers its labelled tweets."""
     overlap = {t.tweet_id for t in train.tweets} & {t.tweet_id for t in test.tweets}
     if overlap:
         raise EvalError(f"train and test share {len(overlap)} tweet id(s), "
                         f"e.g. {sorted(overlap)[:3]}")
-    if not train.labelled():
-        raise EvalError("no labelled training tweets")
-    test_records = test.labelled()
-    if not test_records:
+    if not test.labelled():
         raise EvalError("no labelled test tweets")
     now = resolve_now(config.now, train, test)
-    # vocabularies need no labels, so unlabelled training tweets count too
-    dictionaries, schema, vectors = featurize_corpus(train, resources,
-                                                     config.groups, now)
-    train_vectors = [v for v in vectors if v.label is not None]
-    test_vectors = featurize(test_records, thread_index(build_threads(test)),
-                             dictionaries, resources, schema, now)
-    model = fit_classifier(config, to_dense(train_vectors, len(schema)),
-                           label_indices(train_vectors), schema.fingerprint,
-                           fold_seed(config.seed, "split"))
-    predictions = predict_many(model, to_dense(test_vectors, len(schema)))
+    model, _, _ = train_model(train, resources, config, now, fold_seed(config.seed, "split"))
     by_event: dict = {}
-    for record, prediction in zip(test_records, predictions):
-        by_event.setdefault(record.event_id, []).append((record, prediction))
+    for record, prediction in zip(test.tweets, label_tweets(model, test, resources)):
+        if record.label is not None:
+            by_event.setdefault(record.event_id, []).append((record, prediction))
     results = []
     for event in sorted(by_event):
         records, predictions = zip(*by_event[event])

@@ -471,14 +471,6 @@ def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
     return vectorize(analyse(t, thread, r, now), d, schema)
 
 
-def featurize(tweets, threads: dict, d: FeatureDictionaries,
-              r: ResourceBundle, schema: FeatureSchema, now: float) -> list:
-    """Vectors of `tweets` under `schema`, each in the context of its thread
-    (`threads` maps rumour id -> Thread). Nothing analysed outlives the
-    call."""
-    return [vectorize(a, d, schema) for a in analyse_many(tweets, threads, r, now)]
-
-
 def featurize_corpus(dataset: Dataset, r: ResourceBundle, groups,
                      now: float) -> tuple:
     """(dictionaries, schema, vectors of every tweet) for a command whose

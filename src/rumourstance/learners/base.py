@@ -18,8 +18,8 @@ N_CLASSES = len(CLASS_NAMES)
 class TrainedModel:
     """A fitted classifier plus what is needed to police its inputs.
 
-    context is free-form JSON-serializable metadata the caller may attach
-    (resolved params, dictionaries, schema text); learners never read it.
+    context is JSON-serializable metadata: evaluation.train_model writes it
+    and evaluation.label_tweets reads it; learners never read it.
     """
 
     kind: str
@@ -41,6 +41,11 @@ def is_finite_number(value) -> bool:
     """A real JSON number (not a bool) within the finite float range."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def is_strings(value) -> bool:
+    """A list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def is_int(value) -> bool:

@@ -98,23 +98,25 @@ def load_knn(payload: dict, n_features: int) -> dict:
 
 def check_knn(payload: dict, n_features: int) -> None:
     """Raise ModelError unless the payload holds one class label per stored
-    instance, instances over the model's columns, n_features finite mins
-    and ranges, 1 <= k <= the instance count and a known weighting."""
+    instance, n_features finite mins and ranges, instances keyed as
+    encode_knn keys them, 1 <= k <= the instance count and a known weighting."""
     instances, labels = payload.get("instances"), payload.get("labels")
     if not (isinstance(instances, list) and isinstance(labels, list)
             and len(instances) == len(labels)
             and all(is_index(label, N_CLASSES) for label in labels)):
         raise ModelError("k-NN payload must hold one class label per instance")
-    if not all(isinstance(sparse, dict)
-               and all(key.isdecimal() and int(key) < n_features and is_finite_number(value)
-                       for key, value in sparse.items())
-               for sparse in instances):
-        raise ModelError("k-NN instance with a column outside the model or a non-finite value")
     for key in ("mins", "ranges"):
         values = payload.get(key)
         if not (isinstance(values, list) and len(values) == n_features
                 and all(is_finite_number(v) for v in values)):
             raise ModelError(f"k-NN {key} must hold {n_features} finite numbers")
+    # one plain decimal key per column; checked after the mins, which bound n_features
+    keys = set(map(str, range(n_features)))
+    if not all(isinstance(sparse, dict)
+               and all(key in keys and is_finite_number(value)
+                       for key, value in sparse.items())
+               for sparse in instances):
+        raise ModelError("k-NN instance with a column outside the model or a non-finite value")
     k = payload.get("k")
     if not (is_index(k, len(instances) + 1) and k >= 1
             and payload.get("weighting") in _WEIGHTINGS):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,14 @@ def test_threads_sorted_and_sourced(micro):
         times = [r.created_at for r in thread.replies]
         assert times == sorted(times)
         assert 1 + len(thread.replies) == len(micro.rumours[thread.rumour_id])
+
+
+def test_datasets_compare_by_their_fields(micro):
+    again = load_dataset(micro_corpus_path())
+    assert again is not micro and again == micro
+    tweets = list(again.tweets)
+    tweets[5] = replace(tweets[5], text=tweets[5].text + "!")
+    assert replace(again, tweets=tweets) != micro
 
 
 def test_thread_index_keys(micro):

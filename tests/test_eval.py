@@ -263,6 +263,27 @@ def test_run_split_disjoint_sets(micro_split, bundle, knn_config):
     assert 0.0 <= report.headline_accuracy <= 1.0
 
 
+def test_eval_split_agrees_with_train_then_predict(micro_split, tmp_path, capsys):
+    # tree fitting draws no random numbers, so the split's own fold seed
+    # and train's config seed give the same tree
+    train_path, test_path = (str(path) for path in micro_split)
+    pinned = ["--classifier", "tree", "--now", "2015-03-02T00:00:00Z"]
+    assert main(["eval-split", "--dataset", train_path, "--test-dataset", test_path,
+                 *pinned, "--out", str(tmp_path / "split")]) == 0
+    assert main(["train", "--dataset", train_path, *pinned,
+                 "--out", str(tmp_path / "train")]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", str(tmp_path / "train" / "model.json"),
+                 "--input", test_path]) == 0
+    predicted = dict(line.split("\t")[:2] for line in capsys.readouterr().out.splitlines())
+    n_correct = Counter()
+    for tweet in load_dataset(test_path).labelled():
+        n_correct[tweet.event_id] += predicted[tweet.tweet_id] == tweet.label.value
+    report = json.loads((tmp_path / "split" / "report.json").read_text())
+    assert {event: row["n_correct"] for event, row in report["per_event"].items()} \
+        == dict(n_correct)
+
+
 def test_run_split_rejects_overlap(micro, bundle, knn_config):
     with pytest.raises(EvalError):
         run_split(micro, micro, bundle, knn_config)

@@ -12,6 +12,7 @@ from rumourstance.features import (
     AF_GROUPS,
     BROWN_CLUSTER_COUNT,
     GROUPS,
+    analyse_many,
     assemble,
     build_dictionaries,
     build_schema,
@@ -20,8 +21,8 @@ from rumourstance.features import (
     cumulative_vector,
     extract_af,
     extract_mood,
-    featurize,
     fingerprint64,
+    vectorize,
 )
 from rumourstance.text import tokenize
 
@@ -307,11 +308,13 @@ def test_af_group_removal_only_drops_af(micro, bundle, dicts, schema, threads):
 def test_featurize_equals_assemble_analysing_each_text_once(
         micro, bundle, dicts, schema, threads, analysed_texts, tokenized_texts,
         reverse):
+    # the featurization of every command: analyse_many, then vectorize;
     # reversed, replies come before their thread's source
     tweets = micro.tweets[::-1] if reverse else micro.tweets
     expected = [assemble(t, threads[t.rumour_id], dicts, bundle, schema, now=0.0)
                 for t in tweets]
     analysed_texts.clear()
     tokenized_texts.clear()
-    assert featurize(tweets, threads, dicts, bundle, schema, now=0.0) == expected
+    assert [vectorize(a, dicts, schema)
+            for a in analyse_many(tweets, threads, bundle, now=0.0)] == expected
     assert len(analysed_texts) == len(tokenized_texts) == len(tweets)

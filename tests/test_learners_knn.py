@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rumourstance.errors import ModelError
 from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
 from rumourstance.learners import KnnParams, fit_knn, fit_model, predict_many
 from rumourstance.learners.base import label_indices, to_dense
-from rumourstance.learners.knn import encode_knn, knn_scores
+from rumourstance.learners.knn import encode_knn, knn_scores, load_knn
 
 CLASSES = ("support", "deny", "query", "comment")
 
@@ -123,6 +124,18 @@ def test_deterministic():
     b = fit_knn(to_dense(vecs, 4), label_indices(vecs), KnnParams(k=3))
     assert encode_knn(a) == encode_knn(b)
     assert all(np.array_equal(a[key], b[key]) for key in ("matrix", "labels", "mins", "ranges"))
+
+
+# "1" names column 1 of two; each key below spells it another way or names
+# no column, so a model file cannot give one column two values
+@pytest.mark.parametrize("key", ["01", "\u0661", "\uff11", "1 ", "+1", "-1", "2", "a",
+                                 pytest.param("1" * 5000, id="5000-digits")])
+def test_instance_key_must_be_a_canonical_column_number(key):
+    payload = {"instances": [{"1": 0.5, key: 0.75}], "labels": [0],
+               "mins": [0.0, 0.0], "ranges": [1.0, 1.0], "k": 1, "weighting": "uniform"}
+    assert load_knn({**payload, "instances": [{"1": 0.5}]}, 2)["matrix"].tolist() == [[0, 0.5]]
+    with pytest.raises(ModelError, match="column outside the model"):
+        load_knn(payload, 2)
 
 
 # ------------------------- the kept matrix against the per-row dict path
