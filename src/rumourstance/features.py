@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b
 from typing import Optional
@@ -21,14 +21,16 @@ from .resources import (
     BROWN_CLUSTER_COUNT,
     MOOD_NAMES,
     ResourceBundle,
-    cosine,
     cumulative_vector,
+    norm,
+    normed_cosine,
 )
 from .text import (
     DOTS_RUN_RE,
     TokenKind,
-    detect_entities,
+    entity_flags,
     entity_token_indices,
+    gazetteer_hits,
     negation_stats,
     pos_tag,
     sentiment_score,
@@ -151,8 +153,8 @@ def _bow_terms(tokens) -> list:
             if t.kind in (TokenKind.WORD, TokenKind.HASHTAG)]
 
 
-def _pos_ngrams(tokens) -> list:
-    tags = [t.value for t in pos_tag(tokens)]
+def _pos_ngrams(tokens, words: Optional[dict] = None) -> list:
+    tags = [t.value for t in pos_tag(tokens, words)]
     grams = []
     for n in _POSNG_SIZES:
         grams.extend("|".join(tags[i:i + n]) for i in range(len(tags) - n + 1))
@@ -228,45 +230,33 @@ def build_schema(dictionaries: FeatureDictionaries, resources: ResourceBundle,
 # --- per-group extraction -------------------------------------------------------
 
 
-def content_words(tokens, resources: ResourceBundle) -> list:
+def content_words(tokens, resources: ResourceBundle, entity_hits=None) -> list:
     """Lowercase embeddable forms of a tweet's content: word and hashtag
-    tokens minus acronym-dictionary matches and gazetteer entity matches.
+    tokens minus acronym-dictionary matches and gazetteer entity matches
+    (`entity_hits`, the matched token indices, when already known).
     URL, mention, number, punctuation, and emoticon tokens never qualify."""
-    entity_hits = entity_token_indices(tokens, resources.gazetteers)
+    if entity_hits is None:
+        entity_hits = entity_token_indices(tokens, resources.gazetteers)
     words = []
     for i, token in enumerate(tokens):
-        if token.kind not in (TokenKind.WORD, TokenKind.HASHTAG):
+        if token.kind not in (TokenKind.WORD, TokenKind.HASHTAG) or i in entity_hits:
             continue
-        if i in entity_hits:
-            continue
-        word = token.lowercase
-        if token.kind is TokenKind.HASHTAG:
-            word = word.lstrip("#")
-            if not word:
-                continue
-        if word in resources.lexicons.acronyms:
-            continue
-        words.append(word)
+        word = token.lowercase.lstrip("#")  # a word token never starts with "#"
+        if word and word not in resources.lexicons.acronyms:
+            words.append(word)
     return words
 
 
 def _lexical_forms(tokens) -> list:
-    forms = []
-    for token in tokens:
-        if token.kind is TokenKind.WORD:
-            forms.append(token.lowercase)
-        elif token.kind is TokenKind.HASHTAG:
-            body = token.lowercase.lstrip("#")
-            if body:
-                forms.append(body)
-    return forms
+    """Word tokens and hashtag bodies, lowercase."""
+    return [term.lstrip("#") for term in _bow_terms(tokens)]
 
 
-def extract_content(t: TweetRecord, tokens, r: ResourceBundle) -> dict:
+def extract_content(t: TweetRecord, tokens, hits, r: ResourceBundle) -> dict:
     """Name -> value map for the tweet-content features outside the BOW and
     POS n-gram vocabularies: Brown cluster indicators, sentiment bucket,
-    entity flags, emoticon categories, URL/lexicon/surface/regex/negation
-    columns.
+    entity flags (from the text's `gazetteer_hits`), emoticon categories,
+    URL/lexicon/surface/regex/negation columns.
 
     Brown names appear only when nonzero; scalar names always appear, zero
     included.
@@ -281,7 +271,9 @@ def extract_content(t: TweetRecord, tokens, r: ResourceBundle) -> dict:
 
     out["sentiment"] = sentiment_score(tokens, r.lexicons.sentiment)
 
-    out.update(zip(_NE_COLUMNS, astuple(detect_entities(tokens, r.gazetteers))))
+    flags = entity_flags(tokens, hits)
+    out.update(zip(_NE_COLUMNS, (flags.person, flags.organization, flags.date,
+                                 flags.location, flags.money)))
 
     surfaces = {tok.surface for tok in tokens if tok.kind is TokenKind.EMOTICON}
     for category, members in r.lexicons.emoticons.items():
@@ -334,22 +326,39 @@ def extract_user(t: TweetRecord, now: float) -> dict:
     }
 
 
-def _analyse_text(text: str, r: ResourceBundle) -> tuple:
-    """(tokens, cumulative content vector) of a text: the one text ->
-    content-vector step behind the mood and AF scores."""
-    tokens = tokenize(text, r.lexicons.all_emoticons())
-    return tokens, cumulative_vector(content_words(tokens, r), r.embeddings)
+@dataclass
+class _Run:
+    """What one `analyse_many` call keeps: each thread source's
+    `_analyse_text`, each chunk's tokens and each word's POS tag. Gazetteer
+    hits and POS n-grams read a token's position and neighbours: never kept."""
+
+    sources: dict = field(default_factory=dict)
+    chunks: dict = field(default_factory=dict)
+    words: dict = field(default_factory=dict)
 
 
-def _mood_scores(vector, r: ResourceBundle) -> dict:
-    return {f"mood_{mood}": cosine(vector, r.list_vectors[mood])
+def _analyse_text(text: str, r: ResourceBundle, run: _Run) -> tuple:
+    """(tokens, cumulative content vector, its norm, gazetteer hits) of a
+    text: the one text -> content-vector step behind the mood and AF scores."""
+    tokens = tokenize(text, r.lexicons.all_emoticons, run.chunks)
+    hits = gazetteer_hits(tokens, r.gazetteers)
+    vector = cumulative_vector(content_words(tokens, r, set().union(*hits)), r.embeddings)
+    return tokens, vector, norm(vector), hits
+
+
+def _list_cosine(vector, vector_norm: float, r: ResourceBundle, name: str) -> float:
+    return normed_cosine(vector, vector_norm, r.list_vectors[name], r.list_norms[name])
+
+
+def _mood_scores(vector, vector_norm: float, r: ResourceBundle) -> dict:
+    return {f"mood_{mood}": _list_cosine(vector, vector_norm, r, mood)
             for mood in MOOD_NAMES}
 
 
 def extract_mood(t: TweetRecord, r: ResourceBundle) -> dict:
     """Cosine of the tweet's cumulative content vector against each mood
     list's cumulative vector."""
-    return _mood_scores(_analyse_text(t.text, r)[1], r)
+    return _mood_scores(*_analyse_text(t.text, r, _Run())[1:3], r)
 
 
 def _normalized(text: str) -> str:
@@ -363,32 +372,31 @@ def _is_retweet_of(text: str, source_text: str) -> bool:
     return bool(match) and _normalized(text[match.end():]) == _normalized(source_text)
 
 
-def _source_text(source: TweetRecord, r: ResourceBundle, sources: dict) -> tuple:
+def _source_text(source: TweetRecord, r: ResourceBundle, run: _Run) -> tuple:
     """`_analyse_text` of a thread's source, looked up in or added to
-    `sources` (source tweet id -> (tokens, content vector))."""
-    analysed = sources.get(source.tweet_id)
+    `run.sources`."""
+    analysed = run.sources.get(source.tweet_id)
     if analysed is None:
-        analysed = sources[source.tweet_id] = _analyse_text(source.text, r)
+        analysed = run.sources[source.tweet_id] = _analyse_text(source.text, r, run)
     return analysed
 
 
-def _af_scores(t: TweetRecord, tokens, vector, thread: Thread,
-               r: ResourceBundle, sources: dict) -> AfScores:
+def _af_scores(t: TweetRecord, tokens, vector, vector_norm: float, thread: Thread,
+               r: ResourceBundle, run: _Run) -> AfScores:
     source = thread.source
     if t.tweet_id == source.tweet_id or _is_retweet_of(t.text, source.text):
         its = 1.0
     else:
-        its = cosine(vector, _source_text(source, r, sources)[1])
+        its = normed_cosine(vector, vector_norm, *_source_text(source, r, run)[1:3])
 
     first_word = next((tok.lowercase for tok in tokens
                        if tok.kind is TokenKind.WORD), None)
     iq = int(first_word is not None and first_word in r.lexicons.interrogatives)
 
-    lists = r.list_vectors
-    return AfScores(ss=cosine(vector, lists["surprise"]),
-                    ds=cosine(vector, lists["doubt"]),
-                    nds=cosine(vector, lists["nodoubt"]),
-                    sps=cosine(vector, lists["support"]),
+    return AfScores(ss=_list_cosine(vector, vector_norm, r, "surprise"),
+                    ds=_list_cosine(vector, vector_norm, r, "doubt"),
+                    nds=_list_cosine(vector, vector_norm, r, "nodoubt"),
+                    sps=_list_cosine(vector, vector_norm, r, "support"),
                     its=its, iq=iq)
 
 
@@ -397,24 +405,25 @@ def extract_af(t: TweetRecord, thread: Thread, r: ResourceBundle) -> AfScores:
     surprise/doubt/no-doubt/support lists, similarity to the thread's source
     tweet (forced to 1.0 for the source itself and for exact retweets of it),
     and the interrogative-start flag."""
-    return _af_scores(t, *_analyse_text(t.text, r), thread, r, {})
+    run = _Run()
+    return _af_scores(t, *_analyse_text(t.text, r, run)[:3], thread, r, run)
 
 
 def _analyse(t: TweetRecord, thread: Thread, r: ResourceBundle, now: float,
-             sources: dict) -> TweetAnalysis:
+             run: _Run) -> TweetAnalysis:
     if t.rumour_id != thread.rumour_id:
         raise SchemaError(
             f"tweet {t.tweet_id} belongs to rumour {t.rumour_id}, "
             f"not to thread {thread.rumour_id}")
 
     if t.tweet_id == thread.source.tweet_id:
-        tokens, vector = _source_text(t, r, sources)
+        tokens, vector, vector_norm, hits = _source_text(t, r, run)
     else:
-        tokens, vector = _analyse_text(t.text, r)
-    named = extract_content(t, tokens, r)
+        tokens, vector, vector_norm, hits = _analyse_text(t.text, r, run)
+    named = extract_content(t, tokens, hits, r)
     named.update(extract_user(t, now))
-    named.update(_mood_scores(vector, r))
-    af = _af_scores(t, tokens, vector, thread, r, sources)
+    named.update(_mood_scores(vector, vector_norm, r))
+    af = _af_scores(t, tokens, vector, vector_norm, thread, r, run)
     named["surpriseScore"] = af.ss
     named["doubtScore"] = af.ds
     named["noDoubtScore"] = af.nds
@@ -425,23 +434,24 @@ def _analyse(t: TweetRecord, thread: Thread, r: ResourceBundle, now: float,
         tweet_id=t.tweet_id, label=t.label,
         named=tuple((name, float(value)) for name, value in named.items()
                     if value != 0),
-        bow=tuple(_bow_terms(tokens)), posng=tuple(_pos_ngrams(tokens)))
+        bow=tuple(_bow_terms(tokens)), posng=tuple(_pos_ngrams(tokens, run.words)))
 
 
 def analyse(t: TweetRecord, thread: Thread, r: ResourceBundle,
             now: float) -> TweetAnalysis:
     """The fold-invariant analysis of a tweet in the context of its thread;
     `now` is the config-pinned epoch of the user columns."""
-    return _analyse(t, thread, r, now, {})
+    return _analyse(t, thread, r, now, _Run())
 
 
 def analyse_many(tweets, threads: dict, r: ResourceBundle, now: float):
     """Analyses of `tweets` in order (`threads` maps rumour id -> Thread).
-    Each text is tokenized and embedded once: a thread source's is kept
-    until the iteration ends, for its replies' `initialTweetSim`."""
-    sources: dict = {}
+    Each text is tokenized and embedded once, and each distinct chunk and
+    word is split and tagged once: a `_Run` keeps them, and a thread
+    source's analysis, until the iteration ends."""
+    run = _Run()
     for t in tweets:
-        yield _analyse(t, threads[t.rumour_id], r, now, sources)
+        yield _analyse(t, threads[t.rumour_id], r, now, run)
 
 
 def vectorize(a: TweetAnalysis, d: FeatureDictionaries,

@@ -61,7 +61,11 @@ def _as_count(user: dict, *names) -> int:
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
-        return 0
+        # +inf and digit strings past int()'s 4,300-digit limit are above 2**53
+        digits = isinstance(value, str) and value.strip().removeprefix("+").isdecimal()
+        if not digits and value != float("inf"):
+            return 0
+        n = MAX_COUNT + 1
     if n > MAX_COUNT:
         raise CorpusError(f"user field {names[0]!r} is above 2**53")
     return max(0, n)

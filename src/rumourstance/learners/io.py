@@ -26,9 +26,10 @@ def save_model(model: TrainedModel, path) -> None:
         "payload": LEARNERS[model.kind].encode(model.payload),
         "context": model.context,
     }
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    text = json.dumps(container, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(container, fh, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> TrainedModel:

@@ -185,8 +185,15 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ResourceError(f"cosine: length mismatch {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    return normed_cosine(u, norm(u), v, norm(v))
+
+
+def norm(v) -> float:
+    return float(np.linalg.norm(v))
+
+
+def normed_cosine(u, nu: float, v, nv: float) -> float:
+    """`cosine` of two float64 vectors of one shape, given their norms."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
@@ -207,11 +214,10 @@ class LexiconSet:
     regex_pack: tuple       # 10 compiled case-insensitive patterns
     regex_sources: tuple
 
+    @cached_property
     def all_emoticons(self) -> frozenset:
-        out = set()
-        for group in self.emoticons.values():
-            out |= group
-        return frozenset(out)
+        """Every emoticon of every category, built once per lexicon set."""
+        return frozenset().union(*self.emoticons.values())
 
 
 @dataclass(frozen=True)
@@ -238,6 +244,11 @@ class ResourceBundle:
         lists = {**self.lexicons.af_lists, **self.lexicons.mood_lists}
         return {name: cumulative_vector(sorted(words), self.embeddings)
                 for name, words in lists.items()}
+
+    @cached_property
+    def list_norms(self) -> dict:
+        """The norm of each of `list_vectors`, by list name."""
+        return {name: norm(vector) for name, vector in self.list_vectors.items()}
 
 
 def _read_word_list(path: Path) -> tuple:

@@ -11,6 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 
 class TokenKind(Enum):
@@ -104,16 +105,23 @@ def _emit_chunk(chunk: str, emoticons: frozenset, out: list) -> None:
     out.append(_make_token(chunk, TokenKind.WORD))
 
 
-def tokenize(text: str, emoticons: frozenset = frozenset()) -> list:
+def tokenize(text: str, emoticons: frozenset = frozenset(),
+             chunks: Optional[dict] = None) -> list:
     """Split a tweet into tokens on Unicode whitespace.
 
     URLs, @mentions, #hashtags, and dictionary emoticons survive as single
     tokens; leading/trailing punctuation is split off into punctuation tokens,
-    with runs of three or more dots kept as one token.
+    with runs of three or more dots kept as one token. `chunks`, when given,
+    keeps each chunk's tokens for later texts split with the same emoticons.
     """
+    chunks = {} if chunks is None else chunks
     tokens: list = []
     for chunk in text.split():
-        _emit_chunk(chunk, emoticons, tokens)
+        cached = chunks.get(chunk)
+        if cached is None:
+            cached = chunks[chunk] = []
+            _emit_chunk(chunk, emoticons, cached)
+        tokens.extend(cached)
     return tokens
 
 
@@ -187,13 +195,17 @@ def _tag_word(word: str) -> PosTag:
     return PosTag.NOUN
 
 
-def pos_tag(tokens) -> list:
+def pos_tag(tokens, words: Optional[dict] = None) -> list:
     """One coarse tag per token: kind-driven tags, then a closed-class
-    lexicon, then suffix rules, defaulting to NOUN."""
+    lexicon, then suffix rules, defaulting to NOUN. `words`, when given,
+    keeps each word's tag (lowercase -> tag) for later calls."""
+    words = {} if words is None else words
     tags = []
     for token in tokens:
-        kind_tag = _KIND_TAGS.get(token.kind)
-        tags.append(kind_tag if kind_tag is not None else _tag_word(token.lowercase))
+        tag = _KIND_TAGS.get(token.kind) or words.get(token.lowercase)
+        if tag is None:
+            tag = words[token.lowercase] = _tag_word(token.lowercase)
+        tags.append(tag)
     return tags
 
 
@@ -220,25 +232,28 @@ class EntityFlags:
     money: int = 0
 
 
-def _gazetteer_hits(tokens, entries: frozenset) -> set:
-    """Token indices covered by gazetteer matches over capitalized,
-    non-initial unigrams and bigrams."""
-    hits: set = set()
+def gazetteer_hits(tokens, gazetteers) -> tuple:
+    """(person, org, location) sets of the token indices covered by
+    gazetteer matches over capitalized, non-initial unigrams and bigrams,
+    from one scan of the tokens."""
+    tables = (gazetteers.person, gazetteers.org, gazetteers.location)
+    found = (set(), set(), set())
     for i, token in enumerate(tokens):
         if i == 0 or token.kind not in (TokenKind.WORD, TokenKind.HASHTAG):
             continue
         if not token.surface[:1].isupper():
             continue
-        if token.lowercase in entries:
-            hits.add(i)
+        bigram = None
         if i + 1 < len(tokens):
             nxt = tokens[i + 1]
             if nxt.kind is TokenKind.WORD and nxt.surface[:1].isupper():
                 bigram = f"{token.lowercase} {nxt.lowercase}"
-                if bigram in entries:
-                    hits.add(i)
-                    hits.add(i + 1)
-    return hits
+        for entries, hits in zip(tables, found):
+            if token.lowercase in entries:
+                hits.add(i)
+            if bigram is not None and bigram in entries:
+                hits.update((i, i + 1))
+    return found
 
 
 def _has_date(tokens) -> bool:
@@ -262,23 +277,21 @@ def _has_money(tokens) -> bool:
     return False
 
 
+def entity_flags(tokens, hits) -> EntityFlags:
+    """The five entity flags of a text, given its `gazetteer_hits`."""
+    person, org, location = (int(bool(h)) for h in hits)
+    return EntityFlags(person=person, organization=org, date=int(_has_date(tokens)),
+                       location=location, money=int(_has_money(tokens)))
+
+
 def detect_entities(tokens, gazetteers) -> EntityFlags:
     """Binary flags for the five entity classes, from gazetteers and patterns."""
-    return EntityFlags(
-        person=int(bool(_gazetteer_hits(tokens, gazetteers.person))),
-        organization=int(bool(_gazetteer_hits(tokens, gazetteers.org))),
-        date=int(_has_date(tokens)),
-        location=int(bool(_gazetteer_hits(tokens, gazetteers.location))),
-        money=int(_has_money(tokens)),
-    )
+    return entity_flags(tokens, gazetteer_hits(tokens, gazetteers))
 
 
 def entity_token_indices(tokens, gazetteers) -> set:
     """Indices of tokens matched by the person/org/location gazetteers."""
-    hits = _gazetteer_hits(tokens, gazetteers.person)
-    hits |= _gazetteer_hits(tokens, gazetteers.org)
-    hits |= _gazetteer_hits(tokens, gazetteers.location)
-    return hits
+    return set().union(*gazetteer_hits(tokens, gazetteers))
 
 
 # --- sentiment and negation ---------------------------------------------------

@@ -309,7 +309,7 @@ def test_c5_af_features(capsys, bundle, micro):
             return 0.0 if nu == 0 or nv == 0 else float(np.dot(u, v) / (nu * nv))
 
         for tweet in (source, reply, echo):
-            toks = tokenize(tweet.text, toy_bundle.lexicons.all_emoticons())
+            toks = tokenize(tweet.text, toy_bundle.lexicons.all_emoticons)
             tweet_vec = mean_vec(content_words(toks, toy_bundle))
             got = extract_af(tweet, thread, toy_bundle)
             assert abs(got.sps - ref_cos(tweet_vec, mean_vec(("sun", "sky")))) <= 1e-9

@@ -190,6 +190,10 @@ def _with_field(field, value) -> bytes:
                  id="ingest-geo-enabled-string"),
     pytest.param("ingest", _with_field("user.geo_enabled", 1), id="ingest-geo-enabled-1"),
     pytest.param("ingest", _with_field("user.followers", 10**400), id="ingest-followers-10e400"),
+    pytest.param("ingest", _with_field("user.followers", "9" * 5000),
+                 id="ingest-followers-5000-digits"),
+    pytest.param("ingest", _with_field("user.followers", float("inf")),
+                 id="ingest-followers-infinity"),
 ])
 def test_bad_input_line_is_a_one_line_error(command, bad_line, tmp_path, capsys):
     path = tmp_path / "input.jsonl"

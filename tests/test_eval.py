@@ -321,7 +321,7 @@ def oracle_dictionaries(tweets, bundle, provenance):
     terms and POS n-grams, keep those counted at least twice, sorted."""
     bow, posng = Counter(), Counter()
     for t in tweets:
-        tokens = tokenize(t.text, bundle.lexicons.all_emoticons())
+        tokens = tokenize(t.text, bundle.lexicons.all_emoticons)
         bow.update(_bow_terms(tokens))
         posng.update(_pos_ngrams(tokens))
 

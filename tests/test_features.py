@@ -2,29 +2,47 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rumourstance.corpus import build_threads, thread_index
+from rumourstance.corpus import Thread, TweetRecord, UserStats, build_threads, thread_index
 from rumourstance.errors import SchemaError
 from rumourstance.features import (
     AF_GROUPS,
     BROWN_CLUSTER_COUNT,
     GROUPS,
+    MOOD_NAMES,
+    TweetAnalysis,
+    _is_retweet_of,
     analyse_many,
     assemble,
     build_dictionaries,
     build_schema,
     content_words,
-    cosine,
     cumulative_vector,
     extract_af,
     extract_mood,
+    extract_user,
     fingerprint64,
+    resolve_now,
     vectorize,
 )
-from rumourstance.text import tokenize
+from rumourstance.resources import Gazetteers, cosine
+from rumourstance.text import (
+    _KIND_TAGS,
+    DOTS_RUN_RE,
+    TokenKind,
+    _has_date,
+    _has_money,
+    _tag_word,
+    negation_stats,
+    sentiment_score,
+    tokenize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +84,7 @@ def test_bow_vocab_frequency_threshold(micro, bundle, dicts):
 
     counts = Counter()
     for tweet in micro.tweets:
-        for tok in tokenize(tweet.text, bundle.lexicons.all_emoticons()):
+        for tok in tokenize(tweet.text, bundle.lexicons.all_emoticons):
             if tok.kind.name in ("WORD", "HASHTAG"):
                 counts[tok.lowercase] += 1
     expected = sorted(w for w, c in counts.items() if c >= 2)
@@ -174,7 +192,7 @@ def test_af_oracle_over_corpus(micro, bundle, threads):
     checked = 0
     for thread in threads.values():
         for tweet in (thread.source, *thread.replies):
-            toks = tokenize(tweet.text, bundle.lexicons.all_emoticons())
+            toks = tokenize(tweet.text, bundle.lexicons.all_emoticons)
             content = content_words(toks, bundle)
             tweet_vec = mean_embedding(content, bundle.embeddings)
             scores = extract_af(tweet, thread, bundle)
@@ -201,12 +219,12 @@ def test_af_retweet_its_is_one(bundle, threads):
 
 def test_af_reply_its_matches_oracle(bundle, threads):
     for thread in threads.values():
-        src_toks = tokenize(thread.source.text, bundle.lexicons.all_emoticons())
+        src_toks = tokenize(thread.source.text, bundle.lexicons.all_emoticons)
         src_vec = mean_embedding(content_words(src_toks, bundle), bundle.embeddings)
         for tweet in thread.replies:
             if tweet.text.startswith("RT @"):
                 continue
-            toks = tokenize(tweet.text, bundle.lexicons.all_emoticons())
+            toks = tokenize(tweet.text, bundle.lexicons.all_emoticons)
             vec = mean_embedding(content_words(toks, bundle), bundle.embeddings)
             assert extract_af(tweet, thread, bundle).its == pytest.approx(
                 plain_cosine(vec, src_vec), abs=1e-9
@@ -218,7 +236,7 @@ def test_af_iq_flags_interrogative_lead(micro, bundle, threads):
     for thread in threads.values():
         for tweet in (thread.source, *thread.replies):
             scores = extract_af(tweet, thread, bundle)
-            toks = [t for t in tokenize(tweet.text, bundle.lexicons.all_emoticons()) if t.kind.name == "WORD"]
+            toks = [t for t in tokenize(tweet.text, bundle.lexicons.all_emoticons) if t.kind.name == "WORD"]
             expected = 1 if toks and toks[0].lowercase in bundle.lexicons.interrogatives else 0
             assert scores.iq == expected
             flagged += scores.iq
@@ -242,7 +260,7 @@ def test_mood_oracle(micro, bundle, threads):
     mood_vecs = {name: mean_embedding(sorted(words), bundle.embeddings) for name, words in moods.items()}
     thread = next(iter(threads.values()))
     for tweet in (thread.source, *thread.replies):
-        toks = tokenize(tweet.text, bundle.lexicons.all_emoticons())
+        toks = tokenize(tweet.text, bundle.lexicons.all_emoticons)
         tweet_vec = mean_embedding(content_words(toks, bundle), bundle.embeddings)
         got = extract_mood(tweet, bundle)
         for name in moods:
@@ -266,7 +284,7 @@ def test_bow_columns_are_incidence(micro, bundle, dicts, schema, threads):
     vec = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
     present = {
         t.lowercase
-        for t in tokenize(tweet.text, bundle.lexicons.all_emoticons())
+        for t in tokenize(tweet.text, bundle.lexicons.all_emoticons)
         if t.kind.name in ("WORD", "HASHTAG")
     }
     for word, _ in dicts.bow_vocab.items():
@@ -283,7 +301,7 @@ def test_brown_columns_match_table(micro, bundle, dicts, schema, threads):
     vec = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
     active = {i - base for i in vec.values if base <= i < base + BROWN_CLUSTER_COUNT}
     expected = set()
-    for tok in tokenize(tweet.text, bundle.lexicons.all_emoticons()):
+    for tok in tokenize(tweet.text, bundle.lexicons.all_emoticons):
         cluster = bundle.brown.get(tok.lowercase)
         if cluster is not None:
             expected.add(cluster)
@@ -318,3 +336,180 @@ def test_featurize_equals_assemble_analysing_each_text_once(
     assert [vectorize(a, dicts, schema)
             for a in analyse_many(tweets, threads, bundle, now=0.0)] == expected
     assert len(analysed_texts) == len(tokenized_texts) == len(tweets)
+
+
+# ------------------------------------------------ one-pass analysis oracle
+#
+# The per-text path as it was before `analyse_many` kept chunk tokens, word
+# tags, one gazetteer scan per text and the list norms: a fresh tokenize per
+# text, the POS rules per token, one scan per gazetteer at each of its two
+# call sites, and a full cosine per list.
+
+_WORDLIKE = (TokenKind.WORD, TokenKind.HASHTAG)
+
+
+def one_gazetteer_hits(tokens, entries):
+    """Token indices of one gazetteer's capitalized, non-initial unigram and
+    bigram matches."""
+    hits = set()
+    for i, token in enumerate(tokens):
+        if i == 0 or token.kind not in _WORDLIKE or not token.surface[:1].isupper():
+            continue
+        if token.lowercase in entries:
+            hits.add(i)
+        if i + 1 < len(tokens):
+            nxt = tokens[i + 1]
+            if (nxt.kind is TokenKind.WORD and nxt.surface[:1].isupper()
+                    and f"{token.lowercase} {nxt.lowercase}" in entries):
+                hits.update((i, i + 1))
+    return hits
+
+
+def scans(tokens, gazetteers):
+    return [one_gazetteer_hits(tokens, entries)
+            for entries in (gazetteers.person, gazetteers.org, gazetteers.location)]
+
+
+def reference_text(text, r):
+    """(tokens, content vector) of a text, nothing kept from other texts."""
+    tokens = tokenize(text, frozenset().union(*r.lexicons.emoticons.values()))
+    entity = set().union(*scans(tokens, r.gazetteers))
+    words = []
+    for i, token in enumerate(tokens):
+        if token.kind not in _WORDLIKE or i in entity:
+            continue
+        word = token.lowercase
+        if token.kind is TokenKind.HASHTAG:
+            word = word.lstrip("#")
+            if not word:
+                continue
+        if word not in r.lexicons.acronyms:
+            words.append(word)
+    return tokens, cumulative_vector(words, r.embeddings)
+
+
+def reference_analysis(t, thread, r, now):
+    tokens, vector = reference_text(t.text, r)
+    lex = r.lexicons
+    forms = []
+    for token in tokens:
+        if token.kind is TokenKind.WORD:
+            forms.append(token.lowercase)
+        elif token.kind is TokenKind.HASHTAG and token.lowercase.lstrip("#"):
+            forms.append(token.lowercase.lstrip("#"))
+    named = {}
+    for form in forms:
+        if r.brown.get(form) is not None:
+            named[f"brown={r.brown.get(form):04d}"] = 1
+    named["sentiment"] = sentiment_score(tokens, lex.sentiment)
+    person, org, location = scans(tokens, r.gazetteers)
+    named.update(ne_person=int(bool(person)), ne_organization=int(bool(org)),
+                 ne_date=int(_has_date(tokens)), ne_location=int(bool(location)),
+                 ne_money=int(_has_money(tokens)))
+    surfaces = {tok.surface for tok in tokens if tok.kind is TokenKind.EMOTICON}
+    for category, members in lex.emoticons.items():
+        named[f"emot={category}"] = int(bool(surfaces & members))
+    named["hasURL"] = int(any(tok.kind is TokenKind.URL for tok in tokens))
+    for name, table in (("hasSlangOrCurseWord", lex.slang),
+                        ("hasGoogleBadWord", lex.google_bad), ("hasAcronyms", lex.acronyms)):
+        named[name] = int(any(f in table for f in forms))
+    lengths = [len(tok.surface) for tok in tokens if tok.kind is TokenKind.WORD]
+    named["averageWordLength"] = sum(lengths) / len(lengths) if lengths else 0.0
+    counts = (t.text.count("?"), t.text.count("!"), len(DOTS_RUN_RE.findall(t.text)))
+    named.update(zip(("hasQuestionMark", "hasExclamationMark", "hasDotDotDot"),
+                     (int(c > 0) for c in counts)))
+    named.update(zip(("numberOfQuestionMark", "numberOfExclamationMark",
+                      "numberOfDotDotDot"), counts))
+    for i, pattern in enumerate(lex.regex_pack):
+        named[f"regex_{i}"] = int(pattern.search(t.text) is not None)
+    named["averageNegation"], named["hasNegation"] = negation_stats(tokens)
+    named.update(extract_user(t, now))
+    for mood in MOOD_NAMES:
+        named[f"mood_{mood}"] = cosine(vector, r.list_vectors[mood])
+    for name, listed in (("surpriseScore", "surprise"), ("doubtScore", "doubt"),
+                         ("noDoubtScore", "nodoubt"), ("supportScore", "support")):
+        named[name] = cosine(vector, r.list_vectors[listed])
+    source = thread.source
+    if t.tweet_id == source.tweet_id or _is_retweet_of(t.text, source.text):
+        named["initialTweetSim"] = 1.0
+    else:
+        named["initialTweetSim"] = cosine(vector, reference_text(source.text, r)[1])
+    first = next((tok.lowercase for tok in tokens if tok.kind is TokenKind.WORD), None)
+    named["isQuestion"] = int(first is not None and first in lex.interrogatives)
+    tags = [(_KIND_TAGS.get(tok.kind) or _tag_word(tok.lowercase)).value for tok in tokens]
+    grams = ["|".join(tags[i:i + n]) for n in (2, 3, 4) for i in range(len(tags) - n + 1)]
+    return TweetAnalysis(
+        tweet_id=t.tweet_id, label=t.label,
+        named=tuple((name, float(v)) for name, v in named.items() if v != 0),
+        bow=tuple(tok.lowercase for tok in tokens if tok.kind in _WORDLIKE),
+        posng=tuple(grams))
+
+
+def reference_analyses(tweets, threads, r, now):
+    return [reference_analysis(t, threads[t.rumour_id], r, now) for t in tweets]
+
+
+@pytest.mark.parametrize("corpus", ["micro", "ottawa"])
+def test_analyse_many_equals_the_per_text_reference(corpus, bundle, request):
+    dataset = request.getfixturevalue(corpus)
+    threads = thread_index(build_threads(dataset))
+    now = resolve_now(None, dataset)
+    assert (list(analyse_many(dataset.tweets, threads, bundle, now))
+            == reference_analyses(dataset.tweets, threads, bundle, now))
+
+
+# chunks that change meaning with position or neighbours: gazetteer unigrams
+# and bigram halves (a hit only when capitalized, not first, and for a bigram
+# next to another capitalized word), emoticons under two emoticon sets,
+# trailing punctuation, n't forms, hashtags and mentions
+_CHUNKS = ("the", "police", "Police", "said", "running", "quickly", "isn't", "don't",
+           "can't.", "n't", ":)", ":(", ":-)", ":(!", "#ottawa", "#Ottawa", "#smith",
+           "@user", "@user:", "RT", "really?", "Wow!", "what", "Why", "...", "wait...",
+           "http://t.co/x", "5", "$5", "Monday", "John", "Smith", "smith", "Smith.",
+           "(Smith)", "Mayor", "Wilson", "City", "Council", "Hall", "Ottawa", "Ottawa,",
+           "Main", "Street", "Red", "Cross", "doubt", "worried", "unconfirmed", "lol",
+           "not", "good", "bad")
+_texts = st.lists(st.sampled_from(_CHUNKS), max_size=9).map(" ".join)
+_USER = UserStats(statuses_count=10, verified=False, followers=3, followees=4,
+                  favourites_count=1, account_created=0.0, geo_enabled=False)
+
+
+@st.composite
+def _thread_tweets(draw):
+    """(tweets in a drawn order, rumour id -> Thread) of one to three threads."""
+    tweets, threads = [], {}
+    for k in range(draw(st.integers(1, 3))):
+        source_text = draw(_texts)
+        texts = [source_text] + draw(st.lists(
+            _texts | st.just("RT @user: " + source_text), max_size=4))
+        thread = [TweetRecord(tweet_id=f"r{k}-t{j}", text=text, created_at=float(j),
+                              in_reply_to=None if j == 0 else f"r{k}-t0",
+                              rumour_id=f"r{k}", event_id="e", user=_USER)
+                  for j, text in enumerate(texts)]
+        threads[f"r{k}"] = Thread(source=thread[0], replies=tuple(thread[1:]))
+        tweets.extend(thread)
+    return draw(st.permutations(tweets)), threads
+
+
+@pytest.fixture(scope="module")
+def bundle_variants(bundle):
+    """The bundle, and the bundle with unigram gazetteer entries (one shared
+    by two gazetteers) and a smaller emoticon set."""
+    gaz = bundle.gazetteers
+    other = replace(
+        bundle,
+        gazetteers=Gazetteers(person=gaz.person | {"smith", "wilson"},
+                              org=gaz.org | {"council", "ottawa"},
+                              location=gaz.location | {"ottawa", "hall"}),
+        lexicons=replace(bundle.lexicons, emoticons={"happy": frozenset({":)", ":-)"})}))
+    return bundle, other
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_thread_tweets(), variant=st.integers(0, 1))
+def test_analyse_many_equals_the_reference_on_drawn_threads(drawn, variant,
+                                                            bundle_variants):
+    tweets, threads = drawn
+    r = bundle_variants[variant]
+    assert (list(analyse_many(tweets, threads, r, 100.0))
+            == reference_analyses(tweets, threads, r, 100.0))

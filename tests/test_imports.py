@@ -57,6 +57,8 @@ UNCALLED_API = {
     "ottawa_path",        # backs the Ottawa corpus test fixtures
     "assemble",           # cli and evaluation bind it for the benchmark tracer
     "info_gain_ratio",    # the gain-ratio oracle that C1 checks the tree against
+    "cosine",             # the one-call cosine; analyses use normed_cosine with kept norms
+    "detect_entities",    # the one-call entity flags; analyses reuse one gazetteer scan
 }
 
 

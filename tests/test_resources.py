@@ -68,8 +68,8 @@ def test_interrogatives_and_emoticons(bundle):
     assert "what" in lex.interrogatives
     assert lex.emoticons  # per-category sets
     union = frozenset().union(*lex.emoticons.values())
-    assert union <= lex.all_emoticons()
-    assert ":)" in lex.all_emoticons()
+    assert union <= lex.all_emoticons
+    assert ":)" in lex.all_emoticons
 
 
 def test_regex_pack_compiled(bundle):

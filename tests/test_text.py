@@ -102,7 +102,7 @@ def test_pos_tag_rules():
 
 
 def test_pos_tag_emoticon_is_x(bundle):
-    toks = tokenize("ok :)", emoticons=bundle.lexicons.all_emoticons())
+    toks = tokenize("ok :)", emoticons=bundle.lexicons.all_emoticons)
     assert pos_tag(toks)[-1] == PosTag.X
 
 
