@@ -105,7 +105,7 @@ def _parse_groups(value) -> tuple:
     groups = tuple(value)
     unknown = sorted(set(groups) - set(GROUPS))
     if unknown:
-        raise ConfigError(f"unknown feature groups: {', '.join(unknown)}")
+        raise ConfigError(f"unknown feature groups: {', '.join(map(repr, unknown))}")
     return groups
 
 
@@ -225,7 +225,7 @@ def cmd_featurize(ns: argparse.Namespace, file_cfg: dict) -> int:
     config = _resolve_run_config(ns, file_cfg)
     out = _out_dir(ns, file_cfg)
     now = resolve_now(config.now, dataset)
-    _, schema, vectors = featurize_corpus(dataset, resources, config.groups, now)
+    _, schema, vectors, _ = featurize_corpus(dataset, resources, config.groups, now)
     write_schema_file(schema, out / "schema.tsv")
     write_vectors(vectors, out / "vectors.tsv")
     _write_config_echo(out, {
@@ -301,9 +301,9 @@ def cmd_ablate(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     protocol = _eval_protocol(ns, file_cfg)
-    out = _out_dir(ns, file_cfg)
-    removals = tuple(spec if "+" not in spec else tuple(spec.split("+"))
+    removals = tuple(spec if spec == "AF" else _parse_groups(spec.split("+"))
                      for spec in (ns.remove or ["AF"]))
+    out = _out_dir(ns, file_cfg)
     report = ablate(dataset, resources, config, removals=removals,
                     scope=protocol.removeprefix("loo_"))
     _write(out / "ablation.json", ablation_report_json(report))

@@ -218,10 +218,21 @@ def _parse_record(obj) -> TweetRecord:
     )
 
 
+def encodable(value) -> bool:
+    """Whether UTF-8 can encode every string in a JSON value: False when a
+    `\\u` escape left a lone surrogate in one."""
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_json_lines(path: Path):
     """(line number, JSON value) of each non-blank line of a UTF-8 JSONL
     file, split at the same line ends as text-mode reading; CorpusError
-    names the first line that is not UTF-8 or not JSON."""
+    names the first line that is not UTF-8, not JSON, or escapes a lone
+    surrogate, which no UTF-8 output could hold."""
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
@@ -233,6 +244,8 @@ def read_json_lines(path: Path):
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if "\\u" in line and not encodable(obj):
+            raise CorpusError(f"{path}:{lineno}: a string escapes a lone surrogate")
         yield lineno, obj
 
 
@@ -243,12 +256,14 @@ def load_dataset(path) -> Dataset:
       {"tweet_id": str, "text": str, "created_at": RFC3339, "in_reply_to": str|null,
        "rumour_id": str, "event_id": str, "label": str|null, "user": {...}}
 
-    Dangling in_reply_to references (parent id absent from the file) are
-    repaired to point at the rumour's source tweet.
+    Every tweet of a rumour names the same event. Dangling in_reply_to
+    references (parent id absent from the file) are repaired to point at
+    the rumour's source tweet.
     """
     path = Path(path)
     records = []
     seen_lines = {}
+    rumour_events = {}  # rumour id -> (event id, line of its first tweet)
     for lineno, obj in read_json_lines(path):
         try:
             record = _parse_record(obj)
@@ -259,6 +274,11 @@ def load_dataset(path) -> Dataset:
                 f"{path}:{lineno}: duplicate tweet_id {record.tweet_id!r} "
                 f"(first seen on line {seen_lines[record.tweet_id]})")
         seen_lines[record.tweet_id] = lineno
+        event, first = rumour_events.setdefault(record.rumour_id, (record.event_id, lineno))
+        if event != record.event_id:
+            raise CorpusError(
+                f"{path}:{lineno}: rumour {record.rumour_id!r} is in event "
+                f"{record.event_id!r} here but in event {event!r} on line {first}")
         records.append(record)
     return _build_dataset(records, path.stem)
 

@@ -2,8 +2,9 @@
 ablation), pooled metrics, a native paired t-test, and the one path that
 trains a model on a corpus and labels tweets with it through its context.
 
-A leave-one-rumour-out run vectorizes each labelled tweet once, into a run
-matrix over all groups and the vocabularies of every tweet. A fold's schema,
+A leave-one-rumour-out run featurizes the corpus once, as `train` does, and
+its labelled rows are a run matrix over all groups and the vocabularies of
+every tweet. A fold's schema,
 built from its training rumours' vocabularies and ablated or not, is an
 order-preserving subset of those columns, and no value depends on the fold,
 so each fold fits and predicts on rows and columns sliced from that matrix.
@@ -344,16 +345,12 @@ def _fold_result(fold_id: str, event_id: str, test_rumours, records,
     }
 
 
-def _run_matrix(dataset: Dataset, analyses: dict, resources: ResourceBundle) -> tuple:
-    """(X, class indices y, row of each tweet id, column of each column
-    name) of the labelled tweets, vectorized once in dataset order under
-    every group and the vocabularies of all the analyses."""
-    dictionaries = build_dictionaries(list(analyses.values()))
-    schema = build_schema(dictionaries, resources)
-    vectors = [vectorize(analyses[t.tweet_id], dictionaries, schema)
-               for t in _labelled(dataset.tweets)]
-    return (to_dense(vectors, len(schema)), label_indices(vectors),
-            {v.tweet_id: i for i, v in enumerate(vectors)}, schema.name_to_index)
+def _labelled_rows(vectors, schema) -> tuple:
+    """(X, class indices y, tweet ids) of the labelled vectors, in order,
+    densified under the schema."""
+    labelled = [v for v in vectors if v.label is not None]
+    return (to_dense(labelled, len(schema)), label_indices(labelled),
+            [v.tweet_id for v in labelled])
 
 
 def _evaluate_fold(dataset, analyses, run_matrix, resources, config, fold):
@@ -430,18 +427,19 @@ def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
 def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
              scope: str) -> list:
     """One leave-one-rumour-out report per config, in order. The configs
-    share `now`, so every tweet is analysed once, into a table that all
-    their folds count vocabularies from (unlabelled tweets are in it
-    because vocabularies count them), and every labelled tweet is
-    vectorized once, into the run matrix that all their folds slice; both
-    are dropped on return. _evaluate_fold is looked up by name on each
-    call, so wrappers installed on it (by a tracer, say) see every fold."""
+    share `now`, so `featurize_corpus` analyses every tweet once, into a
+    table that all their folds count vocabularies from (unlabelled tweets
+    are in it because vocabularies count them), and its labelled vectors
+    are the run matrix that all their folds slice; both are dropped on
+    return. _evaluate_fold is looked up by name on each call, so wrappers
+    installed on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
     now = resolve_now(configs[0].now, dataset)
-    threads = thread_index(build_threads(dataset))
-    analyses = {a.tweet_id: a for a in
-                analyse_many(dataset.tweets, threads, resources, now)}
-    run_matrix = _run_matrix(dataset, analyses, resources)
+    _, schema, vectors, analyses = featurize_corpus(dataset, resources, None, now)
+    X, y, tweet_ids = _labelled_rows(vectors, schema)
+    del vectors  # else they stay alive through every fold: +15 MB peak on Ottawa
+    run_matrix = X, y, {t: i for i, t in enumerate(tweet_ids)}, schema.name_to_index
+    analyses = {a.tweet_id: a for a in analyses}
     protocol = f"loo_{scope}"
     reports = []
     for config in configs:
@@ -466,10 +464,9 @@ def train_model(dataset: Dataset, resources: ResourceBundle, config: RunConfig,
     records what `label_tweets` rebuilds the schema and `now` from."""
     if not dataset.labelled():
         raise EvalError("no labelled tweets to train on")
-    dictionaries, schema, vectors = featurize_corpus(dataset, resources, config.groups, now)
-    vectors = [v for v in vectors if v.label is not None]
-    model = fit_classifier(config, to_dense(vectors, len(schema)), label_indices(vectors),
-                           schema.fingerprint, seed)
+    dictionaries, schema, vectors, _ = featurize_corpus(dataset, resources, config.groups, now)
+    X, y, tweet_ids = _labelled_rows(vectors, schema)
+    model = fit_classifier(config, X, y, schema.fingerprint, seed)
     model.context.update({
         "bow_vocab": list(dictionaries.bow_vocab),
         "posng_vocab": list(dictionaries.posng_vocab),
@@ -480,7 +477,7 @@ def train_model(dataset: Dataset, resources: ResourceBundle, config: RunConfig,
         "trained_on": dataset.name,
         "seed": seed,
     })
-    return model, schema, len(vectors)
+    return model, schema, len(tweet_ids)
 
 
 def _check_context(context: dict) -> None:

@@ -29,7 +29,6 @@ from .text import (
     DOTS_RUN_RE,
     TokenKind,
     entity_flags,
-    entity_token_indices,
     gazetteer_hits,
     negation_stats,
     pos_tag,
@@ -55,6 +54,11 @@ _SURF_COLUMNS = ("averageWordLength", "hasQuestionMark", "hasExclamationMark",
                  "numberOfExclamationMark", "numberOfDotDotDot")
 _NE_COLUMNS = ("ne_person", "ne_organization", "ne_date", "ne_location",
                "ne_money")
+# (column, word list) of each list cosine, in schema order: the moods, then
+# the AF confidence lists
+_LIST_COLUMNS = (*((f"mood_{mood}", mood) for mood in MOOD_NAMES),
+                 ("surpriseScore", "surprise"), ("doubtScore", "doubt"),
+                 ("noDoubtScore", "nodoubt"), ("supportScore", "support"))
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -96,16 +100,6 @@ class FeatureDictionaries:
     bow_vocab: dict
     posng_vocab: dict
     provenance: tuple = ()
-
-
-@dataclass(frozen=True)
-class AfScores:
-    ss: float
-    ds: float
-    nds: float
-    sps: float
-    its: float
-    iq: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,7 +230,7 @@ def content_words(tokens, resources: ResourceBundle, entity_hits=None) -> list:
     (`entity_hits`, the matched token indices, when already known).
     URL, mention, number, punctuation, and emoticon tokens never qualify."""
     if entity_hits is None:
-        entity_hits = entity_token_indices(tokens, resources.gazetteers)
+        entity_hits = set().union(*gazetteer_hits(tokens, resources.gazetteers))
     words = []
     for i, token in enumerate(tokens):
         if token.kind not in (TokenKind.WORD, TokenKind.HASHTAG) or i in entity_hits:
@@ -271,9 +265,7 @@ def extract_content(t: TweetRecord, tokens, hits, r: ResourceBundle) -> dict:
 
     out["sentiment"] = sentiment_score(tokens, r.lexicons.sentiment)
 
-    flags = entity_flags(tokens, hits)
-    out.update(zip(_NE_COLUMNS, (flags.person, flags.organization, flags.date,
-                                 flags.location, flags.money)))
+    out.update(zip(_NE_COLUMNS, entity_flags(tokens, hits)))
 
     surfaces = {tok.surface for tok in tokens if tok.kind is TokenKind.EMOTICON}
     for category, members in r.lexicons.emoticons.items():
@@ -346,21 +338,6 @@ def _analyse_text(text: str, r: ResourceBundle, run: _Run) -> tuple:
     return tokens, vector, norm(vector), hits
 
 
-def _list_cosine(vector, vector_norm: float, r: ResourceBundle, name: str) -> float:
-    return normed_cosine(vector, vector_norm, r.list_vectors[name], r.list_norms[name])
-
-
-def _mood_scores(vector, vector_norm: float, r: ResourceBundle) -> dict:
-    return {f"mood_{mood}": _list_cosine(vector, vector_norm, r, mood)
-            for mood in MOOD_NAMES}
-
-
-def extract_mood(t: TweetRecord, r: ResourceBundle) -> dict:
-    """Cosine of the tweet's cumulative content vector against each mood
-    list's cumulative vector."""
-    return _mood_scores(*_analyse_text(t.text, r, _Run())[1:3], r)
-
-
 def _normalized(text: str) -> str:
     return " ".join(text.split())
 
@@ -381,55 +358,31 @@ def _source_text(source: TweetRecord, r: ResourceBundle, run: _Run) -> tuple:
     return analysed
 
 
-def _af_scores(t: TweetRecord, tokens, vector, vector_norm: float, thread: Thread,
-               r: ResourceBundle, run: _Run) -> AfScores:
-    source = thread.source
-    if t.tweet_id == source.tweet_id or _is_retweet_of(t.text, source.text):
-        its = 1.0
-    else:
-        its = normed_cosine(vector, vector_norm, *_source_text(source, r, run)[1:3])
-
-    first_word = next((tok.lowercase for tok in tokens
-                       if tok.kind is TokenKind.WORD), None)
-    iq = int(first_word is not None and first_word in r.lexicons.interrogatives)
-
-    return AfScores(ss=_list_cosine(vector, vector_norm, r, "surprise"),
-                    ds=_list_cosine(vector, vector_norm, r, "doubt"),
-                    nds=_list_cosine(vector, vector_norm, r, "nodoubt"),
-                    sps=_list_cosine(vector, vector_norm, r, "support"),
-                    its=its, iq=iq)
-
-
-def extract_af(t: TweetRecord, thread: Thread, r: ResourceBundle) -> AfScores:
-    """Confidence scores: cosine of the tweet's content vector against the
-    surprise/doubt/no-doubt/support lists, similarity to the thread's source
-    tweet (forced to 1.0 for the source itself and for exact retweets of it),
-    and the interrogative-start flag."""
-    run = _Run()
-    return _af_scores(t, *_analyse_text(t.text, r, run)[:3], thread, r, run)
-
-
 def _analyse(t: TweetRecord, thread: Thread, r: ResourceBundle, now: float,
              run: _Run) -> TweetAnalysis:
+    """The one place a tweet's named columns are written."""
     if t.rumour_id != thread.rumour_id:
         raise SchemaError(
             f"tweet {t.tweet_id} belongs to rumour {t.rumour_id}, "
             f"not to thread {thread.rumour_id}")
 
-    if t.tweet_id == thread.source.tweet_id:
+    source = thread.source
+    if t.tweet_id == source.tweet_id:
         tokens, vector, vector_norm, hits = _source_text(t, r, run)
     else:
         tokens, vector, vector_norm, hits = _analyse_text(t.text, r, run)
     named = extract_content(t, tokens, hits, r)
     named.update(extract_user(t, now))
-    named.update(_mood_scores(vector, vector_norm, r))
-    af = _af_scores(t, tokens, vector, vector_norm, thread, r, run)
-    named["surpriseScore"] = af.ss
-    named["doubtScore"] = af.ds
-    named["noDoubtScore"] = af.nds
-    named["supportScore"] = af.sps
-    named["initialTweetSim"] = af.its
-    named["isQuestion"] = af.iq
+    for column, listed in _LIST_COLUMNS:
+        named[column] = normed_cosine(vector, vector_norm, r.list_vectors[listed],
+                                      r.list_norms[listed])
+    if t.tweet_id == source.tweet_id or _is_retweet_of(t.text, source.text):
+        named["initialTweetSim"] = 1.0
+    else:
+        named["initialTweetSim"] = normed_cosine(vector, vector_norm,
+                                                 *_source_text(source, r, run)[1:3])
+    first_word = next((tok.lowercase for tok in tokens if tok.kind is TokenKind.WORD), None)
+    named["isQuestion"] = int(first_word in r.lexicons.interrogatives)
     return TweetAnalysis(
         tweet_id=t.tweet_id, label=t.label,
         named=tuple((name, float(value)) for name, value in named.items()
@@ -483,14 +436,15 @@ def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
 
 def featurize_corpus(dataset: Dataset, r: ResourceBundle, groups,
                      now: float) -> tuple:
-    """(dictionaries, schema, vectors of every tweet) for a command whose
-    vocabulary is the whole corpus: every tweet, labelled or not, analysed
-    once, with every rumour as provenance."""
+    """(dictionaries, schema, vectors, analyses of every tweet) for a
+    command whose vocabulary is the whole corpus: every tweet, labelled or
+    not, analysed once, with every rumour as provenance."""
     threads = thread_index(build_threads(dataset))
     analyses = list(analyse_many(dataset.tweets, threads, r, now))
     dictionaries = build_dictionaries(analyses, provenance=dataset.rumours)
     schema = build_schema(dictionaries, r, groups)
-    return dictionaries, schema, [vectorize(a, dictionaries, schema) for a in analyses]
+    return (dictionaries, schema, [vectorize(a, dictionaries, schema) for a in analyses],
+            analyses)
 
 
 def resolve_now(now: Optional[float], *datasets: Dataset) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import CLASS_ORDER, StanceLabel
+from ..corpus import CLASS_ORDER, StanceLabel, encodable
 
 # learners speak plain label strings and class indices in this order
 CLASS_NAMES = tuple(label.value for label in CLASS_ORDER)
@@ -44,8 +44,9 @@ def is_finite_number(value) -> bool:
 
 
 def is_strings(value) -> bool:
-    """A list of strings."""
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    """A list of strings, none holding a lone surrogate."""
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and encodable(value))
 
 
 def is_int(value) -> bool:

@@ -223,15 +223,6 @@ _CURRENCY_CODES = frozenset({"usd", "eur", "gbp", "cad", "aud", "jpy", "chf"})
 _CURRENCY_AMOUNT_RE = re.compile(r"[$€£¥]\d+(?:[.,]\d+)*[mkb]?", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class EntityFlags:
-    person: int = 0
-    organization: int = 0
-    date: int = 0
-    location: int = 0
-    money: int = 0
-
-
 def gazetteer_hits(tokens, gazetteers) -> tuple:
     """(person, org, location) sets of the token indices covered by
     gazetteer matches over capitalized, non-initial unigrams and bigrams,
@@ -277,21 +268,11 @@ def _has_money(tokens) -> bool:
     return False
 
 
-def entity_flags(tokens, hits) -> EntityFlags:
-    """The five entity flags of a text, given its `gazetteer_hits`."""
+def entity_flags(tokens, hits) -> tuple:
+    """The (person, organization, date, location, money) flags of a text,
+    0 or 1, given its `gazetteer_hits`."""
     person, org, location = (int(bool(h)) for h in hits)
-    return EntityFlags(person=person, organization=org, date=int(_has_date(tokens)),
-                       location=location, money=int(_has_money(tokens)))
-
-
-def detect_entities(tokens, gazetteers) -> EntityFlags:
-    """Binary flags for the five entity classes, from gazetteers and patterns."""
-    return entity_flags(tokens, gazetteer_hits(tokens, gazetteers))
-
-
-def entity_token_indices(tokens, gazetteers) -> set:
-    """Indices of tokens matched by the person/org/location gazetteers."""
-    return set().union(*gazetteer_hits(tokens, gazetteers))
+    return person, org, int(_has_date(tokens)), location, int(_has_money(tokens))
 
 
 # --- sentiment and negation ---------------------------------------------------

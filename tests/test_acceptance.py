@@ -30,7 +30,7 @@ from rumourstance.evaluation import (
     run_loo,
     student_t_two_sided_p,
 )
-from rumourstance.features import FeatureVector, content_words, extract_af, extract_mood
+from rumourstance.features import FeatureVector, analyse, content_words
 from rumourstance.learners import (
     ForestParams,
     KnnParams,
@@ -308,30 +308,37 @@ def test_c5_af_features(capsys, bundle, micro):
             nu, nv = np.linalg.norm(u), np.linalg.norm(v)
             return 0.0 if nu == 0 or nv == 0 else float(np.dot(u, v) / (nu * nv))
 
+        def columns(tweet, thread, r):
+            # a tweet's named columns, read from its analysis; absent is 0
+            named = dict(analyse(tweet, thread, r, now=0.0).named)
+            return lambda name: named.get(name, 0.0)
+
         for tweet in (source, reply, echo):
             toks = tokenize(tweet.text, toy_bundle.lexicons.all_emoticons)
             tweet_vec = mean_vec(content_words(toks, toy_bundle))
-            got = extract_af(tweet, thread, toy_bundle)
-            assert abs(got.sps - ref_cos(tweet_vec, mean_vec(("sun", "sky")))) <= 1e-9
-            assert abs(got.ds - ref_cos(tweet_vec, mean_vec(("moon",)))) <= 1e-9
-            assert abs(got.nds - ref_cos(tweet_vec, mean_vec(("star", "cloud")))) <= 1e-9
-            assert abs(got.ss - ref_cos(tweet_vec, mean_vec(("cloud",)))) <= 1e-9
+            got = columns(tweet, thread, toy_bundle)
+            assert abs(got("supportScore") - ref_cos(tweet_vec, mean_vec(("sun", "sky")))) <= 1e-9
+            assert abs(got("doubtScore") - ref_cos(tweet_vec, mean_vec(("moon",)))) <= 1e-9
+            assert abs(got("noDoubtScore")
+                       - ref_cos(tweet_vec, mean_vec(("star", "cloud")))) <= 1e-9
+            assert abs(got("surpriseScore") - ref_cos(tweet_vec, mean_vec(("cloud",)))) <= 1e-9
 
-        assert extract_af(source, thread, toy_bundle).its == 1.0
-        assert extract_af(echo, thread, toy_bundle).its == 1.0  # text equals the source
+        assert columns(source, thread, toy_bundle)("initialTweetSim") == 1.0
+        # the echo's text equals the source's
+        assert columns(echo, thread, toy_bundle)("initialTweetSim") == 1.0
         src_vec = mean_vec(content_words(tokenize(source.text), toy_bundle))
         rep_vec = mean_vec(content_words(tokenize(reply.text), toy_bundle))
-        assert abs(extract_af(reply, thread, toy_bundle).its - ref_cos(rep_vec, src_vec)) <= 1e-9
+        assert abs(columns(reply, thread, toy_bundle)("initialTweetSim")
+                   - ref_cos(rep_vec, src_vec)) <= 1e-9
 
         bound = 1.0 + 1e-12
+        cosine_columns = ("surpriseScore", "doubtScore", "noDoubtScore", "supportScore",
+                          "initialTweetSim", *(f"mood_{m}" for m in bundle.lexicons.mood_lists))
         threads = thread_index(build_threads(micro))
         for tweet in micro.tweets:
-            thread = threads[tweet.rumour_id]
-            scores = extract_af(tweet, thread, bundle)
-            for value in (scores.ss, scores.ds, scores.nds, scores.sps, scores.its):
-                assert -bound <= value <= bound
-            for value in extract_mood(tweet, bundle).values():
-                assert -bound <= value <= bound
+            got = columns(tweet, threads[tweet.rumour_id], bundle)
+            for name in cosine_columns:
+                assert -bound <= got(name) <= bound
 
 
 # --------------------------------------------------------------- criterion 6

@@ -64,6 +64,14 @@ def test_bad_group_name_rejected(out, capsys):
     assert "NOPE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["NOPE", "+", "AF+NOPE"])
+def test_bad_removal_spec_rejected(spec, out, capsys):
+    code = run(["ablate", "--dataset", micro_corpus_path(), "--remove", spec, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown feature groups: ") and len(err.splitlines()) == 1
+
+
 def leaf_model(**changes):
     """The JSON text of a one-leaf tree model with `changes` applied."""
     container = {

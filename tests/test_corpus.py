@@ -144,8 +144,11 @@ _FIELDS = (*_RECORD, *(f"user.{k}" for k in _RECORD["user"]),
            "id", "timestamp", "full_text", "stance", "user.created_at",
            "user.followers_count")
 
+# half the strings may hold lone surrogates, which json.dumps writes as \u escapes
+_strings = st.text(max_size=30) | st.text(st.characters() | st.characters(categories=("Cs",)),
+                                          max_size=30)
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=30),
+    st.none() | st.booleans() | st.integers() | st.floats() | _strings,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6)
@@ -179,6 +182,9 @@ def _with_field(field, value) -> bytes:
     pytest.param("featurize", _with_field("user.verified", 0), id="featurize-verified-0"),
     pytest.param("featurize", _with_field("user.followers", 10**400),
                  id="featurize-followers-10e400"),
+    pytest.param("featurize", _with_field("event_id", "eb"),
+                 id="featurize-rumour-in-two-events"),
+    pytest.param("featurize", _with_field("text", "\udc80"), id="featurize-lone-surrogate"),
     pytest.param("ingest", b"5", id="ingest-bare-5"),
     pytest.param("ingest", _with_field("user", 5), id="ingest-user-5"),
     pytest.param("ingest", _with_field("user", [1]), id="ingest-user-list"),
@@ -194,6 +200,8 @@ def _with_field(field, value) -> bytes:
                  id="ingest-followers-5000-digits"),
     pytest.param("ingest", _with_field("user.followers", float("inf")),
                  id="ingest-followers-infinity"),
+    pytest.param("ingest", _with_field("user.description", "a \ud800 b"),
+                 id="ingest-lone-surrogate"),
 ])
 def test_bad_input_line_is_a_one_line_error(command, bad_line, tmp_path, capsys):
     path = tmp_path / "input.jsonl"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -18,14 +19,13 @@ from rumourstance.features import (
     MOOD_NAMES,
     TweetAnalysis,
     _is_retweet_of,
+    analyse,
     analyse_many,
     assemble,
     build_dictionaries,
     build_schema,
     content_words,
     cumulative_vector,
-    extract_af,
-    extract_mood,
     extract_user,
     fingerprint64,
     resolve_now,
@@ -184,6 +184,14 @@ def test_cosine_self_similarity(bundle):
 
 # -------------------------------------------------------------------- AF scores
 
+_AF_COSINES = ("surpriseScore", "doubtScore", "noDoubtScore", "supportScore",
+               "initialTweetSim")
+
+
+def named_columns(tweet, thread, r) -> dict:
+    """The named columns of the tweet's analysis; an absent column is 0."""
+    return defaultdict(float, analyse(tweet, thread, r, now=0.0).named)
+
 
 def test_af_oracle_over_corpus(micro, bundle, threads):
     """SS/DS/NDS/SPS from an independent mean-embedding + cosine recomputation."""
@@ -195,18 +203,18 @@ def test_af_oracle_over_corpus(micro, bundle, threads):
             toks = tokenize(tweet.text, bundle.lexicons.all_emoticons)
             content = content_words(toks, bundle)
             tweet_vec = mean_embedding(content, bundle.embeddings)
-            scores = extract_af(tweet, thread, bundle)
-            assert scores.ss == pytest.approx(plain_cosine(tweet_vec, list_vecs["surprise"]), abs=1e-9)
-            assert scores.ds == pytest.approx(plain_cosine(tweet_vec, list_vecs["doubt"]), abs=1e-9)
-            assert scores.nds == pytest.approx(plain_cosine(tweet_vec, list_vecs["nodoubt"]), abs=1e-9)
-            assert scores.sps == pytest.approx(plain_cosine(tweet_vec, list_vecs["support"]), abs=1e-9)
+            scores = named_columns(tweet, thread, bundle)
+            for column, listed in (("surpriseScore", "surprise"), ("doubtScore", "doubt"),
+                                   ("noDoubtScore", "nodoubt"), ("supportScore", "support")):
+                assert scores[column] == pytest.approx(
+                    plain_cosine(tweet_vec, list_vecs[listed]), abs=1e-9)
             checked += 1
     assert checked == len(micro.tweets)
 
 
 def test_af_source_its_is_one(micro, bundle, threads):
     for thread in threads.values():
-        assert extract_af(thread.source, thread, bundle).its == 1.0
+        assert named_columns(thread.source, thread, bundle)["initialTweetSim"] == 1.0
 
 
 def test_af_retweet_its_is_one(bundle, threads):
@@ -214,7 +222,7 @@ def test_af_retweet_its_is_one(bundle, threads):
     retweets = [t for t in thread.replies if t.text.startswith("RT @")]
     assert retweets
     for tweet in retweets:
-        assert extract_af(tweet, thread, bundle).its == 1.0
+        assert named_columns(tweet, thread, bundle)["initialTweetSim"] == 1.0
 
 
 def test_af_reply_its_matches_oracle(bundle, threads):
@@ -226,7 +234,7 @@ def test_af_reply_its_matches_oracle(bundle, threads):
                 continue
             toks = tokenize(tweet.text, bundle.lexicons.all_emoticons)
             vec = mean_embedding(content_words(toks, bundle), bundle.embeddings)
-            assert extract_af(tweet, thread, bundle).its == pytest.approx(
+            assert named_columns(tweet, thread, bundle)["initialTweetSim"] == pytest.approx(
                 plain_cosine(vec, src_vec), abs=1e-9
             )
 
@@ -235,11 +243,11 @@ def test_af_iq_flags_interrogative_lead(micro, bundle, threads):
     flagged = 0
     for thread in threads.values():
         for tweet in (thread.source, *thread.replies):
-            scores = extract_af(tweet, thread, bundle)
+            iq = named_columns(tweet, thread, bundle)["isQuestion"]
             toks = [t for t in tokenize(tweet.text, bundle.lexicons.all_emoticons) if t.kind.name == "WORD"]
             expected = 1 if toks and toks[0].lowercase in bundle.lexicons.interrogatives else 0
-            assert scores.iq == expected
-            flagged += scores.iq
+            assert iq == expected
+            flagged += iq
     assert flagged > 0
 
 
@@ -247,9 +255,9 @@ def test_af_scores_in_cosine_range(micro, bundle, threads):
     bound = 1.0 + 1e-12
     for thread in threads.values():
         for tweet in (thread.source, *thread.replies):
-            s = extract_af(tweet, thread, bundle)
-            for value in (s.ss, s.ds, s.nds, s.sps, s.its):
-                assert -bound <= value <= bound
+            scores = named_columns(tweet, thread, bundle)
+            for column in _AF_COSINES:
+                assert -bound <= scores[column] <= bound
 
 
 # ------------------------------------------------------------------ mood scores
@@ -262,7 +270,7 @@ def test_mood_oracle(micro, bundle, threads):
     for tweet in (thread.source, *thread.replies):
         toks = tokenize(tweet.text, bundle.lexicons.all_emoticons)
         tweet_vec = mean_embedding(content_words(toks, bundle), bundle.embeddings)
-        got = extract_mood(tweet, bundle)
+        got = named_columns(tweet, thread, bundle)
         for name in moods:
             assert got[f"mood_{name}"] == pytest.approx(plain_cosine(tweet_vec, mood_vecs[name]), abs=1e-9)
 

@@ -1,7 +1,7 @@
 """Import hygiene: every name a `rumourstance` module imports is used there,
 listed in its `__all__`, or marked `# noqa: F401` on its line; and every
-module-level function is used somewhere in the package outside its own
-body, as a name or an attribute, unless it is allowlisted."""
+module-level function and class is used somewhere in the package outside
+its own body, as a name or an attribute, unless it is allowlisted."""
 from __future__ import annotations
 
 import ast
@@ -49,16 +49,13 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["exit (line 3)", "json (line 2)"]
 
 
-# module-level functions no package code calls, each kept for a reason
+# module-level functions and classes no package code uses, each kept for a reason
 UNCALLED_API = {
-    "extract_af",         # a C5 scorer, called by the acceptance tests and the tracer
-    "extract_mood",       # a C5 scorer, called by the acceptance tests and the tracer
     "micro_corpus_path",  # backs the micro corpus test fixtures
     "ottawa_path",        # backs the Ottawa corpus test fixtures
     "assemble",           # cli and evaluation bind it for the benchmark tracer
     "info_gain_ratio",    # the gain-ratio oracle that C1 checks the tree against
-    "cosine",             # the one-call cosine; analyses use normed_cosine with kept norms
-    "detect_entities",    # the one-call entity flags; analyses reuse one gazetteer scan
+    "cosine",             # the one-call cosine; the per-text reference analysis calls it
 }
 
 
@@ -75,12 +72,12 @@ def named(node) -> Counter:
 
 
 def unnamed_functions(sources: list) -> list:
-    """Module-level functions of the given module sources that no module
-    uses outside the function's own body."""
+    """Module-level functions and classes of the given module sources that
+    no module uses outside their own body."""
     trees = [ast.parse(source) for source in sources]
     everywhere = sum((named(tree) for tree in trees), Counter())
     return sorted(node.name for tree in trees for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and everywhere[node.name] <= named(node)[node.name])
 
 
@@ -92,6 +89,9 @@ def test_every_function_has_a_caller_in_the_package():
 def test_unnamed_function_is_found():
     sources = ["def used():\n    return 1\n\ndef again(n):\n    return again(n - 1)\n"
                "\ndef exported():\n    pass\n\n__all__ = ['exported']\n",
-               "from a import used, imported\nimport b.called\nb.called.go(used())\n",
-               "def imported():\n    pass\n\ndef called():\n    pass\n\ndef orphan():\n    pass\n"]
-    assert unnamed_functions(sources) == ["again", "exported", "imported", "orphan"]
+               "from a import used, imported\nimport b.called\nb.called.go(used())\n"
+               "x: Hinted = Built()\n",
+               "def imported():\n    pass\n\ndef called():\n    pass\n\ndef orphan():\n    pass\n",
+               "class Built:\n    pass\n\nclass Hinted:\n    pass\n\n"
+               "class Lonely:\n    def make(self):\n        return Lonely()\n"]
+    assert unnamed_functions(sources) == ["Lonely", "again", "exported", "imported", "orphan"]

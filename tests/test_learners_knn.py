@@ -213,7 +213,7 @@ def test_kept_matrix_scores_equal_the_dict_path(k, weighting):
 def micro_matrix(micro, bundle):
     """(X, y) of the labelled micro tweets and the matrix of every micro
     tweet, as `stance train` and `stance predict` build them."""
-    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
+    _, schema, vectors, _ = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
     labelled = [v for v in vectors if v.label is not None]
     return (to_dense(labelled, len(schema)), label_indices(labelled),
             to_dense(vectors, len(schema)))

@@ -278,7 +278,7 @@ def recorded_searches(monkeypatch):
 @pytest.fixture(scope="module")
 def micro_matrix(micro, bundle):
     """(X, y) of the labelled micro tweets, as `stance train` fits them."""
-    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
+    _, schema, vectors, _ = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
     vectors = [v for v in vectors if v.label is not None]
     return to_dense(vectors, len(schema)), label_indices(vectors)
 

@@ -226,6 +226,11 @@ def posng_vocab_not_strings(model):
     model["context"]["posng_vocab"] = [1, [2]]
 
 
+def lone_surrogate_bow_word(model):
+    # json.dumps escapes it; UTF-8 cannot encode it into the schema text
+    model["context"]["bow_vocab"][0] = "\udc80"
+
+
 def drop_first_bow_word(model):
     # the schema rebuilt from the shorter vocabulary differs from the model's
     model["context"]["bow_vocab"].pop(0)
@@ -256,6 +261,7 @@ def overflowing_leaf_counts(model):
     ("tree", bow_vocab_not_a_list),
     ("tree", provenance_not_a_list),
     ("tree", posng_vocab_not_strings),
+    ("tree", lone_surrogate_bow_word),
     ("tree", drop_first_bow_word),
     ("tree", other_fingerprint),
     ("knn", tiny_ranges),
@@ -284,7 +290,7 @@ def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
 def micro_saved(micro, bundle, tmp_path_factory):
     """(the micro matrix, a directory holding a model of each kind trained
     on it, each saved under the kind's name)."""
-    _, schema, vectors = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
+    _, schema, vectors, _ = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
     labelled = [v for v in vectors if v.label is not None]
     root = tmp_path_factory.mktemp("saved")
     for kind, params in (("tree", TreeParams()), ("forest", ForestParams(n_trees=3, seed=1)),

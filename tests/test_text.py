@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from rumourstance.text import (
     PosTag,
     TokenKind,
-    detect_entities,
+    entity_flags,
+    gazetteer_hits,
     negation_stats,
     pos_tag,
     sentiment_score,
@@ -113,13 +115,20 @@ def test_pos_tag_length_matches(text):
     assert len(pos_tag(toks)) == len(toks)
 
 
+def entities(tokens, gazetteers) -> SimpleNamespace:
+    """The entity flags of the tokens, by name."""
+    flags = entity_flags(tokens, gazetteer_hits(tokens, gazetteers))
+    return SimpleNamespace(**dict(zip(("person", "organization", "date", "location", "money"),
+                                      flags)))
+
+
 def test_detect_entities_money_and_date(bundle):
     gaz = bundle.gazetteers
-    flags = detect_entities(tokenize("$5 million lost"), gaz)
+    flags = entities(tokenize("$5 million lost"), gaz)
     assert flags.money == 1
-    flags = detect_entities(tokenize("see you on Monday"), gaz)
+    flags = entities(tokenize("see you on Monday"), gaz)
     assert flags.date == 1
-    flags = detect_entities([], gaz)
+    flags = entities([], gaz)
     assert (flags.person, flags.organization, flags.date, flags.location, flags.money) == (0, 0, 0, 0, 0)
 
 
@@ -127,7 +136,7 @@ def test_detect_entities_gazetteer_location(bundle):
     gaz = bundle.gazetteers
     entry = next(iter(gaz.location))
     text = "reports from " + entry.title()
-    flags = detect_entities(tokenize(text), gaz)
+    flags = entities(tokenize(text), gaz)
     assert flags.location == 1
 
 
