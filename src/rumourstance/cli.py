@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normalize a raw tweet export")
     p.add_argument("--input", required=True, help="raw JSONL export")
     p.add_argument("--event", default="unknown",
-                   help="event id for records that lack one")
+                   help="event id for records that lack one and whose rumour "
+                        "names none")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("featurize", parents=[experiment],

@@ -20,6 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from hashlib import blake2b
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,9 @@ from .learners.base import TrainedModel, is_finite_number, is_strings, label_ind
 from .resources import ResourceBundle
 
 log = logging.getLogger(__name__)
+
+# rows that label_tweets featurizes, densifies and scores at a time
+LABEL_CHUNK_ROWS = 64
 
 # components whose published-tool counterparts are replaced by native
 # stand-ins; echoed in every report so numbers are read with that in mind
@@ -498,6 +502,8 @@ def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundl
     """(label, per-class scores) of every tweet of the dataset, in order, by
     a model from `train_model`: each tweet is featurized in the context of
     its thread under the schema and `now` rebuilt from the model's context.
+    Tweets are featurized, densified and scored LABEL_CHUNK_ROWS at a time,
+    so memory grows with the chunk and not with the dataset's rows x columns.
     A context of the wrong shape, or one that does not fit the bundle or the
     model, is a ModelError."""
     context = model.context
@@ -518,11 +524,16 @@ def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundl
         raise ModelError(
             "rebuilt feature schema does not match the model "
             f"(model {model.schema_fingerprint}, rebuilt {schema.fingerprint})")
+    if len(schema) != model.n_features:  # checked here too, for an input with no chunk
+        raise ModelError(f"got {len(schema)} columns for a model over {model.n_features}")
     now = float(resolve_now(context.get("now"), dataset))
     threads = thread_index(build_threads(dataset))
-    vectors = [vectorize(a, dictionaries, schema)
-               for a in analyse_many(dataset.tweets, threads, resources, now)]
-    return predict_many(model, to_dense(vectors, len(schema)))
+    analyses = analyse_many(dataset.tweets, threads, resources, now)
+    predictions = []
+    while chunk := list(islice(analyses, LABEL_CHUNK_ROWS)):
+        vectors = [vectorize(a, dictionaries, schema) for a in chunk]
+        predictions += predict_many(model, to_dense(vectors, len(schema)))
+    return predictions
 
 
 def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,

@@ -33,6 +33,7 @@ from .text import (
     negation_stats,
     pos_tag,
     sentiment_score,
+    text_marks,
     tokenize,
 )
 
@@ -246,11 +247,11 @@ def _lexical_forms(tokens) -> list:
     return [term.lstrip("#") for term in _bow_terms(tokens)]
 
 
-def extract_content(t: TweetRecord, tokens, hits, r: ResourceBundle) -> dict:
+def extract_content(t: TweetRecord, tokens, hits, marks: int, r: ResourceBundle) -> dict:
     """Name -> value map for the tweet-content features outside the BOW and
     POS n-gram vocabularies: Brown cluster indicators, sentiment bucket,
-    entity flags (from the text's `gazetteer_hits`), emoticon categories,
-    URL/lexicon/surface/regex/negation columns.
+    entity flags (from the text's `gazetteer_hits` and `token_marks`),
+    emoticon categories, URL/lexicon/surface/regex/negation columns.
 
     Brown names appear only when nonzero; scalar names always appear, zero
     included.
@@ -265,7 +266,7 @@ def extract_content(t: TweetRecord, tokens, hits, r: ResourceBundle) -> dict:
 
     out["sentiment"] = sentiment_score(tokens, r.lexicons.sentiment)
 
-    out.update(zip(_NE_COLUMNS, entity_flags(tokens, hits)))
+    out.update(zip(_NE_COLUMNS, entity_flags(tokens, hits, marks)))
 
     surfaces = {tok.surface for tok in tokens if tok.kind is TokenKind.EMOTICON}
     for category, members in r.lexicons.emoticons.items():
@@ -321,21 +322,24 @@ def extract_user(t: TweetRecord, now: float) -> dict:
 @dataclass
 class _Run:
     """What one `analyse_many` call keeps: each thread source's
-    `_analyse_text`, each chunk's tokens and each word's POS tag. Gazetteer
-    hits and POS n-grams read a token's position and neighbours: never kept."""
+    `_analyse_text`, each chunk's tokens and token marks and each word's POS
+    tag. Gazetteer hits, POS n-grams and the currency-then-number check read
+    a token's position and neighbours: never kept."""
 
     sources: dict = field(default_factory=dict)
     chunks: dict = field(default_factory=dict)
+    marks: dict = field(default_factory=dict)
     words: dict = field(default_factory=dict)
 
 
 def _analyse_text(text: str, r: ResourceBundle, run: _Run) -> tuple:
-    """(tokens, cumulative content vector, its norm, gazetteer hits) of a
-    text: the one text -> content-vector step behind the mood and AF scores."""
+    """(tokens, cumulative content vector, its norm, gazetteer hits, token
+    marks) of a text: the one text -> content-vector step behind the mood
+    and AF scores."""
     tokens = tokenize(text, r.lexicons.all_emoticons, run.chunks)
     hits = gazetteer_hits(tokens, r.gazetteers)
     vector = cumulative_vector(content_words(tokens, r, set().union(*hits)), r.embeddings)
-    return tokens, vector, norm(vector), hits
+    return tokens, vector, norm(vector), hits, text_marks(text, run.chunks, run.marks)
 
 
 def _normalized(text: str) -> str:
@@ -368,10 +372,10 @@ def _analyse(t: TweetRecord, thread: Thread, r: ResourceBundle, now: float,
 
     source = thread.source
     if t.tweet_id == source.tweet_id:
-        tokens, vector, vector_norm, hits = _source_text(t, r, run)
+        tokens, vector, vector_norm, hits, marks = _source_text(t, r, run)
     else:
-        tokens, vector, vector_norm, hits = _analyse_text(t.text, r, run)
-    named = extract_content(t, tokens, hits, r)
+        tokens, vector, vector_norm, hits, marks = _analyse_text(t.text, r, run)
+    named = extract_content(t, tokens, hits, marks, r)
     named.update(extract_user(t, now))
     for column, listed in _LIST_COLUMNS:
         named[column] = normed_cosine(vector, vector_norm, r.list_vectors[listed],

@@ -79,8 +79,9 @@ def _as_flag(user: dict, name: str) -> bool:
     return value
 
 
-def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
-    """Map one raw tweet object to the normalized ingestion schema."""
+def normalize_record(obj: dict) -> dict:
+    """Map one raw tweet object to the normalized ingestion schema; its
+    event_id is None when the object names no event."""
     if not isinstance(obj, dict):
         raise CorpusError("a raw export line must hold a JSON object")
     tweet_id = _first(obj, "tweet_id", "id_str", "id")
@@ -96,7 +97,7 @@ def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
     rumour_id = _first(obj, "rumour_id", "thread_id", "conversation_id")
     if rumour_id is None:
         raise CorpusError(f"raw tweet {tweet_id} has no rumour/thread id")
-    event_id = _first(obj, "event_id", "event", default=default_event)
+    event_id = _first(obj, "event_id", "event")
 
     user = obj.get("user") or {}
     if not isinstance(user, dict):
@@ -122,7 +123,7 @@ def normalize_record(obj: dict, default_event: str = "unknown") -> dict:
         "created_at": format_rfc3339(created_at),
         "in_reply_to": str(in_reply_to) if in_reply_to is not None else None,
         "rumour_id": str(rumour_id),
-        "event_id": str(event_id),
+        "event_id": str(event_id) if event_id is not None else None,
         "label": str(label) if label is not None else None,
         "user": normalized_user,
     }
@@ -132,18 +133,23 @@ def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
     """Normalize a raw JSONL export; returns {"kept": n, "dropped": n}.
 
     Tweets with an annotation outside the four-class set are dropped, except
-    source tweets, which are kept with the label cleared. Every line is
-    normalized before `out_path` is opened, so a bad line writes nothing.
+    source tweets, which are kept with the label cleared. A tweet that names
+    no event takes the first event named by a tweet of its rumour, else
+    `default_event`. Every line is normalized before `out_path` is opened,
+    so a bad line writes nothing.
     """
     raw_path = Path(raw_path)
     out_path = Path(out_path)
-    lines = []
+    records = []
+    named_events = {}  # rumour id -> the first event a tweet of it names
     dropped = 0
     for lineno, obj in read_json_lines(raw_path):
         try:
-            record = normalize_record(obj, default_event=default_event)
+            record = normalize_record(obj)
         except CorpusError as exc:
             raise CorpusError(f"{raw_path}:{lineno}: {exc}") from None
+        if record["event_id"] is not None:
+            named_events.setdefault(record["rumour_id"], record["event_id"])
         label = record["label"]
         if label is not None and label.strip().lower() not in _LABEL_ALIASES:
             if record["in_reply_to"] is None:
@@ -151,6 +157,11 @@ def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
             else:
                 dropped += 1
                 continue
+        records.append(record)
+    lines = []
+    for record in records:
+        if record["event_id"] is None:
+            record["event_id"] = named_events.get(record["rumour_id"], default_event)
         lines.append(json.dumps(record, ensure_ascii=False) + "\n")
     with out_path.open("w", encoding="utf-8") as fout:
         fout.writelines(lines)

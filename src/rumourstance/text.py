@@ -247,32 +247,52 @@ def gazetteer_hits(tokens, gazetteers) -> tuple:
     return found
 
 
-def _has_date(tokens) -> bool:
+# token marks, one bit each: every test reads one token alone
+_DATE, _AMOUNT, _MARKER = 1, 2, 4
+
+
+def _is_currency_marker(token: Token) -> bool:
+    return token.surface in _CURRENCY_SYMBOLS or token.lowercase in _CURRENCY_CODES
+
+
+def token_marks(tokens) -> int:
+    """The marks of the tokens, or-ed: _DATE for a month or weekday name, a
+    numeric date or a day ordinal, _AMOUNT for a currency amount such as
+    `$5m`, _MARKER for a currency symbol or code."""
+    marks = 0
     for token in tokens:
-        if token.lowercase in _MONTHS or token.lowercase in _WEEKDAYS:
-            return True
-        if _DATE_NUM_RE.fullmatch(token.surface):
-            return True
-        if _DAY_ORDINAL_RE.fullmatch(token.surface):
-            return True
-    return False
-
-
-def _has_money(tokens) -> bool:
-    for i, token in enumerate(tokens):
+        if (token.lowercase in _MONTHS or token.lowercase in _WEEKDAYS
+                or _DATE_NUM_RE.fullmatch(token.surface)
+                or _DAY_ORDINAL_RE.fullmatch(token.surface)):
+            marks |= _DATE
         if _CURRENCY_AMOUNT_RE.fullmatch(token.surface):
-            return True
-        is_marker = token.surface in _CURRENCY_SYMBOLS or token.lowercase in _CURRENCY_CODES
-        if is_marker and i + 1 < len(tokens) and tokens[i + 1].kind is TokenKind.NUMBER:
-            return True
-    return False
+            marks |= _AMOUNT
+        if _is_currency_marker(token):
+            marks |= _MARKER
+    return marks
 
 
-def entity_flags(tokens, hits) -> tuple:
+def text_marks(text: str, chunks: dict, memo: dict) -> int:
+    """`token_marks` of a text that `tokenize` split with the chunk memo
+    `chunks`; each chunk's marks are found once and kept in `memo`."""
+    marks = 0
+    for chunk in text.split():
+        found = memo.get(chunk)
+        if found is None:
+            found = memo[chunk] = token_marks(chunks[chunk])
+        marks |= found
+    return marks
+
+
+def entity_flags(tokens, hits, marks: int) -> tuple:
     """The (person, organization, date, location, money) flags of a text,
-    0 or 1, given its `gazetteer_hits`."""
+    0 or 1, given its `gazetteer_hits` and its `token_marks`. Money is a
+    currency amount token, or a currency marker before a number token."""
     person, org, location = (int(bool(h)) for h in hits)
-    return person, org, int(_has_date(tokens)), location, int(_has_money(tokens))
+    money = bool(marks & _AMOUNT) or bool(marks & _MARKER) and any(
+        _is_currency_marker(token) and tokens[i + 1].kind is TokenKind.NUMBER
+        for i, token in enumerate(tokens[:-1]))
+    return person, org, int(bool(marks & _DATE)), location, int(money)
 
 
 # --- sentiment and negation ---------------------------------------------------

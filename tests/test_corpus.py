@@ -227,6 +227,47 @@ def test_user_flags_must_be_json_booleans(field, value, tmp_path):
             load(path)
 
 
+def _without_event(line: bytes) -> dict:
+    record = json.loads(line)
+    del record["event_id"]
+    return record
+
+
+@pytest.mark.parametrize("reply_first", [False, True])
+def test_ingest_gives_a_record_without_event_its_rumours_event(reply_first, tmp_path, capsys):
+    # the good line names event "ea"; its reply names none
+    lines = [_GOOD_LINE.decode().rstrip("\n"),
+             json.dumps(_without_event(_with_field("text", "is this true?")))]
+    if reply_first:
+        lines.reverse()
+    path, out = tmp_path / "raw.jsonl", tmp_path / "out"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", "--input", str(path), "--out", str(out / "ingest")]) == 0
+    normalized = out / "ingest" / "normalized.jsonl"
+    assert [t.event_id for t in load_dataset(normalized).tweets] == ["ea", "ea"]
+    assert main(["featurize", "--dataset", str(normalized), "--out", str(out / "feat")]) == 0
+    capsys.readouterr()
+
+
+def test_ingest_fills_an_unnamed_rumour_with_the_default_event(tmp_path):
+    path, normalized = tmp_path / "raw.jsonl", tmp_path / "normalized.jsonl"
+    path.write_text(json.dumps(_without_event(_GOOD_LINE)) + "\n"
+                    + json.dumps(_without_event(_with_field("text", "ok"))) + "\n")
+    ingest_file(path, normalized, default_event="ottawa")
+    assert [t.event_id for t in load_dataset(normalized).tweets] == ["ottawa", "ottawa"]
+
+
+def test_ingested_rumour_naming_two_events_fails_to_load(tmp_path):
+    path, normalized = tmp_path / "raw.jsonl", tmp_path / "normalized.jsonl"
+    path.write_bytes(_GOOD_LINE + json.dumps(_without_event(_with_field("text", "ok"))).encode()
+                     + b"\n" + _with_field("event_id", "eb").replace(b"a1-reply", b"a1-r2")
+                     + b"\n")
+    ingest_file(path, normalized)
+    with pytest.raises(CorpusError, match=r":3: rumour 'a1' is in event 'eb' here but in "
+                                          r"event 'ea' on line 1"):
+        load_dataset(normalized)
+
+
 def test_ingest_reads_an_absent_or_null_user_flag_as_false(tmp_path):
     source = json.loads(_GOOD_LINE)
     del source["user"]["verified"]

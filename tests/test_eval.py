@@ -12,7 +12,7 @@ import pytest
 
 import rumourstance.evaluation as evaluation
 import rumourstance.features as features
-from rumourstance.bundled import micro_corpus_path
+from rumourstance.bundled import micro_corpus_path, ottawa_path
 from rumourstance.cli import main
 from rumourstance.corpus import Dataset, build_threads, load_dataset, thread_index
 from rumourstance.errors import EvalError, LeakageError
@@ -25,6 +25,7 @@ from rumourstance.evaluation import (
     build_fold_dictionaries,
     check_leakage,
     fold_seed,
+    label_tweets,
     make_loo_folds,
     paired_t_test,
     regularized_incomplete_beta,
@@ -38,11 +39,14 @@ from rumourstance.features import (
     FeatureDictionaries,
     _bow_terms,
     _pos_ngrams,
+    analyse_many,
     assemble,
     build_schema,
+    featurize_corpus,
     resolve_now,
+    vectorize,
 )
-from rumourstance.learners import LEARNERS
+from rumourstance.learners import LEARNERS, predict_many
 from rumourstance.learners.base import CLASS_NAMES, to_dense
 from rumourstance.text import tokenize
 
@@ -282,6 +286,45 @@ def test_eval_split_agrees_with_train_then_predict(micro_split, tmp_path, capsys
     report = json.loads((tmp_path / "split" / "report.json").read_text())
     assert {event: row["n_correct"] for event, row in report["per_event"].items()} \
         == dict(n_correct)
+
+
+@pytest.fixture(scope="module")
+def three_chunks(tmp_path_factory):
+    """The first 2 * LABEL_CHUNK_ROWS + 1 Ottawa tweets: two full chunks and
+    a chunk of one."""
+    lines = ottawa_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path_factory.mktemp("chunks") / "three_chunks.jsonl"
+    path.write_text("".join(lines[:2 * evaluation.LABEL_CHUNK_ROWS + 1]), encoding="utf-8")
+    return load_dataset(path)
+
+
+@pytest.mark.parametrize("classifier, params", [("tree", {}), ("forest", {"n_trees": 5}),
+                                                ("knn", {})])
+def test_label_tweets_scores_one_chunk_at_a_time(classifier, params, micro, bundle,
+                                                 three_chunks, monkeypatch):
+    now = resolve_now(None, micro)
+    config = RunConfig(classifier=classifier, params=params, seed=3)
+    model, _, _ = evaluation.train_model(micro, bundle, config, now, 3)
+    # the unchunked path: every tweet featurized, densified and scored at once
+    dictionaries, schema, _, _ = featurize_corpus(micro, bundle, None, now)
+    threads = thread_index(build_threads(three_chunks))
+    vectors = [vectorize(a, dictionaries, schema)
+               for a in analyse_many(three_chunks.tweets, threads, bundle, now)]
+    unchunked = predict_many(model, to_dense(vectors, len(schema)))
+
+    rows = []
+
+    def recording(model, X):
+        rows.append(len(X))
+        return predict_many(model, X)
+
+    monkeypatch.setattr(evaluation, "predict_many", recording)
+    assert label_tweets(model, three_chunks, bundle) == unchunked
+    chunk = evaluation.LABEL_CHUNK_ROWS
+    assert rows == [chunk, chunk, 1]
+    rows.clear()
+    assert label_tweets(model, Dataset("empty", [], {}, {}), bundle) == []
+    assert rows == []
 
 
 def test_run_split_rejects_overlap(micro, bundle, knn_config):

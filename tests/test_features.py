@@ -33,14 +33,22 @@ from rumourstance.features import (
 )
 from rumourstance.resources import Gazetteers, cosine
 from rumourstance.text import (
+    _CURRENCY_AMOUNT_RE,
+    _CURRENCY_CODES,
+    _CURRENCY_SYMBOLS,
+    _DATE_NUM_RE,
+    _DAY_ORDINAL_RE,
     _KIND_TAGS,
+    _MONTHS,
+    _WEEKDAYS,
     DOTS_RUN_RE,
     TokenKind,
-    _has_date,
-    _has_money,
     _tag_word,
+    entity_flags,
+    gazetteer_hits,
     negation_stats,
     sentiment_score,
+    text_marks,
     tokenize,
 )
 
@@ -378,6 +386,43 @@ def scans(tokens, gazetteers):
             for entries in (gazetteers.person, gazetteers.org, gazetteers.location)]
 
 
+def has_date(tokens) -> bool:
+    """The date flag, every token tested where it stands."""
+    return any(t.lowercase in _MONTHS or t.lowercase in _WEEKDAYS
+               or _DATE_NUM_RE.fullmatch(t.surface) or _DAY_ORDINAL_RE.fullmatch(t.surface)
+               for t in tokens)
+
+
+def has_money(tokens) -> bool:
+    """The money flag, every token tested where it stands."""
+    for i, token in enumerate(tokens):
+        if _CURRENCY_AMOUNT_RE.fullmatch(token.surface):
+            return True
+        is_marker = token.surface in _CURRENCY_SYMBOLS or token.lowercase in _CURRENCY_CODES
+        if is_marker and i + 1 < len(tokens) and tokens[i + 1].kind is TokenKind.NUMBER:
+            return True
+    return False
+
+
+_DATE_AND_MONEY_TEXTS = (
+    "lost $5m on Monday", "lost $ 5 on 12/03", "USD 100 by the 5th", "$$ 5", "5 $",
+    "on jan 3rd,", "eur. 5", "(£12.50)", "Sept. $ $", "$5bn", "£ ...", "usd", "$")
+
+
+@pytest.mark.parametrize("corpus", ["micro", "ottawa"])
+def test_date_and_money_flags_equal_the_per_token_scan(corpus, bundle, request):
+    texts = [t.text for t in request.getfixturevalue(corpus).tweets]
+    chunks, memo = {}, {}  # kept across texts, as one analyse_many run keeps them
+    seen = set()
+    for text in texts + list(_DATE_AND_MONEY_TEXTS) + texts[::-1]:
+        tokens = tokenize(text, bundle.lexicons.all_emoticons, chunks)
+        hits = gazetteer_hits(tokens, bundle.gazetteers)
+        flags = entity_flags(tokens, hits, text_marks(text, chunks, memo))
+        assert (flags[2], flags[4]) == (int(has_date(tokens)), int(has_money(tokens))), text
+        seen.add((flags[2], flags[4]))
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
 def reference_text(text, r):
     """(tokens, content vector) of a text, nothing kept from other texts."""
     tokens = tokenize(text, frozenset().union(*r.lexicons.emoticons.values()))
@@ -412,8 +457,8 @@ def reference_analysis(t, thread, r, now):
     named["sentiment"] = sentiment_score(tokens, lex.sentiment)
     person, org, location = scans(tokens, r.gazetteers)
     named.update(ne_person=int(bool(person)), ne_organization=int(bool(org)),
-                 ne_date=int(_has_date(tokens)), ne_location=int(bool(location)),
-                 ne_money=int(_has_money(tokens)))
+                 ne_date=int(has_date(tokens)), ne_location=int(bool(location)),
+                 ne_money=int(has_money(tokens)))
     surfaces = {tok.surface for tok in tokens if tok.kind is TokenKind.EMOTICON}
     for category, members in lex.emoticons.items():
         named[f"emot={category}"] = int(bool(surfaces & members))

@@ -1,15 +1,24 @@
 """k-NN: min-max normalisation, neighbour choice, and weighting, against a
-brute-force oracle."""
+brute-force oracle; the candidate filter against the per-row loop."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumourstance.errors import ModelError
 from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
 from rumourstance.learners import KnnParams, fit_knn, fit_model, predict_many
 from rumourstance.learners.base import label_indices, to_dense
-from rumourstance.learners.knn import encode_knn, knn_scores, load_knn
+from rumourstance.learners.knn import (
+    DISTANCE_FLOOR,
+    _candidates,
+    encode_knn,
+    knn_scores,
+    load_knn,
+    normalize_columns,
+)
 
 CLASSES = ("support", "deny", "query", "comment")
 
@@ -33,9 +42,52 @@ def fit_vectors(vecs, params, n_features):
     return fit_model("knn", to_dense(vecs, n_features), label_indices(vecs), params, 0)
 
 
+def per_row_scores(payload, X):
+    """Class scores of each row of X, every training row measured exactly:
+    the loop that the candidate filter must agree with bit for bit."""
+    matrix, labels, k = payload["matrix"], payload["labels"], payload["k"]
+    out = []
+    for row in X:
+        query = normalize_columns(row, payload["mins"], payload["ranges"])
+        with np.errstate(over="ignore"):
+            distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        order = np.argsort(distances, kind="stable")[:k]
+        weights = np.ones(len(order)) if payload["weighting"] == "uniform" \
+            else 1.0 / (distances[order] + DISTANCE_FLOOR)
+        votes = np.zeros(len(CLASSES))
+        np.add.at(votes, labels[order], weights)
+        total = votes.sum()
+        if not 0 < total < np.inf:
+            raise ModelError(f"k-NN vote total {total} is not finite and positive")
+        out.append(votes / total)
+    return out
+
+
+def scores_or_error(score, payload, X):
+    try:
+        return score(payload, X)
+    except ModelError as exc:
+        return str(exc)
+
+
+def assert_scores_equal_per_row(payload, X):
+    """knn_scores gives the per-row loop's scores, or raises its ModelError."""
+    got, want = scores_or_error(knn_scores, payload, X), scores_or_error(per_row_scores, payload, X)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want) == len(X)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def predict_one(model, vector):
-    """predict_many() of one feature vector."""
-    return predict_many(model, to_dense([vector], model.n_features))[0]
+    """predict_many() of one feature vector, whose scores must be the
+    per-row loop's."""
+    X = to_dense([vector], model.n_features)
+    assert_scores_equal_per_row(model.payload, X)
+    return predict_many(model, X)[0]
 
 
 def oracle_predict(X, labels, x, k, weighting):
@@ -188,6 +240,7 @@ def assert_kept_matrix_matches_reference(X, y, queries, params):
     kept = fit_knn(X, y, params)
     reference = reference_fit(X, y, params)
     assert encode_knn(kept) == reference
+    assert_scores_equal_per_row(kept, queries)
     got = knn_scores(kept, queries)
     want = reference_scores(reference, queries, X.shape[1])
     assert len(got) == len(want) == len(queries)
@@ -225,3 +278,96 @@ def test_kept_matrix_scores_equal_the_dict_path_on_micro(micro_matrix, k, weight
     X, y, queries = micro_matrix
     assert len(y) < 500  # so the last k takes every neighbour
     assert_kept_matrix_matches_reference(X, y, queries, KnnParams(k=k, weighting=weighting))
+
+
+# ------------------------- the candidate filter against the per-row loop
+
+
+def exact_payload(matrix, labels, k, weighting="inverse_distance"):
+    """A k-NN payload whose normalization leaves every query as it is, so
+    that a case can place training rows and queries bit by bit."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n_cols = matrix.shape[1]
+    return {"matrix": matrix, "labels": np.asarray(labels, dtype=np.int64),
+            "mins": np.zeros(n_cols), "ranges": np.ones(n_cols), "k": k,
+            "weighting": weighting}
+
+
+def _one_ulp_apart(rng):
+    base = rng.uniform(0, 1, size=8)
+    base[rng.random(8) < 0.4] = 0.0
+    rows = [base.copy() for _ in range(12)]
+    for i, column in enumerate((0, 3, 3, 5, 7, 1)):
+        rows[2 * i + 1][column] = np.nextafter(base[column], np.inf if i % 2 else -np.inf)
+    queries = np.vstack([base, base + 1.0, base * 1e6, np.nextafter(base, 2.0)])
+    return np.array(rows), queries
+
+
+def _duplicates(rng):
+    rows = rng.uniform(0, 1, size=(4, 6))
+    rows[rng.random(rows.shape) < 0.5] = 0.0
+    matrix = np.vstack([rows, rows[::-1], rows, rows[:1]])
+    return matrix, np.vstack([rows, rng.uniform(0, 1, size=(3, 6))])
+
+
+def _zero_and_far_queries(rng):
+    matrix = rng.uniform(0, 1, size=(20, 7))
+    matrix[rng.random(matrix.shape) < 0.6] = 0.0
+    far = np.zeros((5, 7))
+    far[0, 2] = 1e6
+    far[1] = -1e150
+    far[2, :3] = [1e100, -1e100, 1e100]
+    far[3] = 1e-300
+    far[4, 6] = 3e153
+    return matrix, np.vstack([np.zeros((1, 7)), far])
+
+
+NEAR_TIES = {"duplicate-rows": _duplicates, "one-ulp-apart": _one_ulp_apart,
+             "zero-and-far-queries": _zero_and_far_queries}
+
+
+@pytest.mark.parametrize("weighting", ["inverse_distance", "uniform"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, "all"])
+@pytest.mark.parametrize("case", sorted(NEAR_TIES))
+def test_filter_equals_the_per_row_loop_on_near_ties(case, k, weighting):
+    rng = np.random.default_rng(sorted(NEAR_TIES).index(case))
+    matrix, queries = NEAR_TIES[case](rng)
+    labels = np.arange(len(matrix)) % len(CLASSES)
+    k = len(matrix) if k == "all" else k
+    assert_scores_equal_per_row(exact_payload(matrix, labels, k, weighting), queries)
+
+
+def test_filter_keeps_the_top_k_and_prunes_the_rest_on_micro(micro_matrix):
+    X, y, queries = micro_matrix
+    payload = fit_knn(X, y, KnnParams(k=3))
+    matrix = payload["matrix"]
+    row_norms = np.einsum("ij,ij->i", matrix, matrix)
+    kept = 0
+    for row in queries:
+        query = normalize_columns(row, payload["mins"], payload["ranges"])
+        rows = _candidates(matrix, row_norms, float(row_norms.max()), query, 3)
+        distances = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        assert set(np.argsort(distances, kind="stable")[:3]) <= set(rows)
+        kept += len(rows)
+    assert kept < 2 * 3 * len(queries)  # about k rows a query, of 96
+
+
+_sparse_values = st.one_of(st.just(0.0), st.just(0.0), st.sampled_from([1.0, 0.5, 1 / 3]),
+                           st.floats(-1e6, 1e6, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 25), n_cols=st.integers(1, 10),
+       weighting=st.sampled_from(["inverse_distance", "uniform"]))
+def test_filter_equals_the_per_row_loop_on_sparse_matrices(data, n_rows, n_cols, weighting):
+    values = st.lists(_sparse_values, min_size=n_cols, max_size=n_cols)
+    X = np.array(data.draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+    repeats = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=5))
+    X = np.vstack([X, X[repeats]])  # repeated rows tie on distance
+    queries = np.array(data.draw(st.lists(values, min_size=1, max_size=6)))
+    y = np.array(data.draw(st.lists(st.integers(0, len(CLASSES) - 1),
+                                    min_size=len(X), max_size=len(X))))
+    k = data.draw(st.integers(1, len(X)))
+    payload = fit_knn(X, y, KnnParams(k=k, weighting=weighting))
+    with np.errstate(over="ignore"):  # a query far over a tiny range normalizes to inf
+        assert_scores_equal_per_row(payload, np.vstack([queries, X]))

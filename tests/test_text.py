@@ -15,6 +15,7 @@ from rumourstance.text import (
     negation_stats,
     pos_tag,
     sentiment_score,
+    token_marks,
     tokenize,
 )
 
@@ -117,7 +118,7 @@ def test_pos_tag_length_matches(text):
 
 def entities(tokens, gazetteers) -> SimpleNamespace:
     """The entity flags of the tokens, by name."""
-    flags = entity_flags(tokens, gazetteer_hits(tokens, gazetteers))
+    flags = entity_flags(tokens, gazetteer_hits(tokens, gazetteers), token_marks(tokens))
     return SimpleNamespace(**dict(zip(("person", "organization", "date", "location", "money"),
                                       flags)))
 
