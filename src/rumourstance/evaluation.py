@@ -4,10 +4,10 @@ trains a model on a corpus and labels tweets with it through its context.
 
 A leave-one-rumour-out run featurizes the corpus once, as `train` does, and
 its labelled rows are a run matrix over all groups and the vocabularies of
-every tweet. A fold's schema,
-built from its training rumours' vocabularies and ablated or not, is an
-order-preserving subset of those columns, and no value depends on the fold,
-so each fold fits and predicts on rows and columns sliced from that matrix.
+every tweet. A fold's schema, built from its training rumours' vocabularies
+and ablated or not, is an order-preserving subset of those columns, and no
+value depends on the fold, so each fold fits and predicts on the rows (by
+tweet id) and columns (by name) it slices from that matrix.
 
 Reproducibility contract: identical (dataset, config, seed, resource bundle)
 produce byte-identical reports. Folds run one after another in fold list
@@ -141,25 +141,17 @@ def make_loo_folds(dataset: Dataset, scope: str = "by_event") -> list:
     universe: the same event (by_event) or the whole dataset (global)."""
     if scope not in ("by_event", "global"):
         raise EvalError(f"unknown LOO scope {scope!r}")
+    universes = dataset.events if scope == "by_event" else \
+        {None: [r for rumours in dataset.events.values() for r in rumours]}
     folds = []
-    if scope == "global":
-        universe = [r for rumours in dataset.events.values() for r in rumours]
-        if len(universe) < 2:
-            raise EvalError("leave-one-out needs at least 2 rumours")
-        for rumour in universe:
-            train = tuple(r for r in universe if r != rumour)
-            folds.append(FoldSpec(fold_id=rumour, train_rumour_ids=train,
-                                  test_rumour_ids=(rumour,)))
-        return folds
-    for event, rumours in dataset.events.items():
+    for event, rumours in universes.items():
         if len(rumours) < 2:
-            raise EvalError(
-                f"event {event!r} has {len(rumours)} rumour(s); "
-                "leave-one-out needs at least 2 per event")
+            raise EvalError("leave-one-out needs at least 2 rumours" if event is None else
+                            f"event {event!r} has {len(rumours)} rumour(s); "
+                            "leave-one-out needs at least 2 per event")
         for rumour in rumours:
-            train = tuple(r for r in rumours if r != rumour)
-            folds.append(FoldSpec(fold_id=f"{event}/{rumour}",
-                                  train_rumour_ids=train,
+            folds.append(FoldSpec(fold_id=rumour if event is None else f"{event}/{rumour}",
+                                  train_rumour_ids=tuple(r for r in rumours if r != rumour),
                                   test_rumour_ids=(rumour,)))
     return folds
 
@@ -184,14 +176,6 @@ def check_leakage(dictionaries: FeatureDictionaries, fold: FoldSpec) -> None:
 
 
 # --- metrics ---------------------------------------------------------------------
-
-
-def accuracy(pred, gold) -> float:
-    if len(pred) != len(gold):
-        raise EvalError(f"got {len(pred)} predictions for {len(gold)} gold labels")
-    if not gold:
-        raise EvalError("accuracy of an empty label list is undefined")
-    return sum(p == g for p, g in zip(pred, gold)) / len(gold)
 
 
 @dataclass(frozen=True)
@@ -305,10 +289,6 @@ def fit_classifier(config: RunConfig, X, y, schema_fingerprint: int, seed: int):
     return fit_model(config.classifier, X, y, params, schema_fingerprint)
 
 
-def _labelled(records) -> list:
-    return [t for t in records if t.label is not None]
-
-
 def _resolved_config(config: RunConfig, dataset: Dataset,
                      resources: ResourceBundle, protocol: str, now: float) -> dict:
     groups = list(GROUPS) if config.groups is None else list(config.groups)
@@ -332,19 +312,20 @@ def _empty_confusion() -> list:
 _LABEL_INDEX = {label.value: i for i, label in enumerate(CLASS_ORDER)}
 
 
-def _fold_result(fold_id: str, event_id: str, test_rumours, records,
+def _fold_result(fold_id: str, event_id: str, test_rumours, gold,
                  predictions) -> dict:
+    """The result of one fold, from its gold class indices and predictions."""
     confusion = _empty_confusion()
-    for record, (predicted, _) in zip(records, predictions):
-        confusion[_LABEL_INDEX[record.label.value]][_LABEL_INDEX[predicted]] += 1
+    for label, (predicted, _) in zip(gold, predictions):
+        confusion[label][_LABEL_INDEX[predicted]] += 1
     correct = sum(confusion[i][i] for i in range(len(CLASS_ORDER)))
     return {
         "fold_id": fold_id,
         "event_id": event_id,
         "test_rumours": list(test_rumours),
-        "n_test": len(records),
+        "n_test": len(gold),
         "n_correct": correct,
-        "accuracy": accuracy([p for p, _ in predictions], [r.label.value for r in records]),
+        "accuracy": correct / len(gold),
         "confusion": confusion,
     }
 
@@ -363,23 +344,19 @@ def _evaluate_fold(dataset, analyses, run_matrix, resources, config, fold):
     check_leakage(dictionaries, fold)
     schema = build_schema(dictionaries, resources, config.groups)
     columns = [column_of[name] for name, _ in schema.columns]
-    train = _labelled([t for r in fold.train_rumour_ids
-                       for t in dataset.rumour_tweets(r)])
-    test = _labelled([t for r in fold.test_rumour_ids
-                      for t in dataset.rumour_tweets(r)])
-    if not train:
+    # run-matrix rows of the labelled tweets of the fold's training, then test, rumours
+    train_rows, test_rows = ([row_of[t] for r in rumours for t in dataset.rumours[r]
+                              if t in row_of]
+                             for rumours in (fold.train_rumour_ids, fold.test_rumour_ids))
+    if not train_rows:
         raise EvalError(f"fold {fold.fold_id}: no labelled training tweets")
-    if not test:
+    if not test_rows:
         raise EvalError(f"fold {fold.fold_id}: no labelled test tweets")
-    train_rows = [row_of[t.tweet_id] for t in train]
     model = fit_classifier(config, X[np.ix_(train_rows, columns)], y[train_rows],
                            schema.fingerprint, fold_seed(config.seed, fold.fold_id))
-    predictions = predict_many(model, X[np.ix_([row_of[t.tweet_id] for t in test], columns)])
-    events = {dataset.event_of_rumour(r) for r in fold.test_rumour_ids}
-    if len(events) != 1:
-        raise EvalError(f"fold {fold.fold_id}: test rumours span events {sorted(events)}")
-    return _fold_result(fold.fold_id, events.pop(), fold.test_rumour_ids, test,
-                        predictions)
+    predictions = predict_many(model, X[np.ix_(test_rows, columns)])
+    return _fold_result(fold.fold_id, dataset.event_of_rumour(fold.test_rumour_ids[0]),
+                        fold.test_rumour_ids, y[test_rows], predictions)
 
 
 def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
@@ -557,7 +534,8 @@ def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
         records, predictions = zip(*by_event[event])
         results.append(_fold_result(f"split/{event}", event,
                                     sorted({r.rumour_id for r in records}),
-                                    records, predictions))
+                                    [_LABEL_INDEX[r.label.value] for r in records],
+                                    predictions))
     echo = _resolved_config(config, train, resources, "split", now)
     echo["test_dataset"] = test.name
     echo["n_test_tweets"] = len(test)

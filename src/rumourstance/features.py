@@ -47,17 +47,31 @@ _POSNG_SIZES = (2, 3, 4)
 _SECONDS_PER_DAY = 86400.0
 _RETWEET_PREFIX_RE = re.compile(r"RT @\w+:?\s+")
 
-_USER_COLUMNS = ("originality", "isUserVerified", "numberOfFollowers",
-                 "roleScore", "engagementScore", "favouritesScore",
-                 "hasGeoEnabled", "hasDescription", "lengthOfDescription")
-_SURF_COLUMNS = ("averageWordLength", "hasQuestionMark", "hasExclamationMark",
-                 "hasDotDotDot", "numberOfQuestionMark",
-                 "numberOfExclamationMark", "numberOfDotDotDot")
-_NE_COLUMNS = ("ne_person", "ne_organization", "ne_date", "ne_location",
-               "ne_money")
-# (column, word list) of each list cosine, in schema order: the moods, then
-# the AF confidence lists
-_LIST_COLUMNS = (*((f"mood_{mood}", mood) for mood in MOOD_NAMES),
+# group -> its columns in schema order, for every group whose columns no
+# vocabulary or bundle sets
+_FIXED_COLUMNS = {
+    "SENT": ("sentiment",),
+    "NE": ("ne_person", "ne_organization", "ne_date", "ne_location", "ne_money"),
+    "REPLY": ("isReply",),
+    "URL": ("hasURL",),
+    "MOOD": tuple(f"mood_{mood}" for mood in MOOD_NAMES),
+    "USER": ("originality", "isUserVerified", "numberOfFollowers", "roleScore",
+             "engagementScore", "favouritesScore", "hasGeoEnabled", "hasDescription",
+             "lengthOfDescription"),
+    "NEG": ("averageNegation", "hasNegation"),
+    "LEX": ("hasSlangOrCurseWord", "hasGoogleBadWord", "hasAcronyms"),
+    "SURF": ("averageWordLength", "hasQuestionMark", "hasExclamationMark", "hasDotDotDot",
+             "numberOfQuestionMark", "numberOfExclamationMark", "numberOfDotDotDot"),
+    "AF_SS": ("surpriseScore",),
+    "AF_DS": ("doubtScore",),
+    "AF_NDS": ("noDoubtScore",),
+    "AF_SPS": ("supportScore",),
+    "AF_ITS": ("initialTweetSim",),
+    "AF_IQ": ("isQuestion",),
+}
+# (column, word list) of each list cosine: the moods, then the AF
+# confidence lists
+_LIST_COLUMNS = (*zip(_FIXED_COLUMNS["MOOD"], MOOD_NAMES),
                  ("surpriseScore", "surprise"), ("doubtScore", "doubt"),
                  ("noDoubtScore", "nodoubt"), ("supportScore", "support"))
 
@@ -67,15 +81,6 @@ class FeatureSchema:
     of their text, which `stance predict` checks its rebuilt schema against."""
 
     columns: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for name, group in self.columns:
-            if group not in GROUPS:
-                raise SchemaError(f"unknown feature group: {group}")
-            if name in seen:
-                raise SchemaError(f"duplicate feature name: {name}")
-            seen.add(name)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -172,54 +177,25 @@ def build_dictionaries(analyses, provenance=()) -> FeatureDictionaries:
 
 def build_schema(dictionaries: FeatureDictionaries, resources: ResourceBundle,
                  groups=None) -> FeatureSchema:
-    """Full column layout in fixed group order; pass a subset of group tags
-    to build an ablated schema."""
-    if groups is None:
-        enabled = set(GROUPS)
-    else:
-        enabled = set(groups)
-        unknown = enabled - set(GROUPS)
-        if unknown:
-            raise SchemaError(f"unknown feature groups: {sorted(unknown)}")
-    columns: list = []
-
-    def add(name: str, group: str) -> None:
-        if group in enabled:
-            columns.append((name, group))
-
-    for word in sorted(dictionaries.bow_vocab, key=dictionaries.bow_vocab.get):
-        add(f"bow={word}", "BOW")
-    for cluster in range(BROWN_CLUSTER_COUNT):
-        add(f"brown={cluster:04d}", "BROWN")
-    for gram in sorted(dictionaries.posng_vocab, key=dictionaries.posng_vocab.get):
-        add(f"posng={gram}", "POSNG")
-    add("sentiment", "SENT")
-    for name in _NE_COLUMNS:
-        add(name, "NE")
-    add("isReply", "REPLY")
-    for category in sorted(resources.lexicons.emoticons):
-        add(f"emot={category}", "EMOT")
-    add("hasURL", "URL")
-    for mood in MOOD_NAMES:
-        add(f"mood_{mood}", "MOOD")
-    for name in _USER_COLUMNS:
-        add(name, "USER")
-    add("averageNegation", "NEG")
-    add("hasNegation", "NEG")
-    add("hasSlangOrCurseWord", "LEX")
-    add("hasGoogleBadWord", "LEX")
-    add("hasAcronyms", "LEX")
-    for name in _SURF_COLUMNS:
-        add(name, "SURF")
-    for i in range(len(resources.lexicons.regex_pack)):
-        add(f"regex_{i}", "REGEX")
-    add("surpriseScore", "AF_SS")
-    add("doubtScore", "AF_DS")
-    add("noDoubtScore", "AF_NDS")
-    add("supportScore", "AF_SPS")
-    add("initialTweetSim", "AF_ITS")
-    add("isQuestion", "AF_IQ")
-    return FeatureSchema(columns=tuple(columns))
+    """The columns of the enabled groups (all of them, or the subset of
+    group tags `groups`, for an ablated schema), group by group in `GROUPS`
+    order: the vocabularies' and the bundle's groups computed, every other
+    group's from `_FIXED_COLUMNS`."""
+    enabled = set(GROUPS if groups is None else groups)
+    unknown = enabled - set(GROUPS)
+    if unknown:
+        raise SchemaError(f"unknown feature groups: {sorted(unknown)}")
+    bow, posng, lexicons = dictionaries.bow_vocab, dictionaries.posng_vocab, resources.lexicons
+    layout = {
+        **_FIXED_COLUMNS,
+        "BOW": [f"bow={word}" for word in sorted(bow, key=bow.get)],
+        "BROWN": [f"brown={cluster:04d}" for cluster in range(BROWN_CLUSTER_COUNT)],
+        "POSNG": [f"posng={gram}" for gram in sorted(posng, key=posng.get)],
+        "EMOT": [f"emot={category}" for category in sorted(lexicons.emoticons)],
+        "REGEX": [f"regex_{i}" for i in range(len(lexicons.regex_pack))],
+    }
+    return FeatureSchema(columns=tuple((name, group) for group in GROUPS if group in enabled
+                                       for name in layout[group]))
 
 
 # --- per-group extraction -------------------------------------------------------
@@ -266,7 +242,7 @@ def extract_content(t: TweetRecord, tokens, hits, marks: int, r: ResourceBundle)
 
     out["sentiment"] = sentiment_score(tokens, r.lexicons.sentiment)
 
-    out.update(zip(_NE_COLUMNS, entity_flags(tokens, hits, marks)))
+    out.update(zip(_FIXED_COLUMNS["NE"], entity_flags(tokens, hits, marks)))
 
     surfaces = {tok.surface for tok in tokens if tok.kind is TokenKind.EMOTICON}
     for category, members in r.lexicons.emoticons.items():

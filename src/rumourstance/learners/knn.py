@@ -92,30 +92,30 @@ def _candidates(matrix, row_norms, max_norm, query, k):
 def knn_scores(payload: dict, X: np.ndarray) -> list:
     """Class scores of each row of X. Only the rows that `_candidates` keeps
     get the exact distance, so neighbour order, distances and votes are
-    those of measuring every row."""
+    those of measuring every row. A neighbour at a non-finite distance is a
+    ModelError."""
     matrix, labels, k = payload["matrix"], payload["labels"], payload["k"]
     with np.errstate(over="ignore"):  # an overflowing norm fails the filter
         row_norms = np.einsum("ij,ij->i", matrix, matrix)
     max_norm = float(row_norms.max())
     out = []
     for row in X:  # row by row: temporaries grow with the training rows, not with X
-        query = normalize_columns(row, payload["mins"], payload["ranges"])
-        # an overflowing norm fails the filter, and an overflowing distance reads inf
+        # an overflow fails the filter, or reads as an infinite distance
         with np.errstate(over="ignore", invalid="ignore"):
+            query = normalize_columns(row, payload["mins"], payload["ranges"])
             rows = _candidates(matrix, row_norms, max_norm, query, k)
             measured = matrix if rows is None else matrix[rows]
             distances = np.sqrt(((measured - query) ** 2).sum(axis=1))
         # stable sort keeps training order among equal distances
         order = np.argsort(distances, kind="stable")[:k]
+        if not np.isfinite(distances[order]).all():
+            raise ModelError("k-NN neighbour at a non-finite distance (the distance overflows)")
         weights = np.ones(len(order)) if payload["weighting"] == "uniform" \
             else 1.0 / (distances[order] + DISTANCE_FLOOR)
         votes = np.zeros(N_CLASSES, dtype=np.float64)
         neighbours = order if rows is None else rows[order]
         np.add.at(votes, labels[neighbours], weights)  # summed in neighbour order
-        total = votes.sum()
-        if not 0 < total < np.inf:  # every neighbour at infinite distance
-            raise ModelError(f"k-NN vote total {total} is not finite and positive")
-        out.append(votes / total)
+        out.append(votes / votes.sum())
     return out
 
 

@@ -21,7 +21,6 @@ from rumourstance.evaluation import (
     RunConfig,
     TTestResult,
     ablate,
-    accuracy,
     build_fold_dictionaries,
     check_leakage,
     fold_seed,
@@ -110,15 +109,6 @@ def test_check_leakage_raises_on_test_provenance(micro, bundle):
 
 
 # ------------------------------------------------------------------- metrics
-
-
-def test_accuracy_basics():
-    assert accuracy(["a", "b", "c"], ["a", "x", "c"]) == pytest.approx(2 / 3)
-    assert accuracy(["a"], ["a"]) == 1.0
-    with pytest.raises(EvalError):
-        accuracy(["a"], ["a", "b"])
-    with pytest.raises(EvalError):
-        accuracy([], [])
 
 
 def t_pdf(s, df):

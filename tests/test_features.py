@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rumourstance.features as features
 from rumourstance.corpus import Thread, TweetRecord, UserStats, build_threads, thread_index
 from rumourstance.errors import SchemaError
 from rumourstance.features import (
+    _FIXED_COLUMNS,
     AF_GROUPS,
     BROWN_CLUSTER_COUNT,
     GROUPS,
     MOOD_NAMES,
+    FeatureDictionaries,
     TweetAnalysis,
     _is_retweet_of,
     analyse,
@@ -149,6 +152,57 @@ def test_fingerprint_tracks_columns(dicts, bundle, schema):
     assert fingerprint64(again) == fingerprint64(schema)
     smaller = build_schema(dicts, bundle, groups=("BOW",))
     assert fingerprint64(smaller) != fingerprint64(schema)
+
+
+# the computed groups outside the vocabularies, by column-name prefix
+_COMPUTED_PREFIXES = {"brown=": "BROWN", "emot=": "EMOT", "regex_": "REGEX"}
+
+
+def table_group(name):
+    """The group that `_FIXED_COLUMNS`, or else a computed prefix, gives a
+    column name; None for a name neither knows, or both."""
+    groups = [group for group, columns in _FIXED_COLUMNS.items() if name in columns]
+    groups += [group for prefix, group in _COMPUTED_PREFIXES.items() if name.startswith(prefix)]
+    return groups[0] if len(groups) == 1 else None
+
+
+def assert_columns_of_their_groups(names, r):
+    """Each name is a column of the all-groups schema, in its table group."""
+    group_of = dict(build_schema(FeatureDictionaries({}, {}), r).columns)
+    for name in names:
+        assert table_group(name) is not None and group_of.get(name) == table_group(name), name
+
+
+def test_fixed_columns_are_unique():
+    names = [name for columns in _FIXED_COLUMNS.values() for name in columns]
+    assert len(names) == len(set(names))
+    assert not any(name.startswith(("bow=", "posng=", *_COMPUTED_PREFIXES)) for name in names)
+
+
+def test_empty_vocabularies_give_no_bow_or_posng_column(bundle, schema):
+    empty = build_schema(FeatureDictionaries({}, {}), bundle)
+    assert empty.columns == tuple((name, group) for name, group in schema.columns
+                                  if group not in ("BOW", "POSNG"))
+    groups = [group for _, group in empty.columns]
+    assert groups == sorted(groups, key=GROUPS.index)
+
+
+@pytest.mark.parametrize("corpus", ["micro", "ottawa"])
+def test_every_written_name_is_a_column_of_its_group(corpus, bundle, request, monkeypatch):
+    # the extractors' dicts keep the zeros that a TweetAnalysis leaves out
+    written = set()
+    for name in ("extract_content", "extract_user"):
+        def recording(*args, original=getattr(features, name)):
+            out = original(*args)
+            written.update(out)
+            return out
+        monkeypatch.setattr(features, name, recording)
+    dataset = request.getfixturevalue(corpus)
+    threads = thread_index(build_threads(dataset))
+    for a in analyse_many(dataset.tweets, threads, bundle, resolve_now(None, dataset)):
+        written.update(name for name, _ in a.named)
+    assert_columns_of_their_groups(written, bundle)
+    assert {name for columns in _FIXED_COLUMNS.values() for name in columns} <= written
 
 
 # ------------------------------------------------------------ cumulative/cosine
@@ -566,3 +620,13 @@ def test_analyse_many_equals_the_reference_on_drawn_threads(drawn, variant,
     r = bundle_variants[variant]
     assert (list(analyse_many(tweets, threads, r, 100.0))
             == reference_analyses(tweets, threads, r, 100.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_thread_tweets(), variant=st.integers(0, 1))
+def test_every_name_written_on_drawn_threads_is_a_column_of_its_group(drawn, variant,
+                                                                      bundle_variants):
+    tweets, threads = drawn
+    r = bundle_variants[variant]
+    assert_columns_of_their_groups(
+        {name for a in analyse_many(tweets, threads, r, 100.0) for name, _ in a.named}, r)

@@ -1,7 +1,9 @@
 """Golden artifacts: the sha256 of every file the micro-corpus commands
-write, an eval-split over micro rumours 0-3 and 4-5 included. A refactor
-that claims no behaviour change must leave them all byte-identical;
-regenerate the digests only for an intended change."""
+write, an eval-split over micro rumours 0-3 and 4-5 included, and two
+partial layouts (a featurize over five groups, a global k-NN ablation
+removing MOOD and BOW+POSNG). A refactor that claims no behaviour change
+must leave them all byte-identical; regenerate the digests only for an
+intended change."""
 from __future__ import annotations
 
 import hashlib
@@ -18,7 +20,11 @@ EXPERIMENTS = (
     ("eval-loo-knn-global", ["eval-loo", "--classifier", "knn",
                              "--protocol", "loo_global"]),
     ("ablate-forest", ["ablate", "--classifier", "forest", "--remove", "AF"]),
+    ("ablate-knn-global-partial", ["ablate", "--classifier", "knn",
+                                   "--protocol", "loo_global",
+                                   "--remove", "MOOD", "--remove", "BOW+POSNG"]),
     ("featurize", ["featurize"]),
+    ("featurize-partial", ["featurize", "--groups", "BOW,NE,MOOD,AF_ITS,AF_IQ"]),
     ("train-forest", ["train", "--classifier", "forest"]),
     ("train-knn", ["train", "--classifier", "knn"]),
     ("train-tree", ["train", "--classifier", "tree"]),
@@ -31,6 +37,12 @@ GOLDEN = {
         "1f1e202d0c6863c9f3a5b5215dd141f46da8b9f687012b6d96df380cbe58a58f",
     "ablate-forest/resolved_config.json":
         "df6250645faea58fdd30717c966e0de745de974933ca79f422e96485537b954c",
+    "ablate-knn-global-partial/ablation.json":
+        "df0907c40d287cd2d8bde9e36f9b66af89bd60e8b3bc2746e0fe1cf12898e1e3",
+    "ablate-knn-global-partial/ablation.txt":
+        "ca4b13bca85b6a31a6e0d9a1a3e6b559a18d1720ee784d5feb32b34fad063018",
+    "ablate-knn-global-partial/resolved_config.json":
+        "e073d40593486ae454ffc0ac4cd7c19e15c163c8751826c5b43c63cf02f86163",
     "eval-loo-forest/report.json":
         "3dcbd645974f6b9ef08de9a6946272b98ca350ad1ea07ff913861c2a3b7bef9c",
     "eval-loo-forest/report.txt":
@@ -67,6 +79,12 @@ GOLDEN = {
         "ea24e654a699ba8957268cf2a1649b7c57b642d416c610bed3a5470ff25b1b9b",
     "featurize/vectors.tsv":
         "050092b38ff5eb43831292b1587b4656b2cd8a70fda9da9f01496fd289b2898e",
+    "featurize-partial/resolved_config.json":
+        "ce053502529f7efad2264e71ed92aa94315d4f4546ada3701e9854d8f5c500de",
+    "featurize-partial/schema.tsv":
+        "e6f3bb45cb01151a68e4e2270d28b7ef9a16375f1336360e0cc06d844a9bc8c3",
+    "featurize-partial/vectors.tsv":
+        "70807a4525ae8f2ba6248e0f3cd688de31761db9c2c9cb35f134ed7e607aee73",
     "predict-tree/predictions.tsv":
         "5609b3cd0a76d4449b0d1abab30e81b084e970411469ceb210893f54f720bd42",
     "predict-forest/predictions.tsv":

@@ -246,6 +246,12 @@ def tiny_ranges(model):
     model["payload"]["ranges"] = [1e-300 if r > 0 else r for r in ranges]
 
 
+def tiny_ranges_uniform(model):
+    # every distance overflows, and equal votes would label by training order
+    tiny_ranges(model)
+    model["payload"]["weighting"] = "uniform"
+
+
 def overflowing_leaf_counts(model):
     for leaf in leaves(model["payload"]["root"]):
         leaf["counts"] = [1e308, 1e308, 0, 0]
@@ -265,6 +271,7 @@ def overflowing_leaf_counts(model):
     ("tree", drop_first_bow_word),
     ("tree", other_fingerprint),
     ("knn", tiny_ranges),
+    ("knn", tiny_ranges_uniform),
     ("tree", overflowing_leaf_counts),
 ])
 def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
