@@ -28,7 +28,6 @@ from .evaluation import (
     train_model,
 )
 from .features import (
-    GROUPS,
     assemble,  # noqa: F401  (bound here for the perfbench tracer test)
     featurize_corpus,
     resolve_now,
@@ -102,11 +101,7 @@ def _setting(ns: argparse.Namespace, file_cfg: dict, key: str, default=None):
 def _parse_groups(value) -> tuple:
     if isinstance(value, str):
         value = [g.strip() for g in value.split(",") if g.strip()]
-    groups = tuple(value)
-    unknown = sorted(set(groups) - set(GROUPS))
-    if unknown:
-        raise ConfigError(f"unknown feature groups: {', '.join(map(repr, unknown))}")
-    return groups
+    return tuple(value)
 
 
 def _parse_params(value) -> dict:
@@ -161,29 +156,26 @@ def _resolve_bundle_path(ns: argparse.Namespace, file_cfg: dict) -> Path:
 
 def _resolve_run_config(ns: argparse.Namespace, file_cfg: dict) -> RunConfig:
     groups = _setting(ns, file_cfg, "feature_groups")
-    params = _setting(ns, file_cfg, "classifier_params", {})
     now = _setting(ns, file_cfg, "now")
     # checked so that saved configs stay valid, but folds always run serially
     _require_int(_setting(ns, file_cfg, "jobs", 1), "jobs", 1)
-    classifier = _setting(ns, file_cfg, "classifier", "forest")
-    if classifier not in LEARNERS:
-        raise ConfigError(f"unknown classifier {classifier!r}; expected one of {tuple(LEARNERS)}")
     return RunConfig(
-        classifier=classifier,
-        params=_parse_params(params),
+        classifier=_setting(ns, file_cfg, "classifier", "forest"),
+        params=_parse_params(_setting(ns, file_cfg, "classifier_params", {})),
         groups=None if groups is None else _parse_groups(groups),
-        seed=_require_int(_setting(ns, file_cfg, "seed", 0), "seed", 0),
+        seed=_setting(ns, file_cfg, "seed", 0),
         now=None if now is None else _parse_now(now),
     )
 
 
-def _out_dir(ns: argparse.Namespace, file_cfg: dict) -> Path:
-    out = _setting(ns, file_cfg, "out")
+def _out_dir(out) -> Path:
     if out is None:
         raise ConfigError("missing required setting --out")
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return Path(out)
 
 
 def _write(path: Path, text: str) -> None:
@@ -206,7 +198,7 @@ def _write_eval_report(out: Path, report) -> None:
 
 def cmd_ingest(ns: argparse.Namespace, file_cfg: dict) -> int:
     raw = _existing_file(ns.input, "--input")
-    out = _out_dir(ns, file_cfg)
+    out = _out_dir(_setting(ns, file_cfg, "out"))
     summary = ingest_file(raw, out / "normalized.jsonl", default_event=ns.event)
     _write_config_echo(out, {"command": "ingest", "input": str(raw),
                              "default_event": ns.event, **summary})
@@ -223,7 +215,7 @@ def _load_inputs(ns: argparse.Namespace, file_cfg: dict):
 def cmd_featurize(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
-    out = _out_dir(ns, file_cfg)
+    out = _out_dir(_setting(ns, file_cfg, "out"))
     now = resolve_now(config.now, dataset)
     _, schema, vectors, _ = featurize_corpus(dataset, resources, config.groups, now)
     write_schema_file(schema, out / "schema.tsv")
@@ -244,7 +236,7 @@ def cmd_featurize(ns: argparse.Namespace, file_cfg: dict) -> int:
 def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
-    out = _out_dir(ns, file_cfg)
+    out = _out_dir(_setting(ns, file_cfg, "out"))
     now = resolve_now(config.now, dataset)
     model, schema, n_trained = train_model(dataset, resources, config, now, config.seed)
     save_model(model, out / "model.json")
@@ -274,7 +266,7 @@ def cmd_eval_loo(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     protocol = _eval_protocol(ns, file_cfg)
-    out = _out_dir(ns, file_cfg)
+    out = _out_dir(_setting(ns, file_cfg, "out"))
     report = run_loo(dataset, resources, config,
                      scope=protocol.removeprefix("loo_"))
     _write_eval_report(out, report)
@@ -289,7 +281,7 @@ def cmd_eval_split(ns: argparse.Namespace, file_cfg: dict) -> int:
                                "--test-dataset")
     bundle_path = _resolve_bundle_path(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
-    out = _out_dir(ns, file_cfg)
+    out = _out_dir(_setting(ns, file_cfg, "out"))
     report = run_split(load_dataset(train_path), load_dataset(test_path),
                        load_bundle(bundle_path), config)
     _write_eval_report(out, report)
@@ -301,10 +293,8 @@ def cmd_ablate(ns: argparse.Namespace, file_cfg: dict) -> int:
     dataset, resources = _load_inputs(ns, file_cfg)
     config = _resolve_run_config(ns, file_cfg)
     protocol = _eval_protocol(ns, file_cfg)
-    removals = tuple(spec if spec == "AF" else _parse_groups(spec.split("+"))
-                     for spec in (ns.remove or ["AF"]))
-    out = _out_dir(ns, file_cfg)
-    report = ablate(dataset, resources, config, removals=removals,
+    out = _out_dir(_setting(ns, file_cfg, "out"))
+    report = ablate(dataset, resources, config, removals=ns.remove or ("AF",),
                     scope=protocol.removeprefix("loo_"))
     _write(out / "ablation.json", ablation_report_json(report))
     _write(out / "ablation.txt", ablation_report_text(report))
@@ -323,6 +313,7 @@ def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
     model = load_model(model_path)
     resources = load_bundle(bundle_path)
     dataset = load_dataset(input_path)
+    out = None if ns.out is None else _out_dir(ns.out)
     try:
         predictions = label_tweets(model, dataset, resources)
     except ModelError as exc:
@@ -333,9 +324,7 @@ def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
         lines.append(f"{tweet.tweet_id}\t{label}\t{cells}\n")
     text = "".join(lines)
     sys.stdout.write(text)
-    if ns.out is not None:
-        out = Path(ns.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write(out / "predictions.tsv", text)
     return 0
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import CLASS_ORDER, Dataset, build_threads, thread_index
-from .errors import EvalError, LeakageError, ModelError
+from .errors import ConfigError, EvalError, LeakageError, ModelError
 from .features import (
     AF_GROUPS,
     GROUPS,
@@ -35,12 +35,14 @@ from .features import (
     build_dictionaries,
     assemble,  # noqa: F401  (bound here for the perfbench tracer test)
     build_schema,
+    check_groups,
     featurize_corpus,
     resolve_now,
     vectorize,
 )
 from .learners import LEARNERS, fit_model, predict_many
-from .learners.base import TrainedModel, is_finite_number, is_strings, label_indices, to_dense
+from .learners.base import (
+    TrainedModel, is_finite_number, is_int, is_strings, label_indices, to_dense)
 from .resources import ResourceBundle
 
 log = logging.getLogger(__name__)
@@ -83,19 +85,18 @@ class RunConfig:
     now: Optional[float] = None
 
     def __post_init__(self):
+        # params last: they are an EvalError (exit 1), which must not hide a bad setting
         if self.classifier not in LEARNERS:
-            raise EvalError(f"unknown classifier {self.classifier!r}; "
-                            f"expected one of {tuple(LEARNERS)}")
+            raise ConfigError(f"unknown classifier {self.classifier!r}; "
+                              f"expected one of {tuple(LEARNERS)}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.groups is not None:
+            check_groups(self.groups, ConfigError)
         try:
             LEARNERS[self.classifier].params(self.params, self.seed)
         except (TypeError, ValueError) as exc:
             raise EvalError(f"bad {self.classifier} params {self.params!r}: {exc}") from None
-        if self.seed < 0:
-            raise EvalError("seed must be non-negative")
-        if self.groups is not None:
-            unknown = set(self.groups) - set(GROUPS)
-            if unknown:
-                raise EvalError(f"unknown feature groups: {sorted(unknown)}")
 
 
 @dataclass
@@ -186,7 +187,8 @@ class TTestResult:
     degenerate_variance: bool = False
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "p": self.p,
+        # JSON holds no infinity; degenerate_variance says why t is missing
+        return {"t": self.t if math.isfinite(self.t) else None, "p": self.p,
                 "significant_at_001": self.significant_at_001,
                 "degenerate_variance": self.degenerate_variance}
 
@@ -545,29 +547,19 @@ def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
 # --- ablation ---------------------------------------------------------------------
 
 
-def _expand_removal(spec) -> tuple:
-    """A removal spec is a group tag, the alias "AF" for all six AF groups,
-    or an explicit list of tags. Returns (label, removed_groups)."""
-    if isinstance(spec, str):
-        if spec == "AF":
-            return "AF", tuple(AF_GROUPS)
-        if spec not in GROUPS:
-            raise EvalError(f"unknown feature group {spec!r}")
-        return spec, (spec,)
-    removed = tuple(spec)
-    unknown = set(removed) - set(GROUPS)
-    if unknown:
-        raise EvalError(f"unknown feature groups: {sorted(unknown)}")
-    if not removed:
-        raise EvalError("empty removal spec")
-    label = "AF" if set(removed) == set(AF_GROUPS) else "+".join(removed)
-    return label, removed
+def _expand_removal(spec: str) -> tuple:
+    """(label, removed groups) of a removal spec: "AF" for the six AF
+    groups, or group tags joined by "+" (a ConfigError names unknown ones).
+    The label is the spec, or "AF" when the tags are the six AF groups."""
+    removed = AF_GROUPS if spec == "AF" else check_groups(spec.split("+"), ConfigError)
+    return "AF" if set(removed) == set(AF_GROUPS) else spec, removed
 
 
 def ablate(dataset: Dataset, resources: ResourceBundle,
            config: RunConfig = RunConfig(), removals=("AF",),
            scope: str = "by_event") -> AblationReport:
-    """Baseline run plus one rerun per removal spec under identical folds
+    """Baseline run plus one rerun per removal spec (see _expand_removal;
+    all are checked before any tweet is featurized) under identical folds
     and per-fold seeds; deltas are measured on the headline accuracy. The
     all-AF removal row also carries a paired t-test over per-fold scores."""
     base_groups = tuple(GROUPS) if config.groups is None else tuple(config.groups)
@@ -586,9 +578,8 @@ def ablate(dataset: Dataset, resources: ResourceBundle,
             "per_fold_accuracy": [f["accuracy"] for f in report.per_fold],
         }
         if set(removed) == set(AF_GROUPS):
-            ablated_folds = row["per_fold_accuracy"]
             if len(baseline_folds) >= 2:
-                row["t_test"] = paired_t_test(baseline_folds, ablated_folds).to_dict()
+                row["t_test"] = paired_t_test(baseline_folds, row["per_fold_accuracy"]).to_dict()
             else:
                 row["t_test"] = None
                 row["t_test_note"] = "needs at least 2 folds"

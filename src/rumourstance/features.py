@@ -175,16 +175,22 @@ def build_dictionaries(analyses, provenance=()) -> FeatureDictionaries:
                                provenance=tuple(sorted(provenance)))
 
 
+def check_groups(groups, error) -> tuple:
+    """The group tags as a tuple, or `error` naming the unknown ones."""
+    groups = tuple(groups)
+    unknown = sorted(set(groups) - set(GROUPS))
+    if unknown:
+        raise error(f"unknown feature groups: {', '.join(map(repr, unknown))}")
+    return groups
+
+
 def build_schema(dictionaries: FeatureDictionaries, resources: ResourceBundle,
                  groups=None) -> FeatureSchema:
     """The columns of the enabled groups (all of them, or the subset of
     group tags `groups`, for an ablated schema), group by group in `GROUPS`
     order: the vocabularies' and the bundle's groups computed, every other
     group's from `_FIXED_COLUMNS`."""
-    enabled = set(GROUPS if groups is None else groups)
-    unknown = enabled - set(GROUPS)
-    if unknown:
-        raise SchemaError(f"unknown feature groups: {sorted(unknown)}")
+    enabled = set(GROUPS if groups is None else check_groups(groups, SchemaError))
     bow, posng, lexicons = dictionaries.bow_vocab, dictionaries.posng_vocab, resources.lexicons
     layout = {
         **_FIXED_COLUMNS,

@@ -4,6 +4,7 @@ people. Both are deterministic functions of the report contents."""
 from __future__ import annotations
 
 import json
+import math
 
 from . import benchmarks
 from .corpus import CLASS_ORDER
@@ -131,10 +132,14 @@ def ablation_report_text(report: AblationReport) -> str:
     for row in report.rows:
         t_test = row.get("t_test")
         if t_test:
+            t = t_test["t"]
+            if t is None:  # zero variance: every fold differs by the same amount
+                t = math.copysign(math.inf, report.baseline.per_fold[0]["accuracy"]
+                                  - row["per_fold_accuracy"][0])
             lines.append("")
             lines.append(
                 f"paired t-test, all groups vs. without {row['removed']}: "
-                f"t={t_test['t']:.4f} p={t_test['p']:.6f} "
+                f"t={t:.4f} p={t_test['p']:.6f} "
                 f"significant(p<0.001)={t_test['significant_at_001']}")
             if t_test.get("degenerate_variance"):
                 lines.append("  warning: zero variance across folds; p is a limit")

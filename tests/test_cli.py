@@ -8,6 +8,7 @@ import pytest
 
 from rumourstance.bundled import micro_corpus_path
 from rumourstance.cli import main
+from rumourstance.features import AF_GROUPS
 
 
 def run(argv):
@@ -26,11 +27,26 @@ def read_json(path):
 # ------------------------------------------------------------------ exit codes
 
 
-def test_missing_dataset_is_a_config_error(out, capsys):
+def test_missing_dataset_is_a_config_error(tmp_path, out, capsys):
     code = run(["eval-loo", "--dataset", "/nowhere/missing.jsonl", "--out", out])
     assert code == 2
     err = capsys.readouterr().err
     assert "missing.jsonl" in err
+    # so is an --out that names a file, or a path under one
+    assert run(["train", "--dataset", micro_corpus_path(), "--classifier", "knn",
+                "--out", out]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    for command in (["featurize", "--dataset", micro_corpus_path()],
+                    ["ingest", "--input", micro_corpus_path()],
+                    ["predict", "--model", out / "model.json", "--input", micro_corpus_path()]):
+        for dest, problem in ((afile, "File exists"), (afile / "sub", "Not a directory")):
+            capsys.readouterr()
+            assert run([*command, "--out", dest]) == 2, command[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", command[0]  # predict labels nothing first
+            assert captured.err == f"error: cannot create output directory {dest}: {problem}\n"
+    assert afile.read_text() == "kept"
 
 
 def test_unknown_config_key_rejected(tmp_path, out, capsys):
@@ -48,7 +64,9 @@ def test_malformed_config_rejected(tmp_path, out, capsys):
     cfg = tmp_path / "cfg.json"
     for text in ("{not json", DEEP,
                  json.dumps({"dataset": str(micro_corpus_path()), "classifier_params": DEEP}),
-                 json.dumps({"dataset": str(micro_corpus_path()), "classifier": "svm"})):
+                 *(json.dumps({"dataset": str(micro_corpus_path()), **setting})
+                   for setting in ({"classifier": "svm"}, {"seed": "3"}, {"seed": True},
+                                   {"feature_groups": ["NOPE"]}))):
         cfg.write_text(text)
         code = run(["eval-loo", "--config", cfg, "--out", out])
         assert code == 2, text[:40]
@@ -62,6 +80,11 @@ def test_bad_group_name_rejected(out, capsys):
     ])
     assert code == 2
     assert "NOPE" in capsys.readouterr().err
+    # groups are checked before params, so bad params do not hide a bad group
+    code = run(["eval-loo", "--dataset", micro_corpus_path(), "--classifier", "knn",
+                "--params", '{"k": 0}', "--groups", "BOW,NOPE", "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown feature groups: 'NOPE'\n"
 
 
 @pytest.mark.parametrize("spec", ["NOPE", "+", "AF+NOPE"])
@@ -303,6 +326,27 @@ def test_ablate_reports_deltas(out):
     assert report["rows"][0]["removed"] == "AF"
     assert "delta" in report["rows"][0]
     assert (out / "ablation.txt").exists()
+
+
+def test_ablate_with_an_equal_drop_on_every_fold_writes_strict_json(out):
+    # knn over the AF groups alone scores 1.0 on every micro fold, and 0.375
+    # with no column left, so the paired t-test has zero variance and t=inf
+    code = run([
+        "ablate", "--dataset", micro_corpus_path(), "--classifier", "knn",
+        "--groups", ",".join(AF_GROUPS), "--remove", "AF", "--out", out,
+    ])
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"ablation.json holds {constant}")
+
+    report = json.loads((out / "ablation.json").read_text(), parse_constant=reject)
+    t_test = report["rows"][0]["t_test"]
+    assert t_test == {"t": None, "p": 0.0, "significant_at_001": True,
+                      "degenerate_variance": True}
+    text = (out / "ablation.txt").read_text()
+    assert ("paired t-test, all groups vs. without AF: t=inf p=0.000000 "
+            "significant(p<0.001)=True\n  warning: zero variance across folds") in text
 
 
 def test_jobs_flag_does_not_change_artifacts(tmp_path):

@@ -15,11 +15,14 @@ import rumourstance.features as features
 from rumourstance.bundled import micro_corpus_path, ottawa_path
 from rumourstance.cli import main
 from rumourstance.corpus import Dataset, build_threads, load_dataset, thread_index
-from rumourstance.errors import EvalError, LeakageError
+from rumourstance.errors import ConfigError, EvalError, LeakageError
 from rumourstance.evaluation import (
+    AblationReport,
+    EvalReport,
     FoldSpec,
     RunConfig,
     TTestResult,
+    _expand_removal,
     ablate,
     build_fold_dictionaries,
     check_leakage,
@@ -47,6 +50,7 @@ from rumourstance.features import (
 )
 from rumourstance.learners import LEARNERS, predict_many
 from rumourstance.learners.base import CLASS_NAMES, to_dense
+from rumourstance.reports import ablation_report_text
 from rumourstance.text import tokenize
 
 
@@ -202,6 +206,16 @@ def test_paired_t_zero_variance_nonzero_mean():
     assert result.degenerate_variance
     assert result.p == 0.0
     assert math.isinf(result.t)
+    # JSON holds no infinity: the dict has t null, and the text the signed limit
+    baseline = EvalReport("loo_by_event", [{"accuracy": 0.5}] * 3, {}, 0.5, 0.5, 0.5,
+                          [], {}, {}, {})
+    for ablated, shown in ((0.25, "t=inf"), (0.75, "t=-inf")):
+        t_test = paired_t_test([0.5] * 3, [ablated] * 3).to_dict()
+        assert t_test["t"] is None and t_test["p"] == 0.0
+        row = {"removed": "AF", "accuracy": ablated, "delta": ablated - 0.5,
+               "per_fold_accuracy": [ablated] * 3, "t_test": t_test}
+        text = ablation_report_text(AblationReport(baseline, [row], {}))
+        assert f"without AF: {shown} p=0.000000" in text
 
 
 def test_paired_t_input_validation():
@@ -332,6 +346,33 @@ def test_ablation_rows(micro, bundle, knn_config):
     assert "accuracy" in row and "delta" in row
     assert row["delta"] == pytest.approx(row["accuracy"] - report.baseline.headline_accuracy)
     assert "t" in row["t_test"] and "p" in row["t_test"]
+
+
+@pytest.mark.parametrize("settings", [
+    {"classifier": "svm"}, {"seed": -1}, {"seed": "3"}, {"seed": True}, {"groups": ("NOPE",)},
+], ids=json.dumps)
+def test_run_config_rejects_bad_settings(settings):
+    with pytest.raises(ConfigError):
+        RunConfig(**settings)
+
+
+def test_ablate_checks_every_removal_spec_before_featurizing(micro, bundle, knn_config,
+                                                             monkeypatch):
+    def refuse(*args):
+        raise AssertionError("featurized before every removal spec was checked")
+
+    monkeypatch.setattr(evaluation, "featurize_corpus", refuse)
+    for spec in ("NOPE", "+", "AF+NOPE", "AF_SS,AF_DS"):
+        with pytest.raises(ConfigError, match="^unknown feature groups: "):
+            ablate(micro, bundle, knn_config, removals=("MOOD", spec))
+
+
+def test_removal_spec_is_af_or_tags_joined_by_plus():
+    assert _expand_removal("AF") == ("AF", AF_GROUPS)
+    assert _expand_removal("MOOD") == ("MOOD", ("MOOD",))
+    assert _expand_removal("BOW+POSNG") == ("BOW+POSNG", ("BOW", "POSNG"))
+    spelled_out = "+".join(reversed(AF_GROUPS))
+    assert _expand_removal(spelled_out) == ("AF", tuple(reversed(AF_GROUPS)))
 
 
 # ------------------------------------------------- one analysis per LOO run

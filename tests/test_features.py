@@ -143,7 +143,7 @@ def test_schema_subsetting(dicts, bundle, schema):
 
 
 def test_schema_rejects_unknown_group(dicts, bundle):
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^unknown feature groups: 'NOPE'$"):
         build_schema(dicts, bundle, groups=("BOW", "NOPE"))
 
 
