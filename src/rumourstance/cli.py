@@ -1,7 +1,10 @@
 """Command line front end for the stance classification pipeline.
 
 Every experiment setting can live in a JSON config file (--config) or be
-given as a flag; flags win. Commands that produce artifacts write them into
+given as a flag; flags win, and `main` merges the two into one settings dict
+that is all a command reads. A command checks every setting it reads before
+it reads any input, and creates --out only once its inputs have loaded.
+Commands that produce artifacts write them into
 --out together with resolved_config.json, the fully materialized settings
 actually used, so a run can be reproduced from its output directory alone.
 
@@ -22,6 +25,7 @@ from .errors import ConfigError, ModelError, StanceError
 from .evaluation import (
     RunConfig,
     ablate,
+    expand_removal,
     label_tweets,
     run_loo,
     run_split,
@@ -89,15 +93,6 @@ def _read_config_file(path: str) -> dict:
     return obj
 
 
-def _setting(ns: argparse.Namespace, file_cfg: dict, key: str, default=None):
-    value = getattr(ns, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg and file_cfg[key] is not None:
-        return file_cfg[key]
-    return default
-
-
 def _parse_groups(value) -> tuple:
     if isinstance(value, str):
         value = [g.strip() for g in value.split(",") if g.strip()]
@@ -133,17 +128,21 @@ def _require_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _existing_file(value, flag: str) -> Path:
-    if value is None:
-        raise ConfigError(f"missing required setting {flag}")
-    p = Path(value)
-    if not p.is_file():
-        raise ConfigError(f"{flag} file not found: {p}")
-    return p
+def _required(settings: dict, key: str):
+    if key not in settings:
+        raise ConfigError(f"missing required setting --{key.replace('_', '-')}")
+    return settings[key]
 
 
-def _resolve_bundle_path(ns: argparse.Namespace, file_cfg: dict) -> Path:
-    bundle = Path(_setting(ns, file_cfg, "bundle", default_bundle_path()))
+def _existing_file(settings: dict, key: str) -> Path:
+    path = Path(_required(settings, key))
+    if not path.is_file():
+        raise ConfigError(f"--{key.replace('_', '-')} file not found: {path}")
+    return path
+
+
+def _bundle_path(settings: dict) -> Path:
+    bundle = Path(settings.get("bundle", default_bundle_path()))
     if not bundle.is_dir():
         raise ConfigError(f"resource bundle directory not found: {bundle}")
     missing = missing_bundle_files(bundle)
@@ -154,28 +153,53 @@ def _resolve_bundle_path(ns: argparse.Namespace, file_cfg: dict) -> Path:
     return bundle
 
 
-def _resolve_run_config(ns: argparse.Namespace, file_cfg: dict) -> RunConfig:
-    groups = _setting(ns, file_cfg, "feature_groups")
-    now = _setting(ns, file_cfg, "now")
+def _loo_scope(settings: dict) -> str:
+    protocol = settings.get("protocol", "loo_by_event")
+    if protocol not in _EVAL_PROTOCOLS:
+        raise ConfigError(
+            f"eval-loo protocol must be one of {_EVAL_PROTOCOLS}, got {protocol!r}")
+    return protocol.removeprefix("loo_")
+
+
+def _run_config(settings: dict) -> RunConfig:
+    groups = settings.get("feature_groups")
+    now = settings.get("now")
     # checked so that saved configs stay valid, but folds always run serially
-    _require_int(_setting(ns, file_cfg, "jobs", 1), "jobs", 1)
+    _require_int(settings.get("jobs", 1), "jobs", 1)
     return RunConfig(
-        classifier=_setting(ns, file_cfg, "classifier", "forest"),
-        params=_parse_params(_setting(ns, file_cfg, "classifier_params", {})),
+        classifier=settings.get("classifier", "forest"),
+        params=_parse_params(settings.get("classifier_params", {})),
         groups=None if groups is None else _parse_groups(groups),
-        seed=_setting(ns, file_cfg, "seed", 0),
+        seed=settings.get("seed", 0),
         now=None if now is None else _parse_now(now),
     )
 
 
-def _out_dir(out) -> Path:
-    if out is None:
-        raise ConfigError("missing required setting --out")
+def _make_dir(out) -> Path:
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     return Path(out)
+
+
+def _start_run(settings: dict, datasets=("dataset",), loo: bool = False) -> tuple:
+    """(run config, LOO scope or None, resource bundle, out directory,
+    *datasets) of an experiment command. It checks every setting the
+    command reads first: the input paths, the LOO protocol when `loo`, each
+    --remove spec, --out and the run config, whose params (exit 1) come
+    last. It then loads the inputs, and only then creates --out, so that a
+    run stopped by a setting or an input leaves no directory behind."""
+    paths = [_existing_file(settings, key) for key in datasets]
+    bundle_path = _bundle_path(settings)
+    scope = _loo_scope(settings) if loo else None
+    for spec in settings.get("remove", ()):
+        expand_removal(spec)
+    out = _required(settings, "out")
+    config = _run_config(settings)
+    loaded = [load_dataset(path) for path in paths]
+    resources = load_bundle(bundle_path)
+    return config, scope, resources, _make_dir(out), *loaded
 
 
 def _write(path: Path, text: str) -> None:
@@ -196,26 +220,18 @@ def _write_eval_report(out: Path, report) -> None:
 # --- commands ---------------------------------------------------------------------
 
 
-def cmd_ingest(ns: argparse.Namespace, file_cfg: dict) -> int:
-    raw = _existing_file(ns.input, "--input")
-    out = _out_dir(_setting(ns, file_cfg, "out"))
-    summary = ingest_file(raw, out / "normalized.jsonl", default_event=ns.event)
+def cmd_ingest(settings: dict) -> int:
+    raw = _existing_file(settings, "input")
+    out = _make_dir(_required(settings, "out"))
+    summary = ingest_file(raw, out / "normalized.jsonl", default_event=settings["event"])
     _write_config_echo(out, {"command": "ingest", "input": str(raw),
-                             "default_event": ns.event, **summary})
+                             "default_event": settings["event"], **summary})
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
-def _load_inputs(ns: argparse.Namespace, file_cfg: dict):
-    dataset_path = _existing_file(_setting(ns, file_cfg, "dataset"), "--dataset")
-    bundle_path = _resolve_bundle_path(ns, file_cfg)
-    return load_dataset(dataset_path), load_bundle(bundle_path)
-
-
-def cmd_featurize(ns: argparse.Namespace, file_cfg: dict) -> int:
-    dataset, resources = _load_inputs(ns, file_cfg)
-    config = _resolve_run_config(ns, file_cfg)
-    out = _out_dir(_setting(ns, file_cfg, "out"))
+def cmd_featurize(settings: dict) -> int:
+    config, _, resources, out, dataset = _start_run(settings)
     now = resolve_now(config.now, dataset)
     _, schema, vectors, _ = featurize_corpus(dataset, resources, config.groups, now)
     write_schema_file(schema, out / "schema.tsv")
@@ -233,10 +249,8 @@ def cmd_featurize(ns: argparse.Namespace, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
-    dataset, resources = _load_inputs(ns, file_cfg)
-    config = _resolve_run_config(ns, file_cfg)
-    out = _out_dir(_setting(ns, file_cfg, "out"))
+def cmd_train(settings: dict) -> int:
+    config, _, resources, out, dataset = _start_run(settings)
     now = resolve_now(config.now, dataset)
     model, schema, n_trained = train_model(dataset, resources, config, now, config.seed)
     save_model(model, out / "model.json")
@@ -254,48 +268,28 @@ def cmd_train(ns: argparse.Namespace, file_cfg: dict) -> int:
     return 0
 
 
-def _eval_protocol(ns: argparse.Namespace, file_cfg: dict) -> str:
-    protocol = _setting(ns, file_cfg, "protocol", "loo_by_event")
-    if protocol not in _EVAL_PROTOCOLS:
-        raise ConfigError(
-            f"eval-loo protocol must be one of {_EVAL_PROTOCOLS}, got {protocol!r}")
-    return protocol
-
-
-def cmd_eval_loo(ns: argparse.Namespace, file_cfg: dict) -> int:
-    dataset, resources = _load_inputs(ns, file_cfg)
-    config = _resolve_run_config(ns, file_cfg)
-    protocol = _eval_protocol(ns, file_cfg)
-    out = _out_dir(_setting(ns, file_cfg, "out"))
-    report = run_loo(dataset, resources, config,
-                     scope=protocol.removeprefix("loo_"))
+def cmd_eval_loo(settings: dict) -> int:
+    config, scope, resources, out, dataset = _start_run(settings, loo=True)
+    report = run_loo(dataset, resources, config, scope=scope)
     _write_eval_report(out, report)
     print(f"headline accuracy {report.headline_accuracy:.4f} "
-          f"({protocol}, {len(report.per_fold)} folds) -> {out}")
+          f"(loo_{scope}, {len(report.per_fold)} folds) -> {out}")
     return 0
 
 
-def cmd_eval_split(ns: argparse.Namespace, file_cfg: dict) -> int:
-    train_path = _existing_file(_setting(ns, file_cfg, "dataset"), "--dataset")
-    test_path = _existing_file(_setting(ns, file_cfg, "test_dataset"),
-                               "--test-dataset")
-    bundle_path = _resolve_bundle_path(ns, file_cfg)
-    config = _resolve_run_config(ns, file_cfg)
-    out = _out_dir(_setting(ns, file_cfg, "out"))
-    report = run_split(load_dataset(train_path), load_dataset(test_path),
-                       load_bundle(bundle_path), config)
+def cmd_eval_split(settings: dict) -> int:
+    config, _, resources, out, train, test = _start_run(
+        settings, ("dataset", "test_dataset"))
+    report = run_split(train, test, resources, config)
     _write_eval_report(out, report)
     print(f"headline accuracy {report.headline_accuracy:.4f} (split) -> {out}")
     return 0
 
 
-def cmd_ablate(ns: argparse.Namespace, file_cfg: dict) -> int:
-    dataset, resources = _load_inputs(ns, file_cfg)
-    config = _resolve_run_config(ns, file_cfg)
-    protocol = _eval_protocol(ns, file_cfg)
-    out = _out_dir(_setting(ns, file_cfg, "out"))
-    report = ablate(dataset, resources, config, removals=ns.remove or ("AF",),
-                    scope=protocol.removeprefix("loo_"))
+def cmd_ablate(settings: dict) -> int:
+    config, scope, resources, out, dataset = _start_run(settings, loo=True)
+    report = ablate(dataset, resources, config,
+                    removals=settings.get("remove", ("AF",)), scope=scope)
     _write(out / "ablation.json", ablation_report_json(report))
     _write(out / "ablation.txt", ablation_report_text(report))
     _write_config_echo(out, report.baseline.config)
@@ -306,14 +300,13 @@ def cmd_ablate(ns: argparse.Namespace, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
-    model_path = _existing_file(ns.model, "--model")
-    input_path = _existing_file(ns.input, "--input")
-    bundle_path = _resolve_bundle_path(ns, file_cfg)
+def cmd_predict(settings: dict) -> int:
+    model_path = _existing_file(settings, "model")
+    input_path = _existing_file(settings, "input")
+    bundle_path = _bundle_path(settings)
     model = load_model(model_path)
     resources = load_bundle(bundle_path)
     dataset = load_dataset(input_path)
-    out = None if ns.out is None else _out_dir(ns.out)
     try:
         predictions = label_tweets(model, dataset, resources)
     except ModelError as exc:
@@ -323,9 +316,9 @@ def cmd_predict(ns: argparse.Namespace, file_cfg: dict) -> int:
         cells = " ".join(f"{name}:{value:.6f}" for name, value in scores.items())
         lines.append(f"{tweet.tweet_id}\t{label}\t{cells}\n")
     text = "".join(lines)
+    if "out" in settings:
+        _write(_make_dir(settings["out"]) / "predictions.tsv", text)
     sys.stdout.write(text)
-    if out is not None:
-        _write(out / "predictions.tsv", text)
     return 0
 
 
@@ -408,7 +401,10 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         file_cfg = _read_config_file(ns.config) if ns.config else {}
-        return ns.func(ns, file_cfg)
+        # the config file's values under the flags, null meaning absent in both
+        settings = {key: value for source in (file_cfg, vars(ns))
+                    for key, value in source.items() if value is not None}
+        return ns.func(settings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from itertools import islice
 from typing import Optional
@@ -111,12 +111,9 @@ class EvalReport:
     precision: dict
     recall: dict
     config: dict
-    notes: tuple = SUBSTITUTED_COMPONENTS
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "notes"}
-        out["substituted_components"] = list(self.notes)
-        return out
+        return {**vars(self), "substituted_components": list(SUBSTITUTED_COMPONENTS)}
 
 
 @dataclass
@@ -547,7 +544,7 @@ def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
 # --- ablation ---------------------------------------------------------------------
 
 
-def _expand_removal(spec: str) -> tuple:
+def expand_removal(spec: str) -> tuple:
     """(label, removed groups) of a removal spec: "AF" for the six AF
     groups, or group tags joined by "+" (a ConfigError names unknown ones).
     The label is the spec, or "AF" when the tags are the six AF groups."""
@@ -558,12 +555,12 @@ def _expand_removal(spec: str) -> tuple:
 def ablate(dataset: Dataset, resources: ResourceBundle,
            config: RunConfig = RunConfig(), removals=("AF",),
            scope: str = "by_event") -> AblationReport:
-    """Baseline run plus one rerun per removal spec (see _expand_removal;
+    """Baseline run plus one rerun per removal spec (see expand_removal;
     all are checked before any tweet is featurized) under identical folds
     and per-fold seeds; deltas are measured on the headline accuracy. The
     all-AF removal row also carries a paired t-test over per-fold scores."""
     base_groups = tuple(GROUPS) if config.groups is None else tuple(config.groups)
-    expanded = [_expand_removal(spec) for spec in removals]
+    expanded = [expand_removal(spec) for spec in removals]
     configs = [replace(config, groups=tuple(g for g in base_groups if g not in removed))
                for _, removed in expanded]
     baseline, *reports = _run_loo(dataset, resources, [config, *configs], scope)

@@ -8,7 +8,7 @@ import math
 
 from . import benchmarks
 from .corpus import CLASS_ORDER
-from .evaluation import AblationReport, EvalReport
+from .evaluation import SUBSTITUTED_COMPONENTS, AblationReport, EvalReport
 
 
 def eval_report_json(report: EvalReport) -> str:
@@ -100,7 +100,7 @@ def eval_report_text(report: EvalReport) -> str:
     lines.append("")
     lines.append("substituted components (numbers are not directly comparable "
                  "to runs with the original tools):")
-    for note in report.notes:
+    for note in SUBSTITUTED_COMPONENTS:
         lines.append(f"  - {note}")
     if references:
         lines.append("")

@@ -93,6 +93,35 @@ def test_bad_removal_spec_rejected(spec, out, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown feature groups: ") and len(err.splitlines()) == 1
+    # the specs are checked before params, so bad params do not hide a bad spec
+    code = run(["ablate", "--dataset", micro_corpus_path(), "--classifier", "knn",
+                "--params", '{"k": 0}', "--remove", spec, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("case", ["bad-remove", "malformed-corpus", "fingerprint-mismatch"])
+def test_failed_run_leaves_no_out_directory(case, tmp_path, out, capsys):
+    bad_corpus = tmp_path / "bad.jsonl"
+    bad_corpus.write_text(micro_corpus_path().read_text() + "{not json\n")
+    assert run(["train", "--dataset", micro_corpus_path(), "--classifier", "knn",
+                "--out", tmp_path / "train"]) == 0
+    container = read_json(tmp_path / "train" / "model.json")
+    container["schema_fingerprint"] += 1
+    mismatched = tmp_path / "mismatched.json"
+    mismatched.write_text(json.dumps(container))
+    argv, code, problem = {
+        "bad-remove": (["ablate", "--dataset", micro_corpus_path(), "--remove", "NOPE"], 2,
+                       "unknown feature groups: 'NOPE'"),
+        "malformed-corpus": (["eval-loo", "--dataset", bad_corpus], 1, f"{bad_corpus}:97: "),
+        "fingerprint-mismatch": (
+            ["predict", "--model", mismatched, "--input", micro_corpus_path()], 1,
+            "rebuilt feature schema does not match the model"),
+    }[case]
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == code
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
 
 
 def leaf_model(**changes):
@@ -160,6 +189,29 @@ def test_flag_overrides_config_file(tmp_path, out):
     echo = read_json(out / "resolved_config.json")
     assert echo["seed"] == 99
     assert echo["classifier"] == "knn"
+
+
+@pytest.mark.parametrize("command", [
+    (["ingest", "--input", micro_corpus_path()], "normalized.jsonl"),
+    (["featurize", "--dataset", micro_corpus_path()], "vectors.tsv"),
+    (["train", "--dataset", micro_corpus_path(), "--classifier", "knn"], "model.json"),
+    (["eval-loo", "--dataset", micro_corpus_path(), "--classifier", "knn"], "report.json"),
+    (["eval-split", "--classifier", "knn"], "report.json"),
+    (["ablate", "--dataset", micro_corpus_path(), "--classifier", "knn"], "ablation.json"),
+    (["predict", "--input", micro_corpus_path()], "predictions.tsv"),
+], ids=lambda command: command[0][0])
+def test_every_command_writes_to_the_config_file_out(command, micro_split, tmp_path):
+    argv, artifact = command
+    if argv[0] == "eval-split":
+        argv = [*argv, "--dataset", micro_split[0], "--test-dataset", micro_split[1]]
+    if argv[0] == "predict":
+        assert run(["train", "--dataset", micro_corpus_path(), "--classifier", "knn",
+                    "--out", tmp_path / "train"]) == 0
+        argv = [*argv, "--model", tmp_path / "train" / "model.json"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "from-config")}))
+    assert run([*argv, "--config", cfg]) == 0
+    assert (tmp_path / "from-config" / artifact).is_file()
 
 
 def test_resolved_config_contents(out):

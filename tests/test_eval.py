@@ -22,10 +22,10 @@ from rumourstance.evaluation import (
     FoldSpec,
     RunConfig,
     TTestResult,
-    _expand_removal,
     ablate,
     build_fold_dictionaries,
     check_leakage,
+    expand_removal,
     fold_seed,
     label_tweets,
     make_loo_folds,
@@ -368,11 +368,11 @@ def test_ablate_checks_every_removal_spec_before_featurizing(micro, bundle, knn_
 
 
 def test_removal_spec_is_af_or_tags_joined_by_plus():
-    assert _expand_removal("AF") == ("AF", AF_GROUPS)
-    assert _expand_removal("MOOD") == ("MOOD", ("MOOD",))
-    assert _expand_removal("BOW+POSNG") == ("BOW+POSNG", ("BOW", "POSNG"))
+    assert expand_removal("AF") == ("AF", AF_GROUPS)
+    assert expand_removal("MOOD") == ("MOOD", ("MOOD",))
+    assert expand_removal("BOW+POSNG") == ("BOW+POSNG", ("BOW", "POSNG"))
     spelled_out = "+".join(reversed(AF_GROUPS))
-    assert _expand_removal(spelled_out) == ("AF", tuple(reversed(AF_GROUPS)))
+    assert expand_removal(spelled_out) == ("AF", tuple(reversed(AF_GROUPS)))
 
 
 # ------------------------------------------------- one analysis per LOO run
