@@ -3,7 +3,8 @@
 Every experiment setting can live in a JSON config file (--config) or be
 given as a flag; flags win, and `main` merges the two into one settings dict
 that is all a command reads. A command checks every setting it reads before
-it reads any input, and creates --out only once its inputs have loaded.
+it reads any input, and creates --out only once its inputs have loaded; a
+failed run removes the --out directories it created and left empty.
 Commands that produce artifacts write them into
 --out together with resolved_config.json, the fully materialized settings
 actually used, so a run can be reproduced from its output directory alone.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from .features import (
 )
 from .ingest import ingest_file
 from .learners import LEARNERS
-from .learners.base import is_finite_number, is_strings
+from .learners.base import CLASS_NAMES, is_finite_number, is_strings
 from .learners.io import load_model, save_model
 from .reports import (
     ablation_report_json,
@@ -308,13 +310,13 @@ def cmd_predict(settings: dict) -> int:
     resources = load_bundle(bundle_path)
     dataset = load_dataset(input_path)
     try:
-        predictions = label_tweets(model, dataset, resources)
+        scores = label_tweets(model, dataset, resources)
     except ModelError as exc:
         raise ModelError(f"{model_path}: {exc}") from None
     lines = []
-    for tweet, (label, scores) in zip(dataset.tweets, predictions):
-        cells = " ".join(f"{name}:{value:.6f}" for name, value in scores.items())
-        lines.append(f"{tweet.tweet_id}\t{label}\t{cells}\n")
+    for tweet, label, row in zip(dataset.tweets, scores.argmax(1), scores.tolist()):
+        cells = " ".join(f"{name}:{value:.6f}" for name, value in zip(CLASS_NAMES, row))
+        lines.append(f"{tweet.tweet_id}\t{CLASS_NAMES[label]}\t{cells}\n")
     text = "".join(lines)
     if "out" in settings:
         _write(_make_dir(settings["out"]) / "predictions.tsv", text)
@@ -398,19 +400,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a failed run removes the --out directory, and each
+    parent of it, that it created and left empty."""
     ns = build_parser().parse_args(argv)
+    created = []
     try:
         file_cfg = _read_config_file(ns.config) if ns.config else {}
         # the config file's values under the flags, null meaning absent in both
         settings = {key: value for source in (file_cfg, vars(ns))
                     for key, value in source.items() if value is not None}
+        if "out" in settings:
+            out = Path(settings["out"])
+            created = [path for path in (out, *out.parents) if not os.path.lexists(path)]
         return ns.func(settings)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except StanceError as exc:
+        for path in created:  # deepest first
+            if not os.path.isdir(path) or os.listdir(path):
+                break
+            os.rmdir(path)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

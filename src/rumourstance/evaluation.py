@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import CLASS_ORDER, Dataset, build_threads, thread_index
+from .corpus import Dataset, build_threads, thread_index
 from .errors import ConfigError, EvalError, LeakageError, ModelError
 from .features import (
     AF_GROUPS,
@@ -42,7 +42,8 @@ from .features import (
 )
 from .learners import LEARNERS, fit_model, predict_many
 from .learners.base import (
-    TrainedModel, is_finite_number, is_int, is_strings, label_indices, to_dense)
+    CLASS_NAMES, N_CLASSES, TrainedModel, is_finite_number, is_int, is_strings,
+    label_indices, to_dense)
 from .resources import ResourceBundle
 
 log = logging.getLogger(__name__)
@@ -151,6 +152,8 @@ def make_loo_folds(dataset: Dataset, scope: str = "by_event") -> list:
             folds.append(FoldSpec(fold_id=rumour if event is None else f"{event}/{rumour}",
                                   train_rumour_ids=tuple(r for r in rumours if r != rumour),
                                   test_rumour_ids=(rumour,)))
+    if not folds:  # by_event over a dataset with no events
+        raise EvalError("leave-one-out needs at least 2 rumours")
     return folds
 
 
@@ -304,20 +307,11 @@ def _resolved_config(config: RunConfig, dataset: Dataset,
     }
 
 
-def _empty_confusion() -> list:
-    return [[0 for _ in CLASS_ORDER] for _ in CLASS_ORDER]
-
-
-_LABEL_INDEX = {label.value: i for i, label in enumerate(CLASS_ORDER)}
-
-
-def _fold_result(fold_id: str, event_id: str, test_rumours, gold,
-                 predictions) -> dict:
-    """The result of one fold, from its gold class indices and predictions."""
-    confusion = _empty_confusion()
-    for label, (predicted, _) in zip(gold, predictions):
-        confusion[label][_LABEL_INDEX[predicted]] += 1
-    correct = sum(confusion[i][i] for i in range(len(CLASS_ORDER)))
+def _fold_result(fold_id: str, event_id: str, test_rumours, gold, scores) -> dict:
+    """The result of one fold, from its gold class indices and score matrix."""
+    confusion = np.bincount(gold * N_CLASSES + scores.argmax(1),
+                            minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
+    correct = int(confusion.trace())
     return {
         "fold_id": fold_id,
         "event_id": event_id,
@@ -353,19 +347,15 @@ def _evaluate_fold(dataset, analyses, run_matrix, resources, config, fold):
         raise EvalError(f"fold {fold.fold_id}: no labelled test tweets")
     model = fit_classifier(config, X[np.ix_(train_rows, columns)], y[train_rows],
                            schema.fingerprint, fold_seed(config.seed, fold.fold_id))
-    predictions = predict_many(model, X[np.ix_(test_rows, columns)])
+    scores = predict_many(model, X[np.ix_(test_rows, columns)])
     return _fold_result(fold.fold_id, dataset.event_of_rumour(fold.test_rumour_ids[0]),
-                        fold.test_rumour_ids, y[test_rows], predictions)
+                        fold.test_rumour_ids, y[test_rows], scores)
 
 
 def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
-    confusion = _empty_confusion()
     per_fold = []
     by_event: dict = {}
     for result in fold_results:
-        for i in range(len(CLASS_ORDER)):
-            for j in range(len(CLASS_ORDER)):
-                confusion[i][j] += result["confusion"][i][j]
         per_fold.append({k: result[k] for k in
                          ("fold_id", "event_id", "test_rumours",
                           "n_test", "n_correct", "accuracy")})
@@ -379,16 +369,13 @@ def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
         bucket = by_event[event]
         per_event[event] = {**bucket, "accuracy": bucket["n_correct"] / bucket["n_test"]}
     macro = sum(e["accuracy"] for e in per_event.values()) / len(per_event)
-    total = sum(sum(row) for row in confusion)
-    overall = sum(confusion[i][i] for i in range(len(CLASS_ORDER))) / total
-    precision = {}
-    recall = {}
-    for i, label in enumerate(CLASS_ORDER):
-        gold = sum(confusion[i])
-        predicted = sum(confusion[j][i] for j in range(len(CLASS_ORDER)))
-        hits = confusion[i][i]
-        precision[label.value] = hits / predicted if predicted else 0.0
-        recall[label.value] = hits / gold if gold else 0.0
+    confusion = sum(result["confusion"] for result in fold_results)
+    # Python ints, so each ratio below is a plain Python division
+    hits, gold, predicted = (counts.tolist() for counts in
+                             (confusion.diagonal(), confusion.sum(1), confusion.sum(0)))
+    overall = sum(hits) / sum(gold)
+    precision = {name: h / p if p else 0.0 for name, h, p in zip(CLASS_NAMES, hits, predicted)}
+    recall = {name: h / g if g else 0.0 for name, h, g in zip(CLASS_NAMES, hits, gold)}
     headline = macro if protocol.startswith("loo") else overall
     return EvalReport(
         protocol=protocol,
@@ -397,7 +384,7 @@ def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
         macro_mean=macro,
         overall_accuracy=overall,
         headline_accuracy=headline,
-        confusion=confusion,
+        confusion=confusion.tolist(),
         precision=precision,
         recall=recall,
         config=config_echo,
@@ -474,9 +461,9 @@ def _check_context(context: dict) -> None:
             raise ModelError(f"corrupted model file: its {what} is not {expected}")
 
 
-def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundle) -> list:
-    """(label, per-class scores) of every tweet of the dataset, in order, by
-    a model from `train_model`: each tweet is featurized in the context of
+def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundle) -> np.ndarray:
+    """The score matrix (see `predict_many`) of the dataset's tweets, in order,
+    by a model from `train_model`: each tweet is featurized in the context of
     its thread under the schema and `now` rebuilt from the model's context.
     Tweets are featurized, densified and scored LABEL_CHUNK_ROWS at a time,
     so memory grows with the chunk and not with the dataset's rows x columns.
@@ -505,11 +492,11 @@ def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundl
     now = float(resolve_now(context.get("now"), dataset))
     threads = thread_index(build_threads(dataset))
     analyses = analyse_many(dataset.tweets, threads, resources, now)
-    predictions = []
+    scores = [np.empty((0, N_CLASSES))]
     while chunk := list(islice(analyses, LABEL_CHUNK_ROWS)):
         vectors = [vectorize(a, dictionaries, schema) for a in chunk]
-        predictions += predict_many(model, to_dense(vectors, len(schema)))
-    return predictions
+        scores.append(predict_many(model, to_dense(vectors, len(schema))))
+    return np.concatenate(scores)
 
 
 def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
@@ -524,17 +511,18 @@ def run_split(train: Dataset, test: Dataset, resources: ResourceBundle,
         raise EvalError("no labelled test tweets")
     now = resolve_now(config.now, train, test)
     model, _, _ = train_model(train, resources, config, now, fold_seed(config.seed, "split"))
+    scores = label_tweets(model, test, resources)
     by_event: dict = {}
-    for record, prediction in zip(test.tweets, label_tweets(model, test, resources)):
+    for row, record in enumerate(test.tweets):
         if record.label is not None:
-            by_event.setdefault(record.event_id, []).append((record, prediction))
+            by_event.setdefault(record.event_id, []).append(row)
     results = []
     for event in sorted(by_event):
-        records, predictions = zip(*by_event[event])
+        rows = by_event[event]
+        records = [test.tweets[row] for row in rows]
         results.append(_fold_result(f"split/{event}", event,
                                     sorted({r.rumour_id for r in records}),
-                                    [_LABEL_INDEX[r.label.value] for r in records],
-                                    predictions))
+                                    label_indices(records), scores[rows]))
     echo = _resolved_config(config, train, resources, "split", now)
     echo["test_dataset"] = test.name
     echo["n_test_tweets"] = len(test)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import CLASS_NAMES, TrainedModel, argmax_label, scores_dict
+from .base import N_CLASSES, TrainedModel
 from .forest import ForestParams, fit_forest
 from .io import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 from .knn import KnnParams, fit_knn
@@ -30,14 +30,15 @@ def fit_model(kind: str, X: np.ndarray, y: np.ndarray, params,
     if not len(y):
         raise ValueError(f"cannot fit {kind} on an empty training set")
     return TrainedModel(kind=kind, schema_fingerprint=schema_fingerprint,
-                        n_features=X.shape[1], classes=CLASS_NAMES,
-                        payload=LEARNERS[kind].fit(X, y, params))
+                        n_features=X.shape[1], payload=LEARNERS[kind].fit(X, y, params))
 
 
-def predict_many(model: TrainedModel, X: np.ndarray) -> list:
-    """(label, per-class scores summing to 1) for each row of X."""
+def predict_many(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """The (len(X), N_CLASSES) matrix of per-class scores of the rows of X,
+    in CLASS_NAMES order, each row summing to 1. A row's label is its first
+    maximum (np.argmax), so ties go to the earlier class."""
     if X.shape[1] != model.n_features:
         raise ModelError(f"got {X.shape[1]} columns for a model over {model.n_features}")
     rows = LEARNERS[model.kind].scores(model, X)
-    return [(argmax_label(scores), scores_dict(scores)) for scores in rows]
+    return np.array(rows, dtype=np.float64).reshape(len(X), N_CLASSES)
 

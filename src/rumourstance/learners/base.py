@@ -25,7 +25,6 @@ class TrainedModel:
     kind: str
     schema_fingerprint: int
     n_features: int
-    classes: tuple
     payload: dict
     context: dict = field(default_factory=dict)
 
@@ -65,11 +64,3 @@ def to_dense(vectors, n_features: int) -> np.ndarray:
             X[row, index] = value
     return X
 
-
-def argmax_label(scores: np.ndarray) -> str:
-    # np.argmax takes the first maximum, which is the fixed class order
-    return CLASS_NAMES[int(np.argmax(scores))]
-
-
-def scores_dict(scores: np.ndarray) -> dict:
-    return {name: float(scores[i]) for i, name in enumerate(CLASS_NAMES)}

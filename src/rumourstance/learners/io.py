@@ -22,7 +22,7 @@ def save_model(model: TrainedModel, path) -> None:
         "kind": model.kind,
         "schema_fingerprint": model.schema_fingerprint,
         "n_features": model.n_features,
-        "classes": list(model.classes),
+        "classes": list(CLASS_NAMES),
         "payload": LEARNERS[model.kind].encode(model.payload),
         "context": model.context,
     }
@@ -72,7 +72,6 @@ def load_model(path) -> TrainedModel:
         kind=kind,
         schema_fingerprint=fingerprint,
         n_features=n_features,
-        classes=tuple(container["classes"]),
         payload=payload,
         context=context,
     )

@@ -9,6 +9,7 @@ import math
 from . import benchmarks
 from .corpus import CLASS_ORDER
 from .evaluation import SUBSTITUTED_COMPONENTS, AblationReport, EvalReport
+from .features import AF_GROUPS, GROUPS
 
 
 def eval_report_json(report: EvalReport) -> str:
@@ -49,7 +50,6 @@ def _config_lines(config: dict) -> list:
 def loo_references(classifier: str, groups) -> dict:
     """Published per-event accuracies matching a leave-one-out config, or
     {} when none were published for it."""
-    from .features import AF_GROUPS, GROUPS
     if groups is None:
         groups = GROUPS
     removed = set(GROUPS) - set(groups)

@@ -38,7 +38,7 @@ from rumourstance.learners import (
     fit_model,
     predict_many,
 )
-from rumourstance.learners.base import to_dense
+from rumourstance.learners.base import CLASS_NAMES, to_dense
 from rumourstance.learners.tree import info_gain_ratio
 from rumourstance.resources import EmbeddingTable
 from rumourstance.text import tokenize
@@ -76,8 +76,9 @@ def vectors_from(X, labels):
 
 
 def predict_one(model, vector):
-    """predict_many() of one feature vector."""
-    return predict_many(model, to_dense([vector], model.n_features))[0]
+    """(label, {class: score}) of one feature vector by predict_many()."""
+    scores = predict_many(model, to_dense([vector], model.n_features))[0]
+    return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
 
 
 # --------------------------------------------------------------- criterion 1

@@ -100,10 +100,18 @@ def test_bad_removal_spec_rejected(spec, out, capsys):
     assert capsys.readouterr().err == err
 
 
-@pytest.mark.parametrize("case", ["bad-remove", "malformed-corpus", "fingerprint-mismatch"])
-def test_failed_run_leaves_no_out_directory(case, tmp_path, out, capsys):
+@pytest.mark.parametrize("case", ["bad-remove", "malformed-corpus", "fingerprint-mismatch",
+                                  "ingest-bad-line", "eval-loo-empty-corpus",
+                                  "ablate-empty-corpus", "split-no-labelled-test"])
+def test_failed_run_leaves_no_out_directory(case, micro_split, tmp_path, out, capsys):
     bad_corpus = tmp_path / "bad.jsonl"
     bad_corpus.write_text(micro_corpus_path().read_text() + "{not json\n")
+    bad_raw, empty, unlabelled = (tmp_path / name for name in
+                                  ("bad_raw.jsonl", "empty.jsonl", "unlabelled.jsonl"))
+    bad_raw.write_text("{not json\n")
+    empty.write_text("")
+    unlabelled.write_text("".join(json.dumps({**json.loads(line), "label": None}) + "\n"
+                                  for line in micro_split[1].read_text().splitlines()))
     assert run(["train", "--dataset", micro_corpus_path(), "--classifier", "knn",
                 "--out", tmp_path / "train"]) == 0
     container = read_json(tmp_path / "train" / "model.json")
@@ -117,9 +125,18 @@ def test_failed_run_leaves_no_out_directory(case, tmp_path, out, capsys):
         "fingerprint-mismatch": (
             ["predict", "--model", mismatched, "--input", micro_corpus_path()], 1,
             "rebuilt feature schema does not match the model"),
+        # these three fail once --out exists
+        "ingest-bad-line": (["ingest", "--input", bad_raw], 1, f"{bad_raw}:1: invalid JSON"),
+        "eval-loo-empty-corpus": (["eval-loo", "--dataset", empty], 1,
+                                  "leave-one-out needs at least 2 rumours"),
+        "ablate-empty-corpus": (["ablate", "--dataset", empty], 1,
+                                "leave-one-out needs at least 2 rumours"),
+        "split-no-labelled-test": (
+            ["eval-split", "--dataset", micro_split[0], "--test-dataset", unlabelled], 1,
+            "no labelled test tweets"),
     }[case]
     capsys.readouterr()
-    assert run([*argv, "--out", out]) == code
+    assert run([*argv, "--out", out / "sub"]) == code
     assert problem in capsys.readouterr().err
     assert not out.exists()
 
@@ -141,7 +158,9 @@ def test_corrupt_model_is_a_runtime_error(tmp_path, out, capsys):
             ('{"magic": "junk"}', "not a stance model file"),
             (DEEP, "corrupted model file: maximum recursion depth"),
             (leaf_model(schema_fingerprint=True), "schema_fingerprint is not an integer"),
-            (leaf_model(n_features=True), "bad n_features True")):
+            (leaf_model(n_features=True), "bad n_features True"),
+            (leaf_model(classes=["deny", "support", "query", "comment"]),
+             "classes are not ['support', 'deny', 'query', 'comment']")):
         model.write_text(text)
         code = run([
             "predict", "--model", model, "--input", micro_corpus_path(), "--out", out,

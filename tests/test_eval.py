@@ -9,6 +9,8 @@ from hashlib import blake2b
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rumourstance.evaluation as evaluation
 import rumourstance.features as features
@@ -50,7 +52,7 @@ from rumourstance.features import (
 )
 from rumourstance.learners import LEARNERS, predict_many
 from rumourstance.learners.base import CLASS_NAMES, to_dense
-from rumourstance.reports import ablation_report_text
+from rumourstance.reports import ablation_report_text, eval_report_json
 from rumourstance.text import tokenize
 
 
@@ -75,6 +77,13 @@ def test_by_event_folds_train_on_siblings(micro):
         test_event = event_of[fold.test_rumour_ids[0]]
         assert fold.train_rumour_ids
         assert all(event_of[r] == test_event for r in fold.train_rumour_ids)
+
+
+def test_folds_over_an_empty_dataset_are_an_eval_error():
+    empty = Dataset("empty", [], {}, {})
+    for scope in ("by_event", "global"):
+        with pytest.raises(EvalError, match="^leave-one-out needs at least 2 rumours$"):
+            make_loo_folds(empty, scope)
 
 
 def test_fold_order_is_deterministic(micro):
@@ -225,6 +234,90 @@ def test_paired_t_input_validation():
         paired_t_test([1.0, 2.0], [1.0])
 
 
+def loop_fold_result(fold_id, event_id, test_rumours, gold, scores):
+    """The per-row count that the score-matrix fold result replaced: each
+    row's label string (its first maximum) is mapped back to its index."""
+    index_of = {name: i for i, name in enumerate(CLASS_NAMES)}
+    confusion = [[0 for _ in CLASS_NAMES] for _ in CLASS_NAMES]
+    for label, row in zip(gold, scores):
+        confusion[label][index_of[CLASS_NAMES[int(np.argmax(row))]]] += 1
+    correct = sum(confusion[i][i] for i in range(len(CLASS_NAMES)))
+    return {"fold_id": fold_id, "event_id": event_id, "test_rumours": list(test_rumours),
+            "n_test": len(gold), "n_correct": correct, "accuracy": correct / len(gold),
+            "confusion": confusion}
+
+
+def loop_reduce_report(protocol, fold_results, config_echo):
+    """The list-of-lists reduction that the array sums replaced."""
+    n = len(CLASS_NAMES)
+    confusion = [[0 for _ in CLASS_NAMES] for _ in CLASS_NAMES]
+    per_fold = []
+    by_event = {}
+    for result in fold_results:
+        for i in range(n):
+            for j in range(n):
+                confusion[i][j] += result["confusion"][i][j]
+        per_fold.append({k: result[k] for k in
+                         ("fold_id", "event_id", "test_rumours", "n_test", "n_correct",
+                          "accuracy")})
+        bucket = by_event.setdefault(result["event_id"],
+                                     {"n_test": 0, "n_correct": 0, "n_folds": 0})
+        bucket["n_test"] += result["n_test"]
+        bucket["n_correct"] += result["n_correct"]
+        bucket["n_folds"] += 1
+    per_event = {event: {**by_event[event], "accuracy": by_event[event]["n_correct"]
+                         / by_event[event]["n_test"]} for event in sorted(by_event)}
+    macro = sum(e["accuracy"] for e in per_event.values()) / len(per_event)
+    overall = sum(confusion[i][i] for i in range(n)) / sum(sum(row) for row in confusion)
+    precision, recall = {}, {}
+    for i, name in enumerate(CLASS_NAMES):
+        gold = sum(confusion[i])
+        predicted = sum(confusion[j][i] for j in range(n))
+        precision[name] = confusion[i][i] / predicted if predicted else 0.0
+        recall[name] = confusion[i][i] / gold if gold else 0.0
+    return EvalReport(protocol=protocol, per_fold=per_fold, per_event=per_event,
+                      macro_mean=macro, overall_accuracy=overall,
+                      headline_accuracy=macro if protocol.startswith("loo") else overall,
+                      confusion=confusion, precision=precision, recall=recall,
+                      config=config_echo)
+
+
+@st.composite
+def drawn_folds(draw):
+    """(event id, gold class indices, score matrix) per fold. Scores come
+    from three values, so rows tie often; gold and predicted classes come
+    from drawn subsets, so some classes are never gold or never predicted."""
+    gold_classes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    scored_classes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    folds = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 9))
+        gold = draw(st.lists(st.sampled_from(gold_classes), min_size=n, max_size=n))
+        scores = np.zeros((n, len(CLASS_NAMES)))
+        for row in scores:
+            for column in scored_classes:
+                row[column] = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        folds.append((draw(st.sampled_from(["ea", "eb", "ec"])),
+                      np.array(gold, dtype=np.int64), scores))
+    return folds
+
+
+@settings(max_examples=200, deadline=None)
+@given(folds=drawn_folds(), protocol=st.sampled_from(["loo_by_event", "split"]))
+def test_reduction_equals_the_per_row_loops(folds, protocol):
+    results, expected = [], []
+    for i, (event, gold, scores) in enumerate(folds):
+        args = (f"{event}/r{i}", event, [f"r{i}"], gold, scores)
+        results.append(evaluation._fold_result(*args))
+        expected.append(loop_fold_result(*args))
+        assert results[-1]["confusion"].tolist() == expected[-1]["confusion"]
+    report = evaluation._reduce_report(protocol, results, {"seed": 0})
+    want = loop_reduce_report(protocol, expected, {"seed": 0})
+    assert report == want
+    # a stray numpy integer would not serialize
+    assert eval_report_json(report) == eval_report_json(want)
+
+
 # ------------------------------------------------------------------ protocols
 
 
@@ -323,11 +416,11 @@ def test_label_tweets_scores_one_chunk_at_a_time(classifier, params, micro, bund
         return predict_many(model, X)
 
     monkeypatch.setattr(evaluation, "predict_many", recording)
-    assert label_tweets(model, three_chunks, bundle) == unchunked
+    assert np.array_equal(label_tweets(model, three_chunks, bundle), unchunked)
     chunk = evaluation.LABEL_CHUNK_ROWS
     assert rows == [chunk, chunk, 1]
     rows.clear()
-    assert label_tweets(model, Dataset("empty", [], {}, {}), bundle) == []
+    assert label_tweets(model, Dataset("empty", [], {}, {}), bundle).shape == (0, 4)
     assert rows == []
 
 

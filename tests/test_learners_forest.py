@@ -32,8 +32,9 @@ def make_data(rng, n, m, classes=("support", "deny", "query", "comment")):
 
 
 def predict_one(model, vector):
-    """predict_many() of one feature vector."""
-    return predict_many(model, to_dense([vector], model.n_features))[0]
+    """(label, {class: score}) of one feature vector by predict_many()."""
+    scores = predict_many(model, to_dense([vector], model.n_features))[0]
+    return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
 
 
 def test_same_seed_same_forest():

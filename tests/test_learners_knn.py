@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rumourstance.errors import ModelError
 from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
 from rumourstance.learners import KnnParams, fit_knn, fit_model, predict_many
-from rumourstance.learners.base import label_indices, to_dense
+from rumourstance.learners.base import CLASS_NAMES, label_indices, to_dense
 from rumourstance.learners.knn import (
     DISTANCE_FLOOR,
     _candidates,
@@ -82,11 +82,12 @@ def assert_scores_equal_per_row(payload, X):
 
 
 def predict_one(model, vector):
-    """predict_many() of one feature vector, whose scores must be the
-    per-row loop's."""
+    """(label, {class: score}) of one feature vector by predict_many(),
+    whose scores must be the per-row loop's."""
     X = to_dense([vector], model.n_features)
     assert_scores_equal_per_row(model.payload, X)
-    return predict_many(model, X)[0]
+    scores = predict_many(model, X)[0]
+    return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
 
 
 def oracle_predict(X, labels, x, k, weighting):

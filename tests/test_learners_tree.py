@@ -90,8 +90,9 @@ def fit_vectors(vecs, params, n_features):
 
 
 def predict_one(model, vector):
-    """predict_many() of one feature vector."""
-    return predict_many(model, to_dense([vector], model.n_features))[0]
+    """(label, {class: score}) of one feature vector by predict_many()."""
+    scores = predict_many(model, to_dense([vector], model.n_features))[0]
+    return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
 
 
 def make_vectors(X, labels):
@@ -575,6 +576,6 @@ def test_tie_break_prefers_class_order():
 
 def test_matrix_of_another_width_is_rejected():
     model = fit_model("tree", np.zeros((4, 1)), classes(["support"] * 4), TreeParams(), 0)
-    assert predict_many(model, np.zeros((1, 1)))[0][0] == "support"
+    assert predict_many(model, np.zeros((1, 1)))[0].argmax() == 0
     with pytest.raises(ModelError):
         predict_many(model, np.zeros((1, 2)))

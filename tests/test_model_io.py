@@ -60,7 +60,6 @@ def test_round_trip_preserves_predictions(kind, vectors, tmp_path):
     assert again.kind == model.kind
     assert again.schema_fingerprint == model.schema_fingerprint
     assert again.n_features == model.n_features
-    assert again.classes == model.classes
     encode = LEARNERS[kind].encode
     assert json.loads(path.read_text())["payload"] == encode(model.payload)
     if kind == "knn":
@@ -73,7 +72,7 @@ def test_round_trip_preserves_predictions(kind, vectors, tmp_path):
         assert again.payload == model.payload
     assert again.context == model.context
     X = to_dense(vectors, 5)
-    assert predict_many(again, X) == predict_many(model, X)
+    assert np.array_equal(predict_many(again, X), predict_many(model, X))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +101,7 @@ def test_round_trip_keeps_predictions_on_drawn_matrices(model_dir, data, kind, n
     model = fit_model(kind, X[:n_rows], y, params, 7)
     save_model(model, model_dir / kind)
     # the training rows and one to six rows the model was not fitted on
-    assert predict_many(load_model(model_dir / kind), X) == predict_many(model, X)
+    assert np.array_equal(predict_many(load_model(model_dir / kind), X), predict_many(model, X))
 
 
 def test_saved_file_is_json_with_header(vectors, tmp_path):
@@ -358,6 +357,6 @@ def test_edited_model_fails_cleanly_or_scores_finitely(micro_saved, data, kind, 
         rows = predict_many(load_model(path), X)
     except StanceError:
         return
-    for _, scores in rows:
-        assert all(math.isfinite(v) for v in scores.values())
-        assert abs(sum(scores.values()) - 1.0) <= 1e-9
+    for scores in rows:
+        assert all(math.isfinite(v) for v in scores)
+        assert abs(sum(scores) - 1.0) <= 1e-9
