@@ -250,21 +250,31 @@ def read_json_lines(path: Path):
 
 
 def load_dataset(path) -> Dataset:
-    """Load and validate a JSONL dataset.
+    """Load and validate a JSONL dataset (see `build_dataset`)."""
+    path = Path(path)
+    return build_dataset(read_json_lines(path), path)
 
-    Each line holds one tweet object:
+
+def build_dataset(numbered, path: Path) -> Dataset:
+    """The validated Dataset, named after `path`, of the (line number, JSON
+    value) pairs read from it; a CorpusError names the `path:line` of the
+    first bad record.
+
+    Each value holds one tweet object:
       {"tweet_id": str, "text": str, "created_at": RFC3339, "in_reply_to": str|null,
        "rumour_id": str, "event_id": str, "label": str|null, "user": {...}}
 
-    Every tweet of a rumour names the same event. Dangling in_reply_to
-    references (parent id absent from the file) are repaired to point at
-    the rumour's source tweet.
+    Tweet ids are unique, and every tweet of a rumour names the same event.
+    Dangling in_reply_to references (parent id absent from the file) are
+    repaired to point at the rumour's source tweet.
     """
-    path = Path(path)
     records = []
-    seen_lines = {}
+    seen_lines = {}  # tweet id -> its line
     rumour_events = {}  # rumour id -> (event id, line of its first tweet)
-    for lineno, obj in read_json_lines(path):
+    rumours: dict = {}
+    events: dict = {}
+    sources: dict = {}  # rumour id -> ids of its source tweets
+    for lineno, obj in numbered:
         try:
             record = _parse_record(obj)
         except CorpusError as exc:
@@ -279,43 +289,28 @@ def load_dataset(path) -> Dataset:
             raise CorpusError(
                 f"{path}:{lineno}: rumour {record.rumour_id!r} is in event "
                 f"{record.event_id!r} here but in event {event!r} on line {first}")
+        if first == lineno:
+            events.setdefault(event, []).append(record.rumour_id)
+        rumours.setdefault(record.rumour_id, []).append(record.tweet_id)
+        if record.is_source:
+            sources.setdefault(record.rumour_id, []).append(record.tweet_id)
         records.append(record)
-    return _build_dataset(records, path.stem)
-
-
-def _build_dataset(records: list, name: str) -> Dataset:
-    by_id = {t.tweet_id: t for t in records}
-    rumours: dict = {}
-    events: dict = {}
-    for t in records:
-        rumours.setdefault(t.rumour_id, []).append(t.tweet_id)
-        event_rumours = events.setdefault(t.event_id, [])
-        if t.rumour_id not in event_rumours:
-            event_rumours.append(t.rumour_id)
 
     # Repair dangling parents: a reply to a tweet outside the collection is
     # reattached to its rumour's source so every annotated tweet stays usable.
-    sources = {}
-    for rumour_id, tweet_ids in rumours.items():
-        rumour_sources = [tid for tid in tweet_ids if by_id[tid].is_source]
-        if len(rumour_sources) == 1:
-            sources[rumour_id] = rumour_sources[0]
-
-    repaired = []
     fixed = 0
-    for t in records:
-        if t.in_reply_to is not None and t.in_reply_to not in by_id:
-            source_id = sources.get(t.rumour_id)
-            if source_id is None:
+    for i, t in enumerate(records):
+        if t.in_reply_to is not None and t.in_reply_to not in seen_lines:
+            rumour_sources = sources.get(t.rumour_id, ())
+            if len(rumour_sources) != 1:
                 raise CorpusError(
                     f"tweet {t.tweet_id!r} replies to missing tweet {t.in_reply_to!r} "
                     f"and rumour {t.rumour_id!r} has no unique source to reattach to")
-            t = replace(t, in_reply_to=source_id)
+            records[i] = replace(t, in_reply_to=rumour_sources[0])
             fixed += 1
-        repaired.append(t)
     if fixed:
         log.info("reattached %d dangling replies to their rumour sources", fixed)
-    return Dataset(name=name, tweets=repaired, rumours=rumours, events=events)
+    return Dataset(name=path.stem, tweets=records, rumours=rumours, events=events)
 
 
 def build_threads(dataset: Dataset) -> list:

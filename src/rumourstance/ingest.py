@@ -17,6 +17,8 @@ from .corpus import (
     _LABEL_ALIASES,
     MAX_COUNT,
     CorpusError,
+    build_dataset,
+    build_threads,
     format_rfc3339,
     parse_rfc3339,
     read_json_lines,
@@ -54,78 +56,70 @@ def _first(obj: dict, *names, default=None):
     return default
 
 
+def _as_id(obj: dict, *names):
+    """The first non-null of `names`, as a string: an integer id becomes its
+    decimal string. Ids key the event map before the corpus checks run, so
+    any other value is an error here."""
+    for name in names:
+        value = obj.get(name)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise CorpusError(f"{name} must be a string or an integer, got {value!r}")
+        return str(value)
+    return None
+
+
 def _as_count(user: dict, *names) -> int:
+    """A user count: 0 when absent, negative or not a number. +inf and digit
+    strings past int()'s 4,300-digit limit read as 2**53 + 1, which the
+    corpus check rejects."""
     value = _first(user, *names)
     if value is None:
         return 0
     try:
-        n = int(value)
+        return max(0, int(value))
     except (TypeError, ValueError, OverflowError):
-        # +inf and digit strings past int()'s 4,300-digit limit are above 2**53
         digits = isinstance(value, str) and value.strip().removeprefix("+").isdecimal()
-        if not digits and value != float("inf"):
-            return 0
-        n = MAX_COUNT + 1
-    if n > MAX_COUNT:
-        raise CorpusError(f"user field {names[0]!r} is above 2**53")
-    return max(0, n)
-
-
-def _as_flag(user: dict, name: str) -> bool:
-    """A user flag: false when absent or null, else a JSON boolean."""
-    value = _first(user, name, default=False)
-    if not isinstance(value, bool):
-        raise CorpusError(f"user field {name!r} must be true or false, got {value!r}")
-    return value
+        return MAX_COUNT + 1 if digits or value == float("inf") else 0
 
 
 def normalize_record(obj: dict) -> dict:
-    """Map one raw tweet object to the normalized ingestion schema; its
-    event_id is None when the object names no event."""
+    """Map one raw tweet object to the normalized ingestion schema, whose
+    checks `corpus.build_dataset` runs; its event_id is None when the
+    object names no event."""
     if not isinstance(obj, dict):
         raise CorpusError("a raw export line must hold a JSON object")
-    tweet_id = _first(obj, "tweet_id", "id_str", "id")
-    if tweet_id is None:
-        raise CorpusError("raw tweet has no id")
-    text = _first(obj, "text", "full_text", default="")
     created_raw = _first(obj, "created_at", "timestamp")
     if created_raw is None:
-        raise CorpusError(f"raw tweet {tweet_id} has no created_at")
+        raise CorpusError("raw tweet has no created_at")
     created_at = _parse_any_timestamp(created_raw)
-    in_reply_to = _first(obj, "in_reply_to", "in_reply_to_status_id_str",
-                         "in_reply_to_status_id")
-    rumour_id = _first(obj, "rumour_id", "thread_id", "conversation_id")
-    if rumour_id is None:
-        raise CorpusError(f"raw tweet {tweet_id} has no rumour/thread id")
-    event_id = _first(obj, "event_id", "event")
-
     user = obj.get("user") or {}
     if not isinstance(user, dict):
-        raise CorpusError(f"raw tweet {tweet_id}: user must be an object, got {user!r}")
+        raise CorpusError(f"user must be an object, got {user!r}")
     account_raw = _first(user, "account_created", "created_at")
     account_created = _parse_any_timestamp(account_raw) if account_raw is not None else created_at
-    account_created = min(account_created, created_at)
     description = user.get("description")
-    normalized_user = {
-        "statuses_count": _as_count(user, "statuses_count", "statuses"),
-        "verified": _as_flag(user, "verified"),
-        "followers": _as_count(user, "followers", "followers_count"),
-        "followees": _as_count(user, "followees", "friends_count", "following"),
-        "favourites_count": _as_count(user, "favourites_count", "favorites_count"),
-        "account_created": format_rfc3339(account_created),
-        "geo_enabled": _as_flag(user, "geo_enabled"),
-        "description": str(description) if description else None,
-    }
     label = _first(obj, "label", "stance")
     return {
-        "tweet_id": str(tweet_id),
-        "text": str(text),
+        "tweet_id": _as_id(obj, "tweet_id", "id_str", "id"),
+        "text": _first(obj, "text", "full_text", default=""),
         "created_at": format_rfc3339(created_at),
-        "in_reply_to": str(in_reply_to) if in_reply_to is not None else None,
-        "rumour_id": str(rumour_id),
-        "event_id": str(event_id) if event_id is not None else None,
+        "in_reply_to": _as_id(obj, "in_reply_to", "in_reply_to_status_id_str",
+                              "in_reply_to_status_id"),
+        "rumour_id": _as_id(obj, "rumour_id", "thread_id", "conversation_id"),
+        "event_id": _as_id(obj, "event_id", "event"),
         "label": str(label) if label is not None else None,
-        "user": normalized_user,
+        "user": {
+            "statuses_count": _as_count(user, "statuses_count", "statuses"),
+            "verified": _first(user, "verified", default=False),
+            "followers": _as_count(user, "followers", "followers_count"),
+            "followees": _as_count(user, "followees", "friends_count", "following"),
+            "favourites_count": _as_count(user, "favourites_count", "favorites_count"),
+            "account_created": format_rfc3339(min(account_created, created_at)),
+            "geo_enabled": _first(user, "geo_enabled", default=False),
+            "description": str(description) if description else None,
+        },
     }
 
 
@@ -135,12 +129,12 @@ def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
     Tweets with an annotation outside the four-class set are dropped, except
     source tweets, which are kept with the label cleared. A tweet that names
     no event takes the first event named by a tweet of its rumour, else
-    `default_event`. Every line is normalized before `out_path` is opened,
-    so a bad line writes nothing.
+    `default_event`. The kept records must pass `corpus.build_dataset` and
+    `build_threads`, each named by its raw line, before `out_path` is
+    opened, so a bad export writes nothing.
     """
     raw_path = Path(raw_path)
-    out_path = Path(out_path)
-    records = []
+    numbered = []  # (raw line, normalized record)
     named_events = {}  # rumour id -> the first event a tweet of it names
     dropped = 0
     for lineno, obj in read_json_lines(raw_path):
@@ -157,14 +151,13 @@ def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
             else:
                 dropped += 1
                 continue
-        records.append(record)
-    lines = []
-    for record in records:
+        numbered.append((lineno, record))
+    for _, record in numbered:
         if record["event_id"] is None:
             record["event_id"] = named_events.get(record["rumour_id"], default_event)
-        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
-    with out_path.open("w", encoding="utf-8") as fout:
-        fout.writelines(lines)
+    build_threads(build_dataset(numbered, raw_path))
+    with Path(out_path).open("w", encoding="utf-8") as fout:
+        fout.writelines(json.dumps(record, ensure_ascii=False) + "\n" for _, record in numbered)
     if dropped:
         log.warning("dropped %d tweets with out-of-set annotations", dropped)
-    return {"kept": len(lines), "dropped": dropped}
+    return {"kept": len(numbered), "dropped": dropped}

@@ -144,18 +144,20 @@ def load_knn(payload: dict, n_features: int) -> dict:
 
 def check_knn(payload: dict, n_features: int) -> None:
     """Raise ModelError unless the payload holds one class label per stored
-    instance, n_features finite mins and ranges, instances keyed as
-    encode_knn keys them, 1 <= k <= the instance count and a known weighting."""
+    instance, n_features finite mins and non-negative ranges, instances
+    keyed as encode_knn keys them, 1 <= k <= the instance count and a known
+    weighting."""
     instances, labels = payload.get("instances"), payload.get("labels")
     if not (isinstance(instances, list) and isinstance(labels, list)
             and len(instances) == len(labels)
             and all(is_index(label, N_CLASSES) for label in labels)):
         raise ModelError("k-NN payload must hold one class label per instance")
-    for key in ("mins", "ranges"):
+    # normalize_columns reads a negative range as a constant column
+    for key, kind in (("mins", "finite"), ("ranges", "finite non-negative")):
         values = payload.get(key)
         if not (isinstance(values, list) and len(values) == n_features
-                and all(is_finite_number(v) for v in values)):
-            raise ModelError(f"k-NN {key} must hold {n_features} finite numbers")
+                and all(is_finite_number(v) and (key == "mins" or v >= 0) for v in values)):
+            raise ModelError(f"k-NN {key} must hold {n_features} {kind} numbers")
     # one plain decimal key per column; checked after the mins, which bound n_features
     keys = set(map(str, range(n_features)))
     if not all(isinstance(sparse, dict)

@@ -109,8 +109,10 @@ def load_embeddings(path) -> EmbeddingTable:
             raise ResourceError(f"{path}:{lineno}: non-numeric vector component") from None
         if not values:
             raise ResourceError(f"{path}:{lineno}: entry has no vector components")
-        if not all(math.isfinite(v) for v in values):
-            raise ResourceError(f"{path}:{lineno}: vector component is not a finite number")
+        # a finite sum of squares keeps every dot product of mean vectors finite
+        if not math.isfinite(sum(v * v for v in values)):
+            raise ResourceError(f"{path}:{lineno}: vector component is not a finite "
+                                "number, or the vector's squared norm overflows")
         if dimension is None:
             dimension = len(values)
         elif len(values) != dimension:

@@ -101,14 +101,19 @@ def test_bad_removal_spec_rejected(spec, out, capsys):
 
 
 @pytest.mark.parametrize("case", ["bad-remove", "malformed-corpus", "fingerprint-mismatch",
-                                  "ingest-bad-line", "eval-loo-empty-corpus",
-                                  "ablate-empty-corpus", "split-no-labelled-test"])
+                                  "ingest-bad-line", "ingest-two-sources",
+                                  "eval-loo-empty-corpus", "ablate-empty-corpus",
+                                  "split-no-labelled-test"])
 def test_failed_run_leaves_no_out_directory(case, micro_split, tmp_path, out, capsys):
     bad_corpus = tmp_path / "bad.jsonl"
     bad_corpus.write_text(micro_corpus_path().read_text() + "{not json\n")
-    bad_raw, empty, unlabelled = (tmp_path / name for name in
-                                  ("bad_raw.jsonl", "empty.jsonl", "unlabelled.jsonl"))
+    bad_raw, two_sources, empty, unlabelled = (
+        tmp_path / name for name in
+        ("bad_raw.jsonl", "two_sources.jsonl", "empty.jsonl", "unlabelled.jsonl"))
     bad_raw.write_text("{not json\n")
+    source = json.loads(micro_corpus_path().read_text().splitlines()[0])
+    two_sources.write_text(json.dumps(source) + "\n"
+                           + json.dumps({**source, "tweet_id": "a1-s2"}) + "\n")
     empty.write_text("")
     unlabelled.write_text("".join(json.dumps({**json.loads(line), "label": None}) + "\n"
                                   for line in micro_split[1].read_text().splitlines()))
@@ -125,8 +130,10 @@ def test_failed_run_leaves_no_out_directory(case, micro_split, tmp_path, out, ca
         "fingerprint-mismatch": (
             ["predict", "--model", mismatched, "--input", micro_corpus_path()], 1,
             "rebuilt feature schema does not match the model"),
-        # these three fail once --out exists
+        # the rest fail once --out exists
         "ingest-bad-line": (["ingest", "--input", bad_raw], 1, f"{bad_raw}:1: invalid JSON"),
+        "ingest-two-sources": (["ingest", "--input", two_sources], 1,
+                               "rumour 'a1' has multiple source tweets: a1-t00, a1-s2"),
         "eval-loo-empty-corpus": (["eval-loo", "--dataset", empty], 1,
                                   "leave-one-out needs at least 2 rumours"),
         "ablate-empty-corpus": (["ablate", "--dataset", empty], 1,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -202,6 +203,11 @@ def _with_field(field, value) -> bytes:
                  id="ingest-followers-infinity"),
     pytest.param("ingest", _with_field("user.description", "a \ud800 b"),
                  id="ingest-lone-surrogate"),
+    pytest.param("ingest", _with_field("tweet_id", ""), id="ingest-empty-tweet-id"),
+    pytest.param("ingest", _with_field("tweet_id", True), id="ingest-tweet-id-true"),
+    pytest.param("ingest", _with_field("text", {"a": 1}), id="ingest-text-object"),
+    pytest.param("ingest", _with_field("rumour_id", ["a1"]), id="ingest-rumour-id-list"),
+    pytest.param("ingest", _GOOD_LINE.rstrip(b"\n"), id="ingest-duplicate-id"),
 ])
 def test_bad_input_line_is_a_one_line_error(command, bad_line, tmp_path, capsys):
     path = tmp_path / "input.jsonl"
@@ -262,10 +268,10 @@ def test_ingested_rumour_naming_two_events_fails_to_load(tmp_path):
     path.write_bytes(_GOOD_LINE + json.dumps(_without_event(_with_field("text", "ok"))).encode()
                      + b"\n" + _with_field("event_id", "eb").replace(b"a1-reply", b"a1-r2")
                      + b"\n")
-    ingest_file(path, normalized)
-    with pytest.raises(CorpusError, match=r":3: rumour 'a1' is in event 'eb' here but in "
-                                          r"event 'ea' on line 1"):
-        load_dataset(normalized)
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:3: rumour 'a1' is in "
+                                          r"event 'eb' here but in event 'ea' on line 1$"):
+        ingest_file(path, normalized)
+    assert not normalized.exists()
 
 
 def test_ingest_reads_an_absent_or_null_user_flag_as_false(tmp_path):
@@ -300,10 +306,10 @@ def _succeeds(call) -> bool:
 @given(line=_lines)
 def test_any_input_line_loads_or_is_a_stance_error(line):
     # a corpus or raw-export line of any JSON value or bytes, after a good
-    # line; what ingest writes must load the same way
+    # line; what ingest writes must load and thread without an error
     with tempfile.TemporaryDirectory() as tmp:
         path, normalized = Path(tmp) / "in.jsonl", Path(tmp) / "normalized.jsonl"
         path.write_bytes(_GOOD_LINE + line + b"\n")
         _succeeds(lambda: load_dataset(path))
         if _succeeds(lambda: ingest_file(path, normalized)):
-            _succeeds(lambda: load_dataset(normalized))
+            build_threads(load_dataset(normalized))

@@ -251,6 +251,11 @@ def tiny_ranges_uniform(model):
     model["payload"]["weighting"] = "uniform"
 
 
+def negative_ranges(model):
+    # normalize_columns would read every column as constant
+    model["payload"]["ranges"] = [-1.0] * len(model["payload"]["ranges"])
+
+
 def overflowing_leaf_counts(model):
     for leaf in leaves(model["payload"]["root"]):
         leaf["counts"] = [1e308, 1e308, 0, 0]
@@ -272,6 +277,7 @@ def overflowing_leaf_counts(model):
     ("knn", tiny_ranges),
     ("knn", tiny_ranges_uniform),
     ("tree", overflowing_leaf_counts),
+    ("knn", negative_ranges),
 ])
 def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
                                                     tmp_path, capsys):

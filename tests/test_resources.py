@@ -194,7 +194,8 @@ def test_non_finite_embedding_component_is_a_resource_error(component, tmp_path)
 @pytest.mark.parametrize("rel, lineno, edit", [
     ("dicts/slang.txt", 2, lambda line: b"\xc3" + line),
     ("embeddings.txt", 3, first_component(b"nan")),
-], ids=["slang-not-utf8", "embedding-nan"])
+    ("embeddings.txt", 3, first_component(b"1e200")),
+], ids=["slang-not-utf8", "embedding-nan", "embedding-norm-overflows"])
 def test_bad_bundle_file_is_a_one_line_runtime_error(rel, lineno, edit, tmp_path, capsys):
     dst = bundle_copy(tmp_path)
     edit_line(dst / rel, lineno, edit)
