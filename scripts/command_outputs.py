@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Run every `stance` command on the bundled corpora and keep all it writes.
+
+    PYTHONPATH=<checkout>/src python3 scripts/command_outputs.py OUT
+
+OUT must not exist. The micro and Ottawa corpora are copied into it, along
+with a train/test split of each that holds out every third sorted rumour.
+Each command then runs from OUT through `rumourstance.cli.main`, with
+relative paths and `--seed 1`, writing into its own directory, where its
+stdout, stderr and exit code go beside its outputs.
+
+Outputs depend only on the program, so running this once with each of two
+checkouts' `src` on PYTHONPATH and comparing the results with `diff -r`
+shows whether a change altered what any command writes or prints on valid
+input.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+from rumourstance import cli
+from rumourstance.bundled import micro_corpus_path, ottawa_path
+
+LEARNERS = ("tree", "forest", "knn")
+
+
+def write_split(corpus: str) -> None:
+    """<corpus>-train.jsonl and <corpus>-test.jsonl: the lines of every
+    third sorted rumour go to the test file, the rest to the train file."""
+    lines = Path(f"{corpus}.jsonl").read_bytes().splitlines(keepends=True)
+    rumour_of = [json.loads(line)["rumour_id"] for line in lines]
+    held_out = set(sorted(set(rumour_of))[2::3])
+    for part, in_test in (("train", False), ("test", True)):
+        Path(f"{corpus}-{part}.jsonl").write_bytes(b"".join(
+            line for line, rumour in zip(lines, rumour_of) if (rumour in held_out) == in_test))
+
+
+def commands(corpus: str):
+    """(output directory, argv) of each command run on one corpus."""
+    data, seed = f"{corpus}.jsonl", ["--seed", "1"]
+    yield f"{corpus}/ingest", ["ingest", "--input", data]
+    yield f"{corpus}/featurize", ["featurize", "--dataset", data, *seed]
+    for learner in LEARNERS:
+        yield f"{corpus}/train-{learner}", [
+            "train", "--dataset", data, "--classifier", learner, *seed]
+        yield f"{corpus}/predict-{learner}", [
+            "predict", "--model", f"{corpus}/train-{learner}/model.json", "--input", data]
+    for learner in LEARNERS:
+        yield f"{corpus}/eval-loo-{learner}", [
+            "eval-loo", "--dataset", data, "--classifier", learner, *seed]
+    yield f"{corpus}/eval-loo-knn-global", [
+        "eval-loo", "--dataset", data, "--classifier", "knn", "--protocol", "loo_global", *seed]
+    for learner in LEARNERS:
+        yield f"{corpus}/eval-split-{learner}", [
+            "eval-split", "--dataset", f"{corpus}-train.jsonl",
+            "--test-dataset", f"{corpus}-test.jsonl", "--classifier", learner, *seed]
+    yield f"{corpus}/ablate-forest", [
+        "ablate", "--dataset", data, "--classifier", "forest", "--remove", "AF", *seed]
+
+
+def run(out_dir: str, argv: list) -> int:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, "--out", out_dir])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    (out / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
+    (out / "exit_code.txt").write_text(f"{code}\n", encoding="utf-8")
+    return code
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print("usage: command_outputs.py OUT", file=sys.stderr)
+        return 2
+    root = Path(argv[0])
+    root.mkdir(parents=True)
+    shutil.copyfile(micro_corpus_path(), root / "micro.jsonl")
+    shutil.copyfile(ottawa_path(), root / "ottawa.jsonl")
+    os.chdir(root)
+    for corpus in ("micro", "ottawa"):
+        write_split(corpus)
+        for out_dir, command in commands(corpus):
+            print(f"{out_dir}: exit {run(out_dir, command)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

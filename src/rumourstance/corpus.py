@@ -1,23 +1,20 @@
 """Normalized rumour-thread corpus: records, validation, thread building.
 
-The on-disk format is JSONL, one tweet object per line (see `load_dataset`).
-A loaded Dataset is validated and immutable; replies whose parent tweet is
-missing from the collection are reattached to their rumour's source tweet.
+The on-disk format is JSONL, one tweet object per line. `build_dataset`
+alone decides which values a record may hold, for `load_dataset` and
+`ingest` alike; a built Dataset is validated and immutable.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
 from .errors import CorpusError
-
-log = logging.getLogger(__name__)
 
 
 class StanceLabel(Enum):
@@ -172,7 +169,7 @@ def _parse_user(obj, created_at: float) -> UserStats:
         raise CorpusError("account_created is after the tweet's timestamp")
     description = obj["description"]
     if description is not None and not isinstance(description, str):
-        raise CorpusError("user description must be a string or null")
+        raise CorpusError(f"user field 'description' must be a string or null, got {description!r}")
     return UserStats(
         statuses_count=obj["statuses_count"],
         verified=obj["verified"],
@@ -197,6 +194,8 @@ def _parse_record(obj) -> TweetRecord:
     tweet_id = obj["tweet_id"]
     if not isinstance(tweet_id, str) or not tweet_id:
         raise CorpusError("tweet_id must be a non-empty string")
+    if any(c in tweet_id for c in "\t\n\r"):  # ids are columns of the TSV outputs
+        raise CorpusError(f"tweet_id must hold no tab or line break, got {tweet_id!r}")
     rumour_id = obj["rumour_id"]
     if not isinstance(rumour_id, str) or not rumour_id:
         raise CorpusError("rumour_id must be a non-empty string")
@@ -264,16 +263,15 @@ def build_dataset(numbered, path: Path) -> Dataset:
       {"tweet_id": str, "text": str, "created_at": RFC3339, "in_reply_to": str|null,
        "rumour_id": str, "event_id": str, "label": str|null, "user": {...}}
 
-    Tweet ids are unique, and every tweet of a rumour names the same event.
-    Dangling in_reply_to references (parent id absent from the file) are
-    repaired to point at the rumour's source tweet.
+    Tweet ids are unique and hold no tab or line break, and every tweet of a
+    rumour names the same event. An in_reply_to naming a tweet absent from
+    the file is kept as it is: only whether it is null is ever read.
     """
     records = []
     seen_lines = {}  # tweet id -> its line
     rumour_events = {}  # rumour id -> (event id, line of its first tweet)
     rumours: dict = {}
     events: dict = {}
-    sources: dict = {}  # rumour id -> ids of its source tweets
     for lineno, obj in numbered:
         try:
             record = _parse_record(obj)
@@ -292,24 +290,7 @@ def build_dataset(numbered, path: Path) -> Dataset:
         if first == lineno:
             events.setdefault(event, []).append(record.rumour_id)
         rumours.setdefault(record.rumour_id, []).append(record.tweet_id)
-        if record.is_source:
-            sources.setdefault(record.rumour_id, []).append(record.tweet_id)
         records.append(record)
-
-    # Repair dangling parents: a reply to a tweet outside the collection is
-    # reattached to its rumour's source so every annotated tweet stays usable.
-    fixed = 0
-    for i, t in enumerate(records):
-        if t.in_reply_to is not None and t.in_reply_to not in seen_lines:
-            rumour_sources = sources.get(t.rumour_id, ())
-            if len(rumour_sources) != 1:
-                raise CorpusError(
-                    f"tweet {t.tweet_id!r} replies to missing tweet {t.in_reply_to!r} "
-                    f"and rumour {t.rumour_id!r} has no unique source to reattach to")
-            records[i] = replace(t, in_reply_to=rumour_sources[0])
-            fixed += 1
-    if fixed:
-        log.info("reattached %d dangling replies to their rumour sources", fixed)
     return Dataset(name=path.stem, tweets=records, rumours=rumours, events=events)
 
 

@@ -1,9 +1,11 @@
 """Normalize raw tweet exports into the corpus JSONL schema.
 
 Raw lines are tolerant Twitter-API-shaped objects: alternative field names
-are accepted, Twitter's legacy created_at format is parsed, and tweets whose
-stance annotation is outside the four-class set are dropped (sources are kept
-unlabelled instead, since replies need them for thread structure).
+are accepted, absent fields get defaults, Twitter's legacy created_at format
+is parsed, and tweets whose string stance annotation is outside the
+four-class set are dropped (sources are kept unlabelled instead, since
+replies need them for thread structure). Every other value that is present
+goes unchanged to `corpus.build_dataset`, which decides whether it is valid.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 
 from .corpus import (
     _LABEL_ALIASES,
-    MAX_COUNT,
     CorpusError,
     build_dataset,
     build_threads,
@@ -70,37 +71,25 @@ def _as_id(obj: dict, *names):
     return None
 
 
-def _as_count(user: dict, *names) -> int:
-    """A user count: 0 when absent, negative or not a number. +inf and digit
-    strings past int()'s 4,300-digit limit read as 2**53 + 1, which the
-    corpus check rejects."""
-    value = _first(user, *names)
-    if value is None:
-        return 0
-    try:
-        return max(0, int(value))
-    except (TypeError, ValueError, OverflowError):
-        digits = isinstance(value, str) and value.strip().removeprefix("+").isdecimal()
-        return MAX_COUNT + 1 if digits or value == float("inf") else 0
-
-
 def normalize_record(obj: dict) -> dict:
-    """Map one raw tweet object to the normalized ingestion schema, whose
-    checks `corpus.build_dataset` runs; its event_id is None when the
-    object names no event."""
+    """Map one raw tweet object to the normalized ingestion schema: dialect
+    names renamed, absent or null fields filled (a count of 0, a flag of
+    false, text ""), timestamps converted and account_created clamped. An
+    empty description becomes null; every other value is copied unchanged
+    for `corpus.build_dataset` to check. event_id is None when the object
+    names no event."""
     if not isinstance(obj, dict):
         raise CorpusError("a raw export line must hold a JSON object")
     created_raw = _first(obj, "created_at", "timestamp")
     if created_raw is None:
         raise CorpusError("raw tweet has no created_at")
     created_at = _parse_any_timestamp(created_raw)
-    user = obj.get("user") or {}
+    user = _first(obj, "user", default={})
     if not isinstance(user, dict):
         raise CorpusError(f"user must be an object, got {user!r}")
     account_raw = _first(user, "account_created", "created_at")
     account_created = _parse_any_timestamp(account_raw) if account_raw is not None else created_at
     description = user.get("description")
-    label = _first(obj, "label", "stance")
     return {
         "tweet_id": _as_id(obj, "tweet_id", "id_str", "id"),
         "text": _first(obj, "text", "full_text", default=""),
@@ -109,16 +98,16 @@ def normalize_record(obj: dict) -> dict:
                               "in_reply_to_status_id"),
         "rumour_id": _as_id(obj, "rumour_id", "thread_id", "conversation_id"),
         "event_id": _as_id(obj, "event_id", "event"),
-        "label": str(label) if label is not None else None,
+        "label": _first(obj, "label", "stance"),
         "user": {
-            "statuses_count": _as_count(user, "statuses_count", "statuses"),
+            "statuses_count": _first(user, "statuses_count", "statuses", default=0),
             "verified": _first(user, "verified", default=False),
-            "followers": _as_count(user, "followers", "followers_count"),
-            "followees": _as_count(user, "followees", "friends_count", "following"),
-            "favourites_count": _as_count(user, "favourites_count", "favorites_count"),
+            "followers": _first(user, "followers", "followers_count", default=0),
+            "followees": _first(user, "followees", "friends_count", "following", default=0),
+            "favourites_count": _first(user, "favourites_count", "favorites_count", default=0),
             "account_created": format_rfc3339(min(account_created, created_at)),
             "geo_enabled": _first(user, "geo_enabled", default=False),
-            "description": str(description) if description else None,
+            "description": None if description == "" else description,
         },
     }
 
@@ -126,11 +115,11 @@ def normalize_record(obj: dict) -> dict:
 def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
     """Normalize a raw JSONL export; returns {"kept": n, "dropped": n}.
 
-    Tweets with an annotation outside the four-class set are dropped, except
-    source tweets, which are kept with the label cleared. A tweet that names
-    no event takes the first event named by a tweet of its rumour, else
-    `default_event`. The kept records must pass `corpus.build_dataset` and
-    `build_threads`, each named by its raw line, before `out_path` is
+    Tweets with a string annotation outside the four-class set are dropped,
+    except sources, which are kept with the label cleared. A tweet that
+    names no event takes the first event named by a tweet of its rumour,
+    else `default_event`. The kept records must pass `corpus.build_dataset`
+    and `build_threads`, each named by its raw line, before `out_path` is
     opened, so a bad export writes nothing.
     """
     raw_path = Path(raw_path)
@@ -145,7 +134,7 @@ def ingest_file(raw_path, out_path, default_event: str = "unknown") -> dict:
         if record["event_id"] is not None:
             named_events.setdefault(record["rumour_id"], record["event_id"])
         label = record["label"]
-        if label is not None and label.strip().lower() not in _LABEL_ALIASES:
+        if isinstance(label, str) and label.strip().lower() not in _LABEL_ALIASES:
             if record["in_reply_to"] is None:
                 record["label"] = None  # keep sources for thread structure
             else:

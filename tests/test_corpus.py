@@ -22,6 +22,7 @@ from rumourstance.corpus import (
     load_dataset,
     parse_rfc3339,
     parse_stance_label,
+    read_json_lines,
     thread_index,
 )
 from rumourstance.errors import StanceError
@@ -186,6 +187,7 @@ def _with_field(field, value) -> bytes:
     pytest.param("featurize", _with_field("event_id", "eb"),
                  id="featurize-rumour-in-two-events"),
     pytest.param("featurize", _with_field("text", "\udc80"), id="featurize-lone-surrogate"),
+    pytest.param("featurize", _with_field("tweet_id", "a\tb"), id="featurize-tweet-id-tab"),
     pytest.param("ingest", b"5", id="ingest-bare-5"),
     pytest.param("ingest", _with_field("user", 5), id="ingest-user-5"),
     pytest.param("ingest", _with_field("user", [1]), id="ingest-user-list"),
@@ -208,6 +210,18 @@ def _with_field(field, value) -> bytes:
     pytest.param("ingest", _with_field("text", {"a": 1}), id="ingest-text-object"),
     pytest.param("ingest", _with_field("rumour_id", ["a1"]), id="ingest-rumour-id-list"),
     pytest.param("ingest", _GOOD_LINE.rstrip(b"\n"), id="ingest-duplicate-id"),
+    pytest.param("ingest", _with_field("tweet_id", "a\nb"), id="ingest-tweet-id-newline"),
+    pytest.param("ingest", _with_field("user.followers", True), id="ingest-followers-true"),
+    pytest.param("ingest", _with_field("user.followers", "123"),
+                 id="ingest-followers-digit-string"),
+    pytest.param("ingest", _with_field("user.followers", -5), id="ingest-followers-negative"),
+    pytest.param("ingest", _with_field("user.followees", "many"), id="ingest-followees-many"),
+    pytest.param("ingest", _with_field("user.statuses_count", 3.7),
+                 id="ingest-statuses-count-3.7"),
+    pytest.param("ingest", _with_field("user.description", {"a": 1}),
+                 id="ingest-description-object"),
+    pytest.param("ingest", _with_field("label", 5), id="ingest-label-5"),
+    pytest.param("ingest", _with_field("label", ["deny"]), id="ingest-label-list"),
 ])
 def test_bad_input_line_is_a_one_line_error(command, bad_line, tmp_path, capsys):
     path = tmp_path / "input.jsonl"
@@ -274,6 +288,34 @@ def test_ingested_rumour_naming_two_events_fails_to_load(tmp_path):
     assert not normalized.exists()
 
 
+def _micro_with_dangling_reply(*extra: bytes) -> bytes:
+    """Micro with reply a1-t01 pointing at a tweet absent from the corpus."""
+    lines = micro_corpus_path().read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    assert record["tweet_id"] == "a1-t01"
+    record["in_reply_to"] = "gone"
+    lines[1] = json.dumps(record).encode() + b"\n"
+    return b"".join(lines) + b"".join(line + b"\n" for line in extra)
+
+
+def test_reply_to_a_missing_tweet_featurizes_as_any_reply(tmp_path, capsys):
+    path = tmp_path / "dangling.jsonl"
+    path.write_bytes(_micro_with_dangling_reply())
+    assert main(["featurize", "--dataset", str(path), "--out", str(tmp_path / "dangling")]) == 0
+    assert main(["featurize", "--dataset", str(micro_corpus_path()),
+                 "--out", str(tmp_path / "micro")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "dangling" / "vectors.tsv").read_bytes()
+            == (tmp_path / "micro" / "vectors.tsv").read_bytes())
+
+
+def test_reply_to_a_missing_tweet_beside_two_sources_is_a_thread_error(tmp_path, capsys):
+    path = tmp_path / "dangling.jsonl"
+    path.write_bytes(_micro_with_dangling_reply(_with_field("in_reply_to", None)))
+    assert main(["featurize", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "rumour 'a1' has multiple source tweets" in capsys.readouterr().err
+
+
 def test_ingest_reads_an_absent_or_null_user_flag_as_false(tmp_path):
     source = json.loads(_GOOD_LINE)
     del source["user"]["verified"]
@@ -294,6 +336,12 @@ _lines = st.one_of(
 )
 
 
+_COUNT_ALIASES = {"statuses_count": ("statuses_count", "statuses"),
+                  "followers": ("followers", "followers_count"),
+                  "followees": ("followees", "friends_count", "following"),
+                  "favourites_count": ("favourites_count", "favorites_count")}
+
+
 def _succeeds(call) -> bool:
     try:
         call()
@@ -312,4 +360,17 @@ def test_any_input_line_loads_or_is_a_stance_error(line):
         path.write_bytes(_GOOD_LINE + line + b"\n")
         _succeeds(lambda: load_dataset(path))
         if _succeeds(lambda: ingest_file(path, normalized)):
-            build_threads(load_dataset(normalized))
+            loaded = load_dataset(normalized)
+            build_threads(loaded)
+            # each present count is copied as it is, type included (true is not 1)
+            by_id = {t.tweet_id: t for t in loaded.tweets}
+            for _, raw in read_json_lines(path):
+                tweet_id = next(str(raw[n]) for n in ("tweet_id", "id_str", "id")
+                                if raw.get(n) is not None)
+                if tweet_id not in by_id:
+                    continue  # dropped for an out-of-set label
+                user = raw.get("user") or {}
+                for name, aliases in _COUNT_ALIASES.items():
+                    want = next((user[n] for n in aliases if user.get(n) is not None), 0)
+                    got = getattr(by_id[tweet_id].user, name)
+                    assert (type(got), got) == (type(want), want)
