@@ -7,7 +7,8 @@ OUT must not exist. The micro and Ottawa corpora are copied into it, along
 with a train/test split of each that holds out every third sorted rumour.
 Each command then runs from OUT through `rumourstance.cli.main`, with
 relative paths and `--seed 1`, writing into its own directory, where its
-stdout, stderr and exit code go beside its outputs.
+stdout, stderr and exit code go beside its outputs. `featurize`, and `train`
+followed by `predict`, also run on a subset of the feature groups.
 
 Outputs depend only on the program, so running this once with each of two
 checkouts' `src` on PYTHONPATH and comparing the results with `diff -r`
@@ -29,6 +30,8 @@ from rumourstance import cli
 from rumourstance.bundled import micro_corpus_path, ottawa_path
 
 LEARNERS = ("tree", "forest", "knn")
+# a subset of feature groups, so that the commands drop columns
+SOME_GROUPS = "BOW,NE,MOOD,AF_ITS,AF_IQ"
 
 
 def write_split(corpus: str) -> None:
@@ -47,11 +50,17 @@ def commands(corpus: str):
     data, seed = f"{corpus}.jsonl", ["--seed", "1"]
     yield f"{corpus}/ingest", ["ingest", "--input", data]
     yield f"{corpus}/featurize", ["featurize", "--dataset", data, *seed]
+    yield f"{corpus}/featurize-some-groups", [
+        "featurize", "--dataset", data, "--groups", SOME_GROUPS, *seed]
     for learner in LEARNERS:
         yield f"{corpus}/train-{learner}", [
             "train", "--dataset", data, "--classifier", learner, *seed]
         yield f"{corpus}/predict-{learner}", [
             "predict", "--model", f"{corpus}/train-{learner}/model.json", "--input", data]
+    yield f"{corpus}/train-some-groups", [
+        "train", "--dataset", data, "--classifier", "tree", "--groups", SOME_GROUPS, *seed]
+    yield f"{corpus}/predict-some-groups", [
+        "predict", "--model", f"{corpus}/train-some-groups/model.json", "--input", data]
     for learner in LEARNERS:
         yield f"{corpus}/eval-loo-{learner}", [
             "eval-loo", "--dataset", data, "--classifier", learner, *seed]

@@ -235,19 +235,19 @@ def cmd_ingest(settings: dict) -> int:
 def cmd_featurize(settings: dict) -> int:
     config, _, resources, out, dataset = _start_run(settings)
     now = resolve_now(config.now, dataset)
-    _, schema, vectors, _ = featurize_corpus(dataset, resources, config.groups, now)
+    dictionaries, schema, analyses = featurize_corpus(dataset, resources, config.groups, now)
     write_schema_file(schema, out / "schema.tsv")
-    write_vectors(vectors, out / "vectors.tsv")
+    write_vectors(analyses, dictionaries, schema, out / "vectors.tsv")
     _write_config_echo(out, {
         "dataset": dataset.name,
         "bundle_hash": resources.content_hash,
         "feature_groups": sorted(schema.groups_present),
         "n_columns": len(schema.columns),
-        "n_vectors": len(vectors),
+        "n_vectors": len(analyses),
         "now": now,
         "schema_fingerprint": schema.fingerprint,
     })
-    print(f"wrote {len(vectors)} vectors over {len(schema.columns)} columns to {out}")
+    print(f"wrote {len(analyses)} vectors over {len(schema.columns)} columns to {out}")
     return 0
 
 

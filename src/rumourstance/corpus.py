@@ -194,11 +194,12 @@ def _parse_record(obj) -> TweetRecord:
     tweet_id = obj["tweet_id"]
     if not isinstance(tweet_id, str) or not tweet_id:
         raise CorpusError("tweet_id must be a non-empty string")
-    if any(c in tweet_id for c in "\t\n\r"):  # ids are columns of the TSV outputs
-        raise CorpusError(f"tweet_id must hold no tab or line break, got {tweet_id!r}")
     rumour_id = obj["rumour_id"]
     if not isinstance(rumour_id, str) or not rumour_id:
         raise CorpusError("rumour_id must be a non-empty string")
+    for name in ("tweet_id", "rumour_id", "event_id"):  # ids are cells of the text outputs
+        if any(c in obj[name] for c in "\t\n\r"):
+            raise CorpusError(f"{name} must hold no tab or line break, got {obj[name]!r}")
     created_at = parse_rfc3339(obj["created_at"])
     in_reply_to = obj.get("in_reply_to")
     if in_reply_to is not None and not isinstance(in_reply_to, str):
@@ -263,9 +264,10 @@ def build_dataset(numbered, path: Path) -> Dataset:
       {"tweet_id": str, "text": str, "created_at": RFC3339, "in_reply_to": str|null,
        "rumour_id": str, "event_id": str, "label": str|null, "user": {...}}
 
-    Tweet ids are unique and hold no tab or line break, and every tweet of a
-    rumour names the same event. An in_reply_to naming a tweet absent from
-    the file is kept as it is: only whether it is null is ever read.
+    Tweet ids are unique, no tweet, rumour or event id holds a tab or line
+    break, and every tweet of a rumour names the same event. An in_reply_to
+    naming a tweet absent from the file is kept as it is: only whether it is
+    null is ever read.
     """
     records = []
     seen_lines = {}  # tweet id -> its line

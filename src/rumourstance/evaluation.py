@@ -2,12 +2,13 @@
 ablation), pooled metrics, a native paired t-test, and the one path that
 trains a model on a corpus and labels tweets with it through its context.
 
-A leave-one-rumour-out run featurizes the corpus once, as `train` does, and
-its labelled rows are a run matrix over all groups and the vocabularies of
-every tweet. A fold's schema, built from its training rumours' vocabularies
-and ablated or not, is an order-preserving subset of those columns, and no
-value depends on the fold, so each fold fits and predicts on the rows (by
-tweet id) and columns (by name) it slices from that matrix.
+A leave-one-rumour-out run analyses every tweet once, as `train` does, and
+vectorizes only the labelled ones, into a run matrix over all groups and the
+vocabularies of every tweet. A fold's schema, built from its training
+rumours' vocabularies and ablated or not, is an order-preserving subset of
+those columns, and no value depends on the fold, so each fold fits and
+predicts on the rows (by tweet id) and columns (by name) it slices from that
+matrix.
 
 Reproducibility contract: identical (dataset, config, seed, resource bundle)
 produce byte-identical reports. Folds run one after another in fold list
@@ -323,12 +324,12 @@ def _fold_result(fold_id: str, event_id: str, test_rumours, gold, scores) -> dic
     }
 
 
-def _labelled_rows(vectors, schema) -> tuple:
-    """(X, class indices y, tweet ids) of the labelled vectors, in order,
-    densified under the schema."""
-    labelled = [v for v in vectors if v.label is not None]
-    return (to_dense(labelled, len(schema)), label_indices(labelled),
-            [v.tweet_id for v in labelled])
+def _labelled_rows(analyses, dictionaries, schema) -> tuple:
+    """(X, class indices y, tweet ids) of the labelled analyses, in order:
+    only they are vectorized, under the dictionaries and the schema."""
+    labelled = [a for a in analyses if a.label is not None]
+    rows = [vectorize(a, dictionaries, schema) for a in labelled]
+    return to_dense(rows, len(schema)), label_indices(labelled), [a.tweet_id for a in labelled]
 
 
 def _evaluate_fold(dataset, analyses, run_matrix, resources, config, fold):
@@ -396,15 +397,14 @@ def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
     """One leave-one-rumour-out report per config, in order. The configs
     share `now`, so `featurize_corpus` analyses every tweet once, into a
     table that all their folds count vocabularies from (unlabelled tweets
-    are in it because vocabularies count them), and its labelled vectors
-    are the run matrix that all their folds slice; both are dropped on
-    return. _evaluate_fold is looked up by name on each call, so wrappers
-    installed on it (by a tracer, say) see every fold."""
+    are in it because vocabularies count them), and the labelled analyses,
+    vectorized one by one, make the run matrix that all their folds slice;
+    both are dropped on return. _evaluate_fold is looked up by name on each
+    call, so wrappers installed on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
     now = resolve_now(configs[0].now, dataset)
-    _, schema, vectors, analyses = featurize_corpus(dataset, resources, None, now)
-    X, y, tweet_ids = _labelled_rows(vectors, schema)
-    del vectors  # else they stay alive through every fold: +15 MB peak on Ottawa
+    dictionaries, schema, analyses = featurize_corpus(dataset, resources, None, now)
+    X, y, tweet_ids = _labelled_rows(analyses, dictionaries, schema)
     run_matrix = X, y, {t: i for i, t in enumerate(tweet_ids)}, schema.name_to_index
     analyses = {a.tweet_id: a for a in analyses}
     protocol = f"loo_{scope}"
@@ -431,8 +431,8 @@ def train_model(dataset: Dataset, resources: ResourceBundle, config: RunConfig,
     records what `label_tweets` rebuilds the schema and `now` from."""
     if not dataset.labelled():
         raise EvalError("no labelled tweets to train on")
-    dictionaries, schema, vectors, _ = featurize_corpus(dataset, resources, config.groups, now)
-    X, y, tweet_ids = _labelled_rows(vectors, schema)
+    dictionaries, schema, analyses = featurize_corpus(dataset, resources, config.groups, now)
+    X, y, tweet_ids = _labelled_rows(analyses, dictionaries, schema)
     model = fit_classifier(config, X, y, schema.fingerprint, seed)
     model.context.update({
         "bow_vocab": list(dictionaries.bow_vocab),
@@ -459,6 +459,8 @@ def _check_context(context: dict) -> None:
             ("bundle_hash", "bundle hash", "a string", lambda v: isinstance(v, str))):
         if context.get(key) is not None and not ok(context[key]):
             raise ModelError(f"corrupted model file: its {what} is not {expected}")
+    if context.get("feature_groups") is not None:
+        check_groups(context["feature_groups"], ModelError)
 
 
 def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundle) -> np.ndarray:
@@ -494,8 +496,8 @@ def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundl
     analyses = analyse_many(dataset.tweets, threads, resources, now)
     scores = [np.empty((0, N_CLASSES))]
     while chunk := list(islice(analyses, LABEL_CHUNK_ROWS)):
-        vectors = [vectorize(a, dictionaries, schema) for a in chunk]
-        scores.append(predict_many(model, to_dense(vectors, len(schema))))
+        rows = [vectorize(a, dictionaries, schema) for a in chunk]
+        scores.append(predict_many(model, to_dense(rows, len(schema))))
     return np.concatenate(scores)
 
 

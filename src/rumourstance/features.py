@@ -1,4 +1,4 @@
-"""Feature extraction: tweet + thread context -> named sparse vectors.
+"""Feature extraction: tweet + thread context -> sparse `{column: value}` rows.
 
 The column set is governed by a FeatureSchema built from fold-local
 dictionaries (bag of words, POS n-grams) plus the fixed resource-driven
@@ -113,20 +113,13 @@ class TweetAnalysis:
     """What a tweet's vector needs that no fold changes: its nonzero
     columns outside the vocabularies, by name, and its BOW terms and POS
     n-grams in order, repeats kept. `vectorize` maps it onto a fold's
-    dictionaries and schema."""
+    dictionaries and schema as a `{column index: value}` row."""
 
     tweet_id: str
     label: Optional[StanceLabel]
     named: tuple  # (column name, value) pairs, zeros left out
     bow: tuple
     posng: tuple
-
-
-@dataclass
-class FeatureVector:
-    tweet_id: str
-    values: dict = field(default_factory=dict)
-    label: Optional[StanceLabel] = None
 
 
 def schema_text(schema: FeatureSchema) -> str:
@@ -393,11 +386,11 @@ def analyse_many(tweets, threads: dict, r: ResourceBundle, now: float):
         yield _analyse(t, threads[t.rumour_id], r, now, run)
 
 
-def vectorize(a: TweetAnalysis, d: FeatureDictionaries,
-              schema: FeatureSchema) -> FeatureVector:
-    """The analysed tweet's sparse vector under the dictionaries and the
-    schema. Terms outside the vocabularies and columns the schema does not
-    carry are silently dropped, which is exactly the ablation contract."""
+def vectorize(a: TweetAnalysis, d: FeatureDictionaries, schema: FeatureSchema) -> dict:
+    """The analysed tweet's sparse `{column index: value}` row under the
+    dictionaries and the schema. Terms outside the vocabularies and columns
+    the schema does not carry are silently dropped, which is exactly the
+    ablation contract."""
     index_of = schema.name_to_index
     values = {}
     for prefix, items, vocab in (("bow=", a.bow, d.bow_vocab),
@@ -410,27 +403,26 @@ def vectorize(a: TweetAnalysis, d: FeatureDictionaries,
         index = index_of.get(name)
         if index is not None:
             values[index] = value
-    return FeatureVector(tweet_id=a.tweet_id, values=values, label=a.label)
+    return values
 
 
 def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
-             r: ResourceBundle, schema: FeatureSchema, now: float) -> FeatureVector:
-    """One tweet's sparse vector under the schema, in the context of its
-    thread."""
+             r: ResourceBundle, schema: FeatureSchema, now: float) -> dict:
+    """One tweet's sparse row (see `vectorize`) under the schema, in the
+    context of its thread."""
     return vectorize(analyse(t, thread, r, now), d, schema)
 
 
 def featurize_corpus(dataset: Dataset, r: ResourceBundle, groups,
                      now: float) -> tuple:
-    """(dictionaries, schema, vectors, analyses of every tweet) for a
-    command whose vocabulary is the whole corpus: every tweet, labelled or
-    not, analysed once, with every rumour as provenance."""
+    """(dictionaries, schema, analyses of every tweet) for a command whose
+    vocabulary is the whole corpus: every tweet, labelled or not, analysed
+    once, with every rumour as provenance."""
     threads = thread_index(build_threads(dataset))
     analyses = list(analyse_many(dataset.tweets, threads, r, now))
     dictionaries = build_dictionaries(analyses, provenance=dataset.rumours)
     schema = build_schema(dictionaries, r, groups)
-    return (dictionaries, schema, [vectorize(a, dictionaries, schema) for a in analyses],
-            analyses)
+    return dictionaries, schema, analyses
 
 
 def resolve_now(now: Optional[float], *datasets: Dataset) -> float:
@@ -447,12 +439,13 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def write_vectors(vectors, path) -> None:
-    """Sparse vector file: tweet_id<TAB>label<TAB>idx:val idx:val ...
+def write_vectors(analyses, d: FeatureDictionaries, schema: FeatureSchema, path) -> None:
+    """Sparse vector file, one line per analysis, each vectorized as it is
+    written: tweet_id<TAB>label<TAB>idx:val idx:val ...
     Unlabelled tweets carry "-" in the label slot."""
     with open(path, "w", encoding="utf-8") as fh:
-        for vector in vectors:
-            label = vector.label.value if vector.label is not None else "-"
+        for a in analyses:
+            label = a.label.value if a.label is not None else "-"
             cells = " ".join(f"{i}:{_format_value(v)}"
-                             for i, v in sorted(vector.values.items()))
-            fh.write(f"{vector.tweet_id}\t{label}\t{cells}\n")
+                             for i, v in sorted(vectorize(a, d, schema).items()))
+            fh.write(f"{a.tweet_id}\t{label}\t{cells}\n")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import CLASS_ORDER, StanceLabel, encodable
+from ..corpus import CLASS_ORDER, encodable
 
 # learners speak plain label strings and class indices in this order
 CLASS_NAMES = tuple(label.value for label in CLASS_ORDER)
@@ -29,11 +29,10 @@ class TrainedModel:
     context: dict = field(default_factory=dict)
 
 
-def label_indices(vectors) -> np.ndarray:
-    """Class index of each vector's label, given as a string or an enum;
-    ValueError for a missing or unknown label."""
-    return np.array([CLASS_ORDER.index(StanceLabel(v.label)) for v in vectors],
-                    dtype=np.int64)
+def label_indices(items) -> np.ndarray:
+    """Class index of each item's `StanceLabel` label (a tweet record or
+    analysis); ValueError for a missing one."""
+    return np.array([CLASS_ORDER.index(item.label) for item in items], dtype=np.int64)
 
 
 def is_finite_number(value) -> bool:
@@ -57,10 +56,11 @@ def is_index(value, size: int) -> bool:
     return is_int(value) and 0 <= value < size
 
 
-def to_dense(vectors, n_features: int) -> np.ndarray:
-    X = np.zeros((len(vectors), n_features), dtype=np.float64)
-    for row, vector in enumerate(vectors):
-        for index, value in vector.values.items():
-            X[row, index] = value
+def to_dense(rows, n_features: int) -> np.ndarray:
+    """The float64 matrix of sparse `{column index: value}` rows."""
+    X = np.zeros((len(rows), n_features), dtype=np.float64)
+    for i, row in enumerate(rows):
+        for index, value in row.items():
+            X[i, index] = value
     return X
 

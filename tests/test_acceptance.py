@@ -30,7 +30,7 @@ from rumourstance.evaluation import (
     run_loo,
     student_t_two_sided_p,
 )
-from rumourstance.features import FeatureVector, analyse, content_words
+from rumourstance.features import analyse, content_words
 from rumourstance.learners import (
     ForestParams,
     KnnParams,
@@ -68,16 +68,9 @@ def classes(labels):
     return np.array([CLASSES.index(label) for label in labels])
 
 
-def vectors_from(X, labels):
-    return [
-        FeatureVector(tweet_id=str(i), values=sparse(row), label=lab)
-        for i, (row, lab) in enumerate(zip(X, labels))
-    ]
-
-
-def predict_one(model, vector):
-    """(label, {class: score}) of one feature vector by predict_many()."""
-    scores = predict_many(model, to_dense([vector], model.n_features))[0]
+def predict_one(model, row):
+    """(label, {class: score}) of one sparse row by predict_many()."""
+    scores = predict_many(model, to_dense([row], model.n_features))[0]
     return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
 
 
@@ -145,9 +138,7 @@ def test_c1_oracle_equivalence(capsys):
             weighting = ("inverse_distance", "uniform")[trial % 2]
             model = fit_model("knn", X, classes(labels), KnnParams(k=k, weighting=weighting), 0)
             for row in rng.uniform(-2, 2, size=(5, m)):
-                probe = FeatureVector(
-                    tweet_id="q", values=dict(enumerate(map(float, row))), label=None,
-                )
+                probe = dict(enumerate(map(float, row)))
                 assert predict_one(model, probe)[0] == brute_knn(X, labels, row, k, weighting)
         assert time.monotonic() - started < 10.0
 
@@ -169,7 +160,8 @@ def test_c2_degeneracy_ladder(capsys):
                 ForestParams(n_trees=1, bagging=False, features_per_split="all", seed=0), 0,
             )
             tree = fit_model("tree", X, classes(labels), TreeParams(pruning=False), 0)
-            probes = vectors_from(X, labels) + vectors_from(rng.normal(size=(10, m)).round(2), [None] * 10)
+            probes = [sparse(row) for row in X] + [sparse(row) for row in
+                                                   rng.normal(size=(10, m)).round(2)]
             for probe in probes:
                 assert predict_one(forest, probe) == predict_one(tree, probe)
 
@@ -180,9 +172,7 @@ def test_c2_degeneracy_ladder(capsys):
             counts = Counter(labels)
             majority = max(CLASSES, key=lambda c: (counts.get(c, 0), -CLASSES.index(c)))
             model = fit_model("knn", X, classes(labels), KnnParams(k=n, weighting="uniform"), 0)
-            probe = FeatureVector(
-                tweet_id="q", values=dict(enumerate(map(float, rng.normal(size=m)))), label=None,
-            )
+            probe = dict(enumerate(map(float, rng.normal(size=m))))
             assert predict_one(model, probe)[0] == majority
 
         X = np.arange(20, dtype=float).reshape(10, 2)
@@ -192,7 +182,7 @@ def test_c2_degeneracy_ladder(capsys):
             fit_model("forest", X, constant, ForestParams(n_trees=3, seed=1), 0),
             fit_model("knn", X, constant, KnnParams(k=3), 0),
         )
-        probe = FeatureVector(tweet_id="q", values={0: 3.0}, label=None)
+        probe = {0: 3.0}
         for model in fits:
             label, scores = predict_one(model, probe)
             assert label == "deny"

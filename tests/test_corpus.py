@@ -166,6 +166,14 @@ def _with_field(field, value) -> bytes:
     return json.dumps(record).encode()
 
 
+def _new_rumour(rumour_id, event_id) -> bytes:
+    """The good line as the source tweet of a rumour and event that no
+    other line names, so that only those ids can make it fail."""
+    record = json.loads(_GOOD_LINE)
+    record.update(tweet_id="b1-source", rumour_id=rumour_id, event_id=event_id)
+    return json.dumps(record).encode()
+
+
 @pytest.mark.parametrize("command, bad_line", [
     pytest.param("featurize", _with_field("text", 5), id="featurize-text-5"),
     pytest.param("featurize", _with_field("text", None), id="featurize-text-null"),
@@ -188,6 +196,8 @@ def _with_field(field, value) -> bytes:
                  id="featurize-rumour-in-two-events"),
     pytest.param("featurize", _with_field("text", "\udc80"), id="featurize-lone-surrogate"),
     pytest.param("featurize", _with_field("tweet_id", "a\tb"), id="featurize-tweet-id-tab"),
+    pytest.param("featurize", _new_rumour("b1", "e\nb"), id="featurize-event-id-newline"),
+    pytest.param("featurize", _new_rumour("b\t1", "eb"), id="featurize-rumour-id-tab"),
     pytest.param("ingest", b"5", id="ingest-bare-5"),
     pytest.param("ingest", _with_field("user", 5), id="ingest-user-5"),
     pytest.param("ingest", _with_field("user", [1]), id="ingest-user-list"),
@@ -211,6 +221,8 @@ def _with_field(field, value) -> bytes:
     pytest.param("ingest", _with_field("rumour_id", ["a1"]), id="ingest-rumour-id-list"),
     pytest.param("ingest", _GOOD_LINE.rstrip(b"\n"), id="ingest-duplicate-id"),
     pytest.param("ingest", _with_field("tweet_id", "a\nb"), id="ingest-tweet-id-newline"),
+    pytest.param("ingest", _new_rumour("b1", "e\nb"), id="ingest-event-id-newline"),
+    pytest.param("ingest", _new_rumour("b\t1", "eb"), id="ingest-rumour-id-tab"),
     pytest.param("ingest", _with_field("user.followers", True), id="ingest-followers-true"),
     pytest.param("ingest", _with_field("user.followers", "123"),
                  id="ingest-followers-digit-string"),

@@ -403,25 +403,25 @@ def test_label_tweets_scores_one_chunk_at_a_time(classifier, params, micro, bund
     config = RunConfig(classifier=classifier, params=params, seed=3)
     model, _, _ = evaluation.train_model(micro, bundle, config, now, 3)
     # the unchunked path: every tweet featurized, densified and scored at once
-    dictionaries, schema, _, _ = featurize_corpus(micro, bundle, None, now)
+    dictionaries, schema, _ = featurize_corpus(micro, bundle, None, now)
     threads = thread_index(build_threads(three_chunks))
-    vectors = [vectorize(a, dictionaries, schema)
-               for a in analyse_many(three_chunks.tweets, threads, bundle, now)]
-    unchunked = predict_many(model, to_dense(vectors, len(schema)))
+    rows = [vectorize(a, dictionaries, schema)
+            for a in analyse_many(three_chunks.tweets, threads, bundle, now)]
+    unchunked = predict_many(model, to_dense(rows, len(schema)))
 
-    rows = []
+    chunk_rows = []
 
     def recording(model, X):
-        rows.append(len(X))
+        chunk_rows.append(len(X))
         return predict_many(model, X)
 
     monkeypatch.setattr(evaluation, "predict_many", recording)
     assert np.array_equal(label_tweets(model, three_chunks, bundle), unchunked)
     chunk = evaluation.LABEL_CHUNK_ROWS
-    assert rows == [chunk, chunk, 1]
-    rows.clear()
+    assert chunk_rows == [chunk, chunk, 1]
+    chunk_rows.clear()
     assert label_tweets(model, Dataset("empty", [], {}, {}), bundle).shape == (0, 4)
-    assert rows == []
+    assert chunk_rows == []
 
 
 def test_run_split_rejects_overlap(micro, bundle, knn_config):
@@ -596,7 +596,9 @@ def test_loo_vectors_equal_fresh_per_fold_assembly(part_unlabelled, bundle,
         assert train_y.tolist() == [CLASS_NAMES.index(t.label.value) for t in train]
 
 
-def test_ablation_vectorizes_each_labelled_tweet_once(micro, bundle, monkeypatch):
+def test_ablation_vectorizes_each_labelled_tweet_once(micro, part_unlabelled, bundle,
+                                                      monkeypatch):
+    # train_model too, and neither vectorizes an unlabelled tweet
     vectorized = []
     original = features.vectorize
 
@@ -606,9 +608,14 @@ def test_ablation_vectorizes_each_labelled_tweet_once(micro, bundle, monkeypatch
 
     for module in (features, evaluation):
         monkeypatch.setattr(module, "vectorize", recording)
-    ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}),
-           removals=("AF",))
-    assert sorted(vectorized) == sorted(t.tweet_id for t in micro.labelled())
+    config = RunConfig(classifier="knn", params={"k": 3})
+    for dataset in (micro, part_unlabelled):
+        for run in (lambda: ablate(dataset, bundle, config, removals=("AF",)),
+                    lambda: evaluation.train_model(dataset, bundle, config,
+                                                   resolve_now(None, dataset), 0)):
+            vectorized.clear()
+            run()
+            assert sorted(vectorized) == sorted(t.tweet_id for t in dataset.labelled())
 
 
 def test_ablation_analyses_each_tweet_once(micro, bundle, analysed_texts,

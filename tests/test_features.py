@@ -343,15 +343,17 @@ def test_mood_oracle(micro, bundle, threads):
 def test_assembled_vector_validates(micro, bundle, dicts, schema, threads):
     tweet = micro.tweets[0]
     thread = threads[tweet.rumour_id]
-    vec = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
-    assert vec.label is tweet.label
+    row = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
+    # the row holds values by column index; its label stays on the analysis
+    assert analyse(tweet, thread, bundle, now=0.0).label is tweet.label
+    assert row and all(0 <= i < len(schema) and isinstance(v, float) for i, v in row.items())
 
 
 def test_bow_columns_are_incidence(micro, bundle, dicts, schema, threads):
     name_to_idx = {name: i for i, (name, _) in enumerate(schema.columns)}
     tweet = micro.tweets[1]
     thread = threads[tweet.rumour_id]
-    vec = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
+    row = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
     present = {
         t.lowercase
         for t in tokenize(tweet.text, bundle.lexicons.all_emoticons)
@@ -360,7 +362,7 @@ def test_bow_columns_are_incidence(micro, bundle, dicts, schema, threads):
     for word, _ in dicts.bow_vocab.items():
         idx = name_to_idx[f"bow={word}"]
         expected = 1.0 if word in present else None
-        assert vec.values.get(idx) == expected
+        assert row.get(idx) == expected
 
 
 def test_brown_columns_match_table(micro, bundle, dicts, schema, threads):
@@ -368,8 +370,8 @@ def test_brown_columns_match_table(micro, bundle, dicts, schema, threads):
     base = offsets[0]
     tweet = micro.tweets[2]
     thread = threads[tweet.rumour_id]
-    vec = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
-    active = {i - base for i in vec.values if base <= i < base + BROWN_CLUSTER_COUNT}
+    row = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
+    active = {i - base for i in row if base <= i < base + BROWN_CLUSTER_COUNT}
     expected = set()
     for tok in tokenize(tweet.text, bundle.lexicons.all_emoticons):
         cluster = bundle.brown.get(tok.lowercase)
@@ -384,8 +386,8 @@ def test_af_group_removal_only_drops_af(micro, bundle, dicts, schema, threads):
     thread = threads[tweet.rumour_id]
     full = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
     trimmed = assemble(tweet, thread, dicts, bundle, no_af, now=0.0)
-    full_named = {schema.columns[i][0]: v for i, v in full.values.items()}
-    trimmed_named = {no_af.columns[i][0]: v for i, v in trimmed.values.items()}
+    full_named = {schema.columns[i][0]: v for i, v in full.items()}
+    trimmed_named = {no_af.columns[i][0]: v for i, v in trimmed.items()}
     dropped = {n for n in full_named if n not in trimmed_named}
     assert all(schema.columns[i][1] in AF_GROUPS for i, _ in enumerate(schema.columns) if schema.columns[i][0] in dropped)
     for name, value in trimmed_named.items():

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rumourstance.features import FeatureVector
 from rumourstance.learners import (
     ForestParams,
     TreeParams,
@@ -17,23 +16,16 @@ from rumourstance.learners.base import CLASS_NAMES, to_dense
 
 
 def make_data(rng, n, m, classes=("support", "deny", "query", "comment")):
-    """(X, class indices, labelled vectors of the rows of X)."""
+    """(X, class indices, the rows of X as sparse rows)."""
     labels = rng.choice(classes, size=n).tolist()
     X = rng.normal(size=(n, m))
-    vecs = [
-        FeatureVector(
-            tweet_id=str(i),
-            values={j: float(v) for j, v in enumerate(row)},
-            label=lab,
-        )
-        for i, (row, lab) in enumerate(zip(X, labels))
-    ]
-    return X, np.array([CLASS_NAMES.index(lab) for lab in labels]), vecs
+    rows = [{j: float(v) for j, v in enumerate(row)} for row in X]
+    return X, np.array([CLASS_NAMES.index(lab) for lab in labels]), rows
 
 
-def predict_one(model, vector):
-    """(label, {class: score}) of one feature vector by predict_many()."""
-    scores = predict_many(model, to_dense([vector], model.n_features))[0]
+def predict_one(model, row):
+    """(label, {class: score}) of one sparse row by predict_many()."""
+    scores = predict_many(model, to_dense([row], model.n_features))[0]
     return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
 
 
@@ -78,9 +70,9 @@ def test_degenerate_forest_equals_unpruned_tree():
 
 def test_forest_votes_average_distributions():
     rng = np.random.default_rng(7)
-    X, y, vecs = make_data(rng, 30, 4, classes=("support", "deny"))
+    X, y, rows = make_data(rng, 30, 4, classes=("support", "deny"))
     model = fit_model("forest", X, y, ForestParams(n_trees=5, seed=1), 0)
-    probe = vecs[0]
+    probe = rows[0]
     from rumourstance.learners.forest import forest_distribution
     from rumourstance.learners.tree import tree_distribution
 
@@ -95,9 +87,9 @@ def test_forest_votes_average_distributions():
 
 def test_scores_sum_to_one():
     rng = np.random.default_rng(8)
-    X, y, vecs = make_data(rng, 30, 4)
+    X, y, rows = make_data(rng, 30, 4)
     model = fit_model("forest", X, y, ForestParams(n_trees=9, seed=2), 0)
-    for probe in vecs[:10]:
+    for probe in rows[:10]:
         _, scores = predict_one(model, probe)
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
         assert list(scores) == ["support", "deny", "query", "comment"]
@@ -105,9 +97,9 @@ def test_scores_sum_to_one():
 
 def test_single_class_forest_is_constant():
     rng = np.random.default_rng(9)
-    X, y, vecs = make_data(rng, 12, 3, classes=("comment",))
+    X, y, rows = make_data(rng, 12, 3, classes=("comment",))
     model = fit_model("forest", X, y, ForestParams(n_trees=4, seed=0), 0)
-    for probe in vecs:
+    for probe in rows:
         label, scores = predict_one(model, probe)
         assert label == "comment"
         assert scores["comment"] == 1.0

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumourstance.errors import ModelError
-from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
+from rumourstance.evaluation import _labelled_rows
+from rumourstance.features import featurize_corpus, resolve_now, vectorize
 from rumourstance.learners import KnnParams, fit_knn, fit_model, predict_many
-from rumourstance.learners.base import CLASS_NAMES, label_indices, to_dense
+from rumourstance.learners.base import CLASS_NAMES, to_dense
 from rumourstance.learners.knn import (
     DISTANCE_FLOOR,
     _candidates,
@@ -23,23 +24,20 @@ from rumourstance.learners.knn import (
 CLASSES = ("support", "deny", "query", "comment")
 
 
-def make_vectors(rng, n, m):
+def classes(labels):
+    return np.array([CLASSES.index(label) for label in labels])
+
+
+def make_rows(rng, n, m):
+    """(X, its labels, the rows of X as sparse rows)."""
     labels = rng.choice(CLASSES, size=n).tolist()
     X = rng.uniform(-3, 3, size=(n, m))
-    vecs = [
-        FeatureVector(
-            tweet_id=str(i),
-            values={j: float(v) for j, v in enumerate(row)},
-            label=lab,
-        )
-        for i, (row, lab) in enumerate(zip(X, labels))
-    ]
-    return X, labels, vecs
+    return X, labels, [{j: float(v) for j, v in enumerate(row)} for row in X]
 
 
-def fit_vectors(vecs, params, n_features):
-    """The k-NN model of labelled vectors, as `stance train` fits one."""
-    return fit_model("knn", to_dense(vecs, n_features), label_indices(vecs), params, 0)
+def fit_rows(rows, labels, params, n_features):
+    """The k-NN model of labelled sparse rows, as `stance train` fits one."""
+    return fit_model("knn", to_dense(rows, n_features), classes(labels), params, 0)
 
 
 def per_row_scores(payload, X):
@@ -81,10 +79,10 @@ def assert_scores_equal_per_row(payload, X):
         assert np.array_equal(a, b)
 
 
-def predict_one(model, vector):
-    """(label, {class: score}) of one feature vector by predict_many(),
+def predict_one(model, row):
+    """(label, {class: score}) of one sparse row by predict_many(),
     whose scores must be the per-row loop's."""
-    X = to_dense([vector], model.n_features)
+    X = to_dense([row], model.n_features)
     assert_scores_equal_per_row(model.payload, X)
     scores = predict_many(model, X)[0]
     return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
@@ -118,62 +116,55 @@ def oracle_predict(X, labels, x, k, weighting):
 @pytest.mark.parametrize("k", [1, 3, 10])
 def test_predictions_match_oracle(k, weighting):
     rng = np.random.default_rng(100 + k)
-    X, labels, vecs = make_vectors(rng, 40, 5)
-    model = fit_vectors(vecs, KnnParams(k=k, weighting=weighting), 5)
+    X, labels, rows = make_rows(rng, 40, 5)
+    model = fit_rows(rows, labels, KnnParams(k=k, weighting=weighting), 5)
     probes = rng.uniform(-3, 3, size=(25, 5))
     for row in probes:
-        vec = FeatureVector(
-            tweet_id="p", values=dict(enumerate(map(float, row))), label=None
-        )
-        got, _ = predict_one(model, vec)
+        got, _ = predict_one(model, dict(enumerate(map(float, row))))
         want = oracle_predict(X, labels, row, k, weighting)
         assert got == want
 
 
 def test_exact_duplicate_dominates_inverse_distance():
     rng = np.random.default_rng(5)
-    X, labels, vecs = make_vectors(rng, 20, 4)
-    model = fit_vectors(vecs, KnnParams(k=5, weighting="inverse_distance"), 4)
-    label, scores = predict_one(model, vecs[3])
+    X, labels, rows = make_rows(rng, 20, 4)
+    model = fit_rows(rows, labels, KnnParams(k=5, weighting="inverse_distance"), 4)
+    label, scores = predict_one(model, rows[3])
     assert label == labels[3]
     assert scores[labels[3]] > 0.99
 
 
 def test_k_of_n_uniform_is_class_frequency():
     rng = np.random.default_rng(6)
-    X, labels, vecs = make_vectors(rng, 24, 3)
-    model = fit_vectors(vecs, KnnParams(k=24, weighting="uniform"), 3)
-    probe = FeatureVector(tweet_id="p", values={0: 0.1}, label=None)
-    _, scores = predict_one(model, probe)
+    X, labels, rows = make_rows(rng, 24, 3)
+    model = fit_rows(rows, labels, KnnParams(k=24, weighting="uniform"), 3)
+    _, scores = predict_one(model, {0: 0.1})
     for name in CLASSES:
         assert scores[name] == pytest.approx(labels.count(name) / len(labels))
 
 
 def test_k_larger_than_n_means_all_neighbours():
     rng = np.random.default_rng(7)
-    X, labels, vecs = make_vectors(rng, 6, 3)
-    big = fit_vectors(vecs, KnnParams(k=50, weighting="uniform"), 3)
-    all_of_them = fit_vectors(vecs, KnnParams(k=6, weighting="uniform"), 3)
-    probe = FeatureVector(tweet_id="p", values={1: 0.5}, label=None)
+    X, labels, rows = make_rows(rng, 6, 3)
+    big = fit_rows(rows, labels, KnnParams(k=50, weighting="uniform"), 3)
+    all_of_them = fit_rows(rows, labels, KnnParams(k=6, weighting="uniform"), 3)
+    probe = {1: 0.5}
     assert predict_one(big, probe) == predict_one(all_of_them, probe)
 
 
 def test_constant_column_is_ignored():
     # a feature with zero range must not contribute to distances
-    base = [
-        FeatureVector(tweet_id="a", values={0: 0.0, 1: 7.0}, label="support"),
-        FeatureVector(tweet_id="b", values={0: 1.0, 1: 7.0}, label="deny"),
-    ]
-    model = fit_vectors(base, KnnParams(k=1), 2)
-    near_a = FeatureVector(tweet_id="p", values={0: 0.1, 1: -100.0}, label=None)
+    base = [{0: 0.0, 1: 7.0}, {0: 1.0, 1: 7.0}]
+    model = fit_rows(base, ["support", "deny"], KnnParams(k=1), 2)
+    near_a = {0: 0.1, 1: -100.0}
     assert predict_one(model, near_a)[0] == "support"
 
 
 def test_deterministic():
     rng = np.random.default_rng(8)
-    _, _, vecs = make_vectors(rng, 15, 4)
-    a = fit_knn(to_dense(vecs, 4), label_indices(vecs), KnnParams(k=3))
-    b = fit_knn(to_dense(vecs, 4), label_indices(vecs), KnnParams(k=3))
+    _, labels, rows = make_rows(rng, 15, 4)
+    a = fit_knn(to_dense(rows, 4), classes(labels), KnnParams(k=3))
+    b = fit_knn(to_dense(rows, 4), classes(labels), KnnParams(k=3))
     assert encode_knn(a) == encode_knn(b)
     assert all(np.array_equal(a[key], b[key]) for key in ("matrix", "labels", "mins", "ranges"))
 
@@ -266,10 +257,10 @@ def test_kept_matrix_scores_equal_the_dict_path(k, weighting):
 def micro_matrix(micro, bundle):
     """(X, y) of the labelled micro tweets and the matrix of every micro
     tweet, as `stance train` and `stance predict` build them."""
-    _, schema, vectors, _ = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
-    labelled = [v for v in vectors if v.label is not None]
-    return (to_dense(labelled, len(schema)), label_indices(labelled),
-            to_dense(vectors, len(schema)))
+    dictionaries, schema, analyses = featurize_corpus(micro, bundle, None,
+                                                      resolve_now(None, micro))
+    X, y, _ = _labelled_rows(analyses, dictionaries, schema)
+    return X, y, to_dense([vectorize(a, dictionaries, schema) for a in analyses], len(schema))
 
 
 @pytest.mark.parametrize("weighting", ["inverse_distance", "uniform"])

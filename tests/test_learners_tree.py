@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import rumourstance.learners.tree as tree
-from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
+from rumourstance.evaluation import _labelled_rows
+from rumourstance.features import featurize_corpus, resolve_now
 from rumourstance.learners import (
     ForestParams,
     ModelError,
@@ -20,7 +21,7 @@ from rumourstance.learners import (
     fit_tree,
     predict_many,
 )
-from rumourstance.learners.base import CLASS_NAMES, label_indices, to_dense
+from rumourstance.learners.base import CLASS_NAMES, to_dense
 from rumourstance.learners.forest import _tree_rng, subset_size
 from rumourstance.learners.tree import (
     _best_splits,
@@ -84,26 +85,19 @@ def classes(labels):
     return np.array([CLASS_NAMES.index(label) for label in labels])
 
 
-def fit_vectors(vecs, params, n_features):
-    """The tree model of labelled vectors, as `stance train` fits one."""
-    return fit_model("tree", to_dense(vecs, n_features), label_indices(vecs), params, 0)
+def fit_rows(rows, labels, params, n_features):
+    """The tree model of labelled sparse rows, as `stance train` fits one."""
+    return fit_model("tree", to_dense(rows, n_features), classes(labels), params, 0)
 
 
-def predict_one(model, vector):
-    """(label, {class: score}) of one feature vector by predict_many()."""
-    scores = predict_many(model, to_dense([vector], model.n_features))[0]
+def predict_one(model, row):
+    """(label, {class: score}) of one sparse row by predict_many()."""
+    scores = predict_many(model, to_dense([row], model.n_features))[0]
     return CLASS_NAMES[int(scores.argmax())], dict(zip(CLASS_NAMES, scores.tolist()))
 
 
-def make_vectors(X, labels):
-    return [
-        FeatureVector(
-            tweet_id=str(i),
-            values={j: float(v) for j, v in enumerate(row) if v != 0.0},
-            label=lab,
-        )
-        for i, (row, lab) in enumerate(zip(X, labels))
-    ]
+def make_rows(X):
+    return [{j: float(v) for j, v in enumerate(row) if v != 0.0} for row in X]
 
 
 def test_gain_ratio_matches_oracle():
@@ -279,9 +273,9 @@ def recorded_searches(monkeypatch):
 @pytest.fixture(scope="module")
 def micro_matrix(micro, bundle):
     """(X, y) of the labelled micro tweets, as `stance train` fits them."""
-    _, schema, vectors, _ = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
-    vectors = [v for v in vectors if v.label is not None]
-    return to_dense(vectors, len(schema)), label_indices(vectors)
+    dictionaries, schema, analyses = featurize_corpus(micro, bundle, None,
+                                                      resolve_now(None, micro))
+    return _labelled_rows(analyses, dictionaries, schema)[:2]
 
 
 def test_fitted_trees_split_as_the_per_column_scan(monkeypatch, micro_matrix):
@@ -441,8 +435,8 @@ def test_tree_learns_clean_split():
             labels.append("deny")
         X[i, 0] = rng.normal()
     model = fit_model("tree", X, classes(labels), TreeParams(), 0)
-    for vec, lab in zip(make_vectors(X, labels), labels):
-        assert predict_one(model, vec)[0] == lab
+    for row, lab in zip(make_rows(X), labels):
+        assert predict_one(model, row)[0] == lab
 
 
 def test_tree_deterministic():
@@ -539,39 +533,24 @@ def test_single_class_input_gives_constant_tree():
     root = model.payload["root"]
     assert root["kind"] == "leaf"
     for row in X:
-        vec = FeatureVector(
-            tweet_id="p", values=dict(enumerate(map(float, row))), label=None
-        )
-        label, scores = predict_one(model, vec)
+        label, scores = predict_one(model, dict(enumerate(map(float, row))))
         assert label == "query"
         assert scores["query"] == 1.0
 
 
 def test_missing_columns_read_as_zero():
-    vecs = [
-        FeatureVector(tweet_id="a", values={0: 5.0}, label="support"),
-        FeatureVector(tweet_id="b", values={}, label="deny"),
-        FeatureVector(tweet_id="c", values={0: 5.0}, label="support"),
-        FeatureVector(tweet_id="d", values={}, label="deny"),
-        FeatureVector(tweet_id="e", values={0: 5.0}, label="support"),
-        FeatureVector(tweet_id="f", values={}, label="deny"),
-    ]
-    model = fit_vectors(vecs, TreeParams(min_leaf=1), 1)
-    dense_zero = FeatureVector(tweet_id="z", values={0: 0.0}, label=None)
-    sparse_zero = FeatureVector(tweet_id="s", values={}, label=None)
+    rows = [{0: 5.0}, {}] * 3
+    model = fit_rows(rows, ["support", "deny"] * 3, TreeParams(min_leaf=1), 1)
+    dense_zero = {0: 0.0}
+    sparse_zero = {}
     assert predict_one(model, dense_zero) == predict_one(model, sparse_zero)
     assert predict_one(model, sparse_zero)[0] == "deny"
 
 
 def test_tie_break_prefers_class_order():
     # perfectly balanced leaf: Support wins the argmax by order
-    vecs = [
-        FeatureVector(tweet_id=str(i), values={}, label=lab)
-        for i, lab in enumerate(["comment", "support", "comment", "support"])
-    ]
-    model = fit_vectors(vecs, TreeParams(), 1)
-    probe = FeatureVector(tweet_id="p", values={}, label=None)
-    assert predict_one(model, probe)[0] == "support"
+    model = fit_rows([{}] * 4, ["comment", "support", "comment", "support"], TreeParams(), 1)
+    assert predict_one(model, {})[0] == "support"
 
 
 def test_matrix_of_another_width_is_rejected():

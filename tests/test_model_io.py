@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from rumourstance.bundled import micro_corpus_path
 from rumourstance.cli import main
 from rumourstance.errors import StanceError
-from rumourstance.features import FeatureVector, featurize_corpus, resolve_now
+from rumourstance.evaluation import _labelled_rows
+from rumourstance.features import featurize_corpus, resolve_now, vectorize
 from rumourstance.learners import (
     LEARNERS,
     ForestParams,
@@ -25,34 +26,30 @@ from rumourstance.learners import (
     predict_many,
     save_model,
 )
-from rumourstance.learners.base import label_indices, to_dense
+from rumourstance.learners.base import to_dense
 
 
 @pytest.fixture()
-def vectors():
+def sample():
+    """(24 sparse rows over 5 columns, their class indices)."""
     rng = np.random.default_rng(0)
-    return [
-        FeatureVector(
-            tweet_id=str(i),
-            values={j: float(v) for j, v in enumerate(rng.normal(size=5))},
-            label=["support", "deny", "query", "comment"][i % 4],
-        )
-        for i in range(24)
-    ]
+    rows = [{j: float(v) for j, v in enumerate(rng.normal(size=5))} for _ in range(24)]
+    return rows, np.arange(24) % 4
 
 
-def fit(kind, vectors, params):
-    return fit_model(kind, to_dense(vectors, 5), label_indices(vectors), params, 4242)
+def fit(kind, sample, params):
+    rows, y = sample
+    return fit_model(kind, to_dense(rows, 5), y, params, 4242)
 
 
 @pytest.mark.parametrize("kind", ["tree", "forest", "knn"])
-def test_round_trip_preserves_predictions(kind, vectors, tmp_path):
+def test_round_trip_preserves_predictions(kind, sample, tmp_path):
     if kind == "tree":
-        model = fit("tree", vectors, TreeParams())
+        model = fit("tree", sample, TreeParams())
     elif kind == "forest":
-        model = fit("forest", vectors, ForestParams(n_trees=5, seed=3))
+        model = fit("forest", sample, ForestParams(n_trees=5, seed=3))
     else:
-        model = fit("knn", vectors, KnnParams(k=3))
+        model = fit("knn", sample, KnnParams(k=3))
     model.context["note"] = "round-trip"
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -71,7 +68,7 @@ def test_round_trip_preserves_predictions(kind, vectors, tmp_path):
     else:
         assert again.payload == model.payload
     assert again.context == model.context
-    X = to_dense(vectors, 5)
+    X = to_dense(sample[0], 5)
     assert np.array_equal(predict_many(again, X), predict_many(model, X))
 
 
@@ -104,8 +101,8 @@ def test_round_trip_keeps_predictions_on_drawn_matrices(model_dir, data, kind, n
     assert np.array_equal(predict_many(load_model(model_dir / kind), X), predict_many(model, X))
 
 
-def test_saved_file_is_json_with_header(vectors, tmp_path):
-    model = fit("tree", vectors, TreeParams())
+def test_saved_file_is_json_with_header(sample, tmp_path):
+    model = fit("tree", sample, TreeParams())
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
@@ -115,8 +112,8 @@ def test_saved_file_is_json_with_header(vectors, tmp_path):
     assert obj["version"] == MODEL_VERSION
 
 
-def test_wrong_magic_rejected(vectors, tmp_path):
-    model = fit("tree", vectors, TreeParams())
+def test_wrong_magic_rejected(sample, tmp_path):
+    model = fit("tree", sample, TreeParams())
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
@@ -126,8 +123,8 @@ def test_wrong_magic_rejected(vectors, tmp_path):
         load_model(path)
 
 
-def test_wrong_version_rejected(vectors, tmp_path):
-    model = fit("tree", vectors, TreeParams())
+def test_wrong_version_rejected(sample, tmp_path):
+    model = fit("tree", sample, TreeParams())
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
@@ -137,8 +134,8 @@ def test_wrong_version_rejected(vectors, tmp_path):
         load_model(path)
 
 
-def test_truncated_file_rejected(vectors, tmp_path):
-    model = fit("forest", vectors, ForestParams(n_trees=3, seed=0))
+def test_truncated_file_rejected(sample, tmp_path):
+    model = fit("forest", sample, ForestParams(n_trees=3, seed=0))
     path = tmp_path / "model.json"
     save_model(model, path)
     text = path.read_text()
@@ -152,8 +149,8 @@ def test_missing_file_rejected(tmp_path):
         load_model(tmp_path / "nope.json")
 
 
-def test_unknown_kind_rejected(vectors, tmp_path):
-    model = fit("knn", vectors, KnnParams(k=2))
+def test_unknown_kind_rejected(sample, tmp_path):
+    model = fit("knn", sample, KnnParams(k=2))
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
@@ -256,6 +253,10 @@ def negative_ranges(model):
     model["payload"]["ranges"] = [-1.0] * len(model["payload"]["ranges"])
 
 
+def unknown_feature_group(model):
+    model["context"]["feature_groups"] = ["BOW", "NOPE"]
+
+
 def overflowing_leaf_counts(model):
     for leaf in leaves(model["payload"]["root"]):
         leaf["counts"] = [1e308, 1e308, 0, 0]
@@ -278,6 +279,7 @@ def overflowing_leaf_counts(model):
     ("knn", tiny_ranges_uniform),
     ("tree", overflowing_leaf_counts),
     ("knn", negative_ranges),
+    ("tree", unknown_feature_group),
 ])
 def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
                                                     tmp_path, capsys):
@@ -291,7 +293,7 @@ def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
     assert code == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert not re.search(r"\bnan\b", captured.err.lower())
 
 
@@ -302,15 +304,15 @@ def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
 def micro_saved(micro, bundle, tmp_path_factory):
     """(the micro matrix, a directory holding a model of each kind trained
     on it, each saved under the kind's name)."""
-    _, schema, vectors, _ = featurize_corpus(micro, bundle, None, resolve_now(None, micro))
-    labelled = [v for v in vectors if v.label is not None]
+    dictionaries, schema, analyses = featurize_corpus(micro, bundle, None,
+                                                      resolve_now(None, micro))
+    X, y, _ = _labelled_rows(analyses, dictionaries, schema)
     root = tmp_path_factory.mktemp("saved")
     for kind, params in (("tree", TreeParams()), ("forest", ForestParams(n_trees=3, seed=1)),
                          ("knn", KnnParams())):
-        model = fit_model(kind, to_dense(labelled, len(schema)), label_indices(labelled),
-                          params, schema.fingerprint)
+        model = fit_model(kind, X, y, params, schema.fingerprint)
         save_model(model, root / kind)
-    return to_dense(vectors, len(schema)), root
+    return to_dense([vectorize(a, dictionaries, schema) for a in analyses], len(schema)), root
 
 
 # 10**400 is a JSON number that no float can hold; scalars are drawn as
