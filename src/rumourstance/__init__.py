@@ -13,13 +13,11 @@ __version__ = "0.1.0"
 
 from .corpus import CLASS_ORDER, StanceLabel, load_dataset
 from .errors import StanceError
-from .resources import load_bundle
 
 __all__ = [
     "CLASS_ORDER",
     "StanceLabel",
     "StanceError",
     "__version__",
-    "load_bundle",
     "load_dataset",
 ]

@@ -8,6 +8,7 @@ alone decides which values a record may hold, for `load_dataset` and
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -159,7 +160,7 @@ def _parse_user(obj, created_at: float) -> UserStats:
             raise CorpusError(f"user object missing field {name!r}")
     for name in ("statuses_count", "followers", "followees", "favourites_count"):
         value = obj[name]
-        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= MAX_COUNT:
+        if not is_int(value) or not 0 <= value <= MAX_COUNT:
             raise CorpusError(f"user field {name!r} must be an int in [0, 2**53], got {value!r}")
     for name in ("verified", "geo_enabled"):
         if not isinstance(obj[name], bool):
@@ -226,6 +227,27 @@ def encodable(value) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def is_strings(value) -> bool:
+    """A list of strings, none holding a lone surrogate."""
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and encodable(value))
+
+
+def is_finite_number(value) -> bool:
+    """A real JSON number (not a bool) within the finite float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def is_int(value) -> bool:
+    """A real int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_index(value, size: int) -> bool:
+    return is_int(value) and 0 <= value < size
 
 
 def read_json_lines(path: Path):

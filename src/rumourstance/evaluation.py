@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Dataset, build_threads, thread_index
+from .corpus import (
+    Dataset, build_threads, is_finite_number, is_int, is_strings, thread_index)
 from .errors import ConfigError, EvalError, LeakageError, ModelError
 from .features import (
     AF_GROUPS,
@@ -42,9 +43,7 @@ from .features import (
     vectorize,
 )
 from .learners import LEARNERS, fit_model, predict_many
-from .learners.base import (
-    CLASS_NAMES, N_CLASSES, TrainedModel, is_finite_number, is_int, is_strings,
-    label_indices, to_dense)
+from .learners.base import CLASS_NAMES, N_CLASSES, TrainedModel, label_indices, to_dense
 from .resources import ResourceBundle
 
 log = logging.getLogger(__name__)

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..corpus import is_int
 from ..errors import ModelError
-from .base import is_int
 from .tree import TreeParams, check_tree, grow_trees, tree_distribution
 
 _FEATURE_RULES = ("log2", "sqrt", "all")

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 
+from ..corpus import is_int
 from ..errors import ModelError
-from .base import CLASS_NAMES, TrainedModel, is_int
+from .base import CLASS_NAMES, TrainedModel
 from .table import LEARNERS
 
 MODEL_MAGIC = "STANCEMODEL"

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import is_finite_number, is_index, is_int
 from ..errors import ModelError
-from .base import N_CLASSES, is_finite_number, is_index, is_int
+from .base import N_CLASSES
 
 log = logging.getLogger(__name__)
 

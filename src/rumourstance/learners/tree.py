@@ -26,8 +26,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..corpus import is_finite_number, is_index, is_int
 from ..errors import ModelError
-from .base import N_CLASSES, is_finite_number, is_index, is_int
+from .base import N_CLASSES
 
 _GAIN_EPS = 1e-12
 _PRUNE_SLACK = 0.1

@@ -199,6 +199,16 @@ def test_bad_classifier_params_are_a_runtime_error(classifier, params, out, caps
     assert len(err) == 1 and err[0].startswith(f"error: bad {classifier} params")
 
 
+@pytest.mark.parametrize("command", ["train", "eval-loo", "ablate"])
+def test_unknown_classifier_flag_is_a_config_error(command, out, capsys):
+    code = run([command, "--dataset", micro_corpus_path(), "--classifier", "svm",
+                "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: unknown classifier 'svm'; "
+                                       "expected one of ('tree', 'forest', 'knn')\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ config file
 
 
