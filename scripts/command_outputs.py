@@ -7,8 +7,12 @@ OUT must not exist. The micro and Ottawa corpora are copied into it, along
 with a train/test split of each that holds out every third sorted rumour.
 Each command then runs from OUT through `rumourstance.cli.main`, with
 relative paths and `--seed 1`, writing into its own directory, where its
-stdout, stderr and exit code go beside its outputs. `featurize`, and `train`
-followed by `predict`, also run on a subset of the feature groups.
+stdout, stderr and exit code go beside its outputs; a command that raises
+anything but a `StanceError` gets exit code 1, as the `stance` script would,
+and the exception's type name in exception.txt. `featurize`, and `train`
+followed by `predict`, also run on a subset of the feature groups, and on
+micro-longpunct: micro with its first reply's text replaced by a
+3,000-character punctuation run and a word.
 
 Outputs depend only on the program, so running this once with each of two
 checkouts' `src` on PYTHONPATH and comparing the results with `diff -r`
@@ -32,6 +36,8 @@ from rumourstance.bundled import micro_corpus_path, ottawa_path
 LEARNERS = ("tree", "forest", "knn")
 # a subset of feature groups, so that the commands drop columns
 SOME_GROUPS = "BOW,NE,MOOD,AF_ITS,AF_IQ"
+# the micro-longpunct reply: one chunk of 3,000 punctuation marks and a word
+LONGPUNCT = "!?" * 1500 + "word"
 
 
 def write_split(corpus: str) -> None:
@@ -43,6 +49,24 @@ def write_split(corpus: str) -> None:
     for part, in_test in (("train", False), ("test", True)):
         Path(f"{corpus}-{part}.jsonl").write_bytes(b"".join(
             line for line, rumour in zip(lines, rumour_of) if (rumour in held_out) == in_test))
+
+
+def write_longpunct() -> None:
+    """micro-longpunct.jsonl: micro with its first reply's text replaced."""
+    lines = Path("micro.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    reply = next(i for i, line in enumerate(lines) if json.loads(line)["in_reply_to"])
+    lines[reply] = json.dumps({**json.loads(lines[reply]), "text": LONGPUNCT}) + "\n"
+    Path("micro-longpunct.jsonl").write_text("".join(lines), encoding="utf-8")
+
+
+def longpunct_commands():
+    """(output directory, argv) of each command run on micro-longpunct."""
+    data, seed = "micro-longpunct.jsonl", ["--seed", "1"]
+    yield "micro-longpunct/featurize", ["featurize", "--dataset", data, *seed]
+    yield "micro-longpunct/train-tree", [
+        "train", "--dataset", data, "--classifier", "tree", *seed]
+    yield "micro-longpunct/predict-tree", [
+        "predict", "--model", "micro-longpunct/train-tree/model.json", "--input", data]
 
 
 def commands(corpus: str):
@@ -76,10 +100,16 @@ def commands(corpus: str):
 
 def run(out_dir: str, argv: list) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main([*argv, "--out", out_dir])
+        try:
+            code = cli.main([*argv, "--out", out_dir])
+        except Exception as exc:  # anything cli.main does not report itself
+            code, exception = 1, type(exc).__name__
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if exception is not None:
+        (out / "exception.txt").write_text(f"{exception}\n", encoding="utf-8")
     (out / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
     (out / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
     (out / "exit_code.txt").write_text(f"{code}\n", encoding="utf-8")
@@ -95,10 +125,11 @@ def main(argv: list) -> int:
     shutil.copyfile(micro_corpus_path(), root / "micro.jsonl")
     shutil.copyfile(ottawa_path(), root / "ottawa.jsonl")
     os.chdir(root)
+    write_longpunct()
     for corpus in ("micro", "ottawa"):
         write_split(corpus)
-        for out_dir, command in commands(corpus):
-            print(f"{out_dir}: exit {run(out_dir, command)}", flush=True)
+    for out_dir, command in (*commands("micro"), *commands("ottawa"), *longpunct_commands()):
+        print(f"{out_dir}: exit {run(out_dir, command)}", flush=True)
     return 0
 
 

@@ -331,12 +331,12 @@ def _labelled_rows(analyses, dictionaries, schema) -> tuple:
     return to_dense(rows, len(schema)), label_indices(labelled), [a.tweet_id for a in labelled]
 
 
-def _evaluate_fold(dataset, analyses, run_matrix, resources, config, fold):
+def _evaluate_fold(dataset, analyses, run_matrix, resources, configs, fold) -> list:
+    """One result per config of one fold: the fold's dictionaries are built
+    and leakage-checked, and its rows mapped, once for all of them."""
     X, y, row_of, column_of = run_matrix
     dictionaries = build_fold_dictionaries(dataset, fold, analyses)
     check_leakage(dictionaries, fold)
-    schema = build_schema(dictionaries, resources, config.groups)
-    columns = [column_of[name] for name, _ in schema.columns]
     # run-matrix rows of the labelled tweets of the fold's training, then test, rumours
     train_rows, test_rows = ([row_of[t] for r in rumours for t in dataset.rumours[r]
                               if t in row_of]
@@ -345,11 +345,17 @@ def _evaluate_fold(dataset, analyses, run_matrix, resources, config, fold):
         raise EvalError(f"fold {fold.fold_id}: no labelled training tweets")
     if not test_rows:
         raise EvalError(f"fold {fold.fold_id}: no labelled test tweets")
-    model = fit_classifier(config, X[np.ix_(train_rows, columns)], y[train_rows],
-                           schema.fingerprint, fold_seed(config.seed, fold.fold_id))
-    scores = predict_many(model, X[np.ix_(test_rows, columns)])
-    return _fold_result(fold.fold_id, dataset.event_of_rumour(fold.test_rumour_ids[0]),
-                        fold.test_rumour_ids, y[test_rows], scores)
+    event = dataset.event_of_rumour(fold.test_rumour_ids[0])
+    results = []
+    for config in configs:
+        schema = build_schema(dictionaries, resources, config.groups)
+        columns = [column_of[name] for name, _ in schema.columns]
+        model = fit_classifier(config, X[np.ix_(train_rows, columns)], y[train_rows],
+                               schema.fingerprint, fold_seed(config.seed, fold.fold_id))
+        scores = predict_many(model, X[np.ix_(test_rows, columns)])
+        results.append(_fold_result(fold.fold_id, event, fold.test_rumour_ids,
+                                    y[test_rows], scores))
+    return results
 
 
 def _reduce_report(protocol, fold_results, config_echo) -> EvalReport:
@@ -398,8 +404,9 @@ def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
     table that all their folds count vocabularies from (unlabelled tweets
     are in it because vocabularies count them), and the labelled analyses,
     vectorized one by one, make the run matrix that all their folds slice;
-    both are dropped on return. _evaluate_fold is looked up by name on each
-    call, so wrappers installed on it (by a tracer, say) see every fold."""
+    both are dropped on return. Folds run one after another, each fitting
+    every config in order. _evaluate_fold is looked up by name on each call,
+    so wrappers installed on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
     now = resolve_now(configs[0].now, dataset)
     dictionaries, schema, analyses = featurize_corpus(dataset, resources, None, now)
@@ -407,13 +414,11 @@ def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
     run_matrix = X, y, {t: i for i, t in enumerate(tweet_ids)}, schema.name_to_index
     analyses = {a.tweet_id: a for a in analyses}
     protocol = f"loo_{scope}"
-    reports = []
-    for config in configs:
-        results = [_evaluate_fold(dataset, analyses, run_matrix, resources, config, fold)
-                   for fold in folds]
-        echo = _resolved_config(config, dataset, resources, protocol, now)
-        reports.append(_reduce_report(protocol, results, echo))
-    return reports
+    by_fold = [_evaluate_fold(dataset, analyses, run_matrix, resources, configs, fold)
+               for fold in folds]
+    return [_reduce_report(protocol, results,
+                           _resolved_config(config, dataset, resources, protocol, now))
+            for config, results in zip(configs, zip(*by_fold))]
 
 
 def run_loo(dataset: Dataset, resources: ResourceBundle,

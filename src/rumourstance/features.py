@@ -33,7 +33,7 @@ from .text import (
     negation_stats,
     pos_tag,
     sentiment_score,
-    text_marks,
+    token_marks,
     tokenize,
 )
 
@@ -146,8 +146,8 @@ def _bow_terms(tokens) -> list:
             if t.kind in (TokenKind.WORD, TokenKind.HASHTAG)]
 
 
-def _pos_ngrams(tokens, words: Optional[dict] = None) -> list:
-    tags = [t.value for t in pos_tag(tokens, words)]
+def _pos_ngrams(tags) -> list:
+    """The POS n-grams of a text, given its tag values in order."""
     grams = []
     for n in _POSNG_SIZES:
         grams.extend("|".join(tags[i:i + n]) for i in range(len(tags) - n + 1))
@@ -297,24 +297,35 @@ def extract_user(t: TweetRecord, now: float) -> dict:
 @dataclass
 class _Run:
     """What one `analyse_many` call keeps: each thread source's
-    `_analyse_text`, each chunk's tokens and token marks and each word's POS
-    tag. Gazetteer hits, POS n-grams and the currency-then-number check read
-    a token's position and neighbours: never kept."""
+    `_analyse_text`, and for each distinct whitespace chunk its tokens,
+    their POS tag values and their `token_marks`. Gazetteer hits, POS
+    n-grams and the currency-then-number check read a token's position and
+    neighbours: never kept."""
 
     sources: dict = field(default_factory=dict)
     chunks: dict = field(default_factory=dict)
-    marks: dict = field(default_factory=dict)
-    words: dict = field(default_factory=dict)
 
 
 def _analyse_text(text: str, r: ResourceBundle, run: _Run) -> tuple:
-    """(tokens, cumulative content vector, its norm, gazetteer hits, token
-    marks) of a text: the one text -> content-vector step behind the mood
-    and AF scores."""
-    tokens = tokenize(text, r.lexicons.all_emoticons, run.chunks)
+    """(tokens, their POS tag values, cumulative content vector, its norm,
+    gazetteer hits, token marks) of a text: the one text -> content-vector
+    step behind the mood and AF scores. A chunk's tokens depend on nothing
+    but the chunk, and a text's marks are its tokens' marks or-ed, so the
+    text is put together from the records `run.chunks` keeps."""
+    tokens, tags, marks = [], [], 0
+    for chunk in text.split():
+        record = run.chunks.get(chunk)
+        if record is None:
+            chunk_tokens = tokenize(chunk, r.lexicons.all_emoticons)
+            record = run.chunks[chunk] = (chunk_tokens,
+                                          [tag.value for tag in pos_tag(chunk_tokens)],
+                                          token_marks(chunk_tokens))
+        tokens += record[0]
+        tags += record[1]
+        marks |= record[2]
     hits = gazetteer_hits(tokens, r.gazetteers)
     vector = cumulative_vector(content_words(tokens, r, set().union(*hits)), r.embeddings)
-    return tokens, vector, norm(vector), hits, text_marks(text, run.chunks, run.marks)
+    return tokens, tags, vector, norm(vector), hits, marks
 
 
 def _normalized(text: str) -> str:
@@ -347,9 +358,9 @@ def _analyse(t: TweetRecord, thread: Thread, r: ResourceBundle, now: float,
 
     source = thread.source
     if t.tweet_id == source.tweet_id:
-        tokens, vector, vector_norm, hits, marks = _source_text(t, r, run)
+        tokens, tags, vector, vector_norm, hits, marks = _source_text(t, r, run)
     else:
-        tokens, vector, vector_norm, hits, marks = _analyse_text(t.text, r, run)
+        tokens, tags, vector, vector_norm, hits, marks = _analyse_text(t.text, r, run)
     named = extract_content(t, tokens, hits, marks, r)
     named.update(extract_user(t, now))
     for column, listed in _LIST_COLUMNS:
@@ -359,14 +370,14 @@ def _analyse(t: TweetRecord, thread: Thread, r: ResourceBundle, now: float,
         named["initialTweetSim"] = 1.0
     else:
         named["initialTweetSim"] = normed_cosine(vector, vector_norm,
-                                                 *_source_text(source, r, run)[1:3])
+                                                 *_source_text(source, r, run)[2:4])
     first_word = next((tok.lowercase for tok in tokens if tok.kind is TokenKind.WORD), None)
     named["isQuestion"] = int(first_word in r.lexicons.interrogatives)
     return TweetAnalysis(
         tweet_id=t.tweet_id, label=t.label,
         named=tuple((name, float(value)) for name, value in named.items()
                     if value != 0),
-        bow=tuple(_bow_terms(tokens)), posng=tuple(_pos_ngrams(tokens, run.words)))
+        bow=tuple(_bow_terms(tokens)), posng=tuple(_pos_ngrams(tags)))
 
 
 def analyse(t: TweetRecord, thread: Thread, r: ResourceBundle,
@@ -378,9 +389,9 @@ def analyse(t: TweetRecord, thread: Thread, r: ResourceBundle,
 
 def analyse_many(tweets, threads: dict, r: ResourceBundle, now: float):
     """Analyses of `tweets` in order (`threads` maps rumour id -> Thread).
-    Each text is tokenized and embedded once, and each distinct chunk and
-    word is split and tagged once: a `_Run` keeps them, and a thread
-    source's analysis, until the iteration ends."""
+    Each text is embedded once, and each distinct chunk is split, tagged
+    and marked once: a `_Run` keeps them, and a thread source's analysis,
+    until the iteration ends."""
     run = _Run()
     for t in tweets:
         yield _analyse(t, threads[t.rumour_id], r, now, run)

@@ -181,21 +181,13 @@ def cumulative_vector(tokens, table: EmbeddingTable) -> np.ndarray:
     return total / count
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity; defined as 0.0 when either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ResourceError(f"cosine: length mismatch {u.shape} vs {v.shape}")
-    return normed_cosine(u, norm(u), v, norm(v))
-
-
 def norm(v) -> float:
     return float(np.linalg.norm(v))
 
 
 def normed_cosine(u, nu: float, v, nv: float) -> float:
-    """`cosine` of two float64 vectors of one shape, given their norms."""
+    """Cosine similarity of two float64 vectors of one shape, given their
+    norms; defined as 0.0 when either norm is zero."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))

@@ -11,7 +11,6 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 
 class TokenKind(Enum):
@@ -62,66 +61,56 @@ def _make_token(surface: str, kind: TokenKind) -> Token:
 
 
 def _emit_chunk(chunk: str, emoticons: frozenset, out: list) -> None:
-    if not chunk:
-        return
-    if URL_RE.fullmatch(chunk):
-        out.append(_make_token(chunk, TokenKind.URL))
-        return
-    if chunk in emoticons:
-        out.append(_make_token(chunk, TokenKind.EMOTICON))
-        return
-    mention = MENTION_RE.match(chunk)
-    if mention:
+    """Append the tokens of one whitespace-free chunk to `out`: pieces are
+    peeled off its front onto `out` and off its back onto `trailing`, which
+    follows the core in reverse, until a whole-chunk form or a word is left."""
+    trailing = []
+    while chunk:
+        if URL_RE.fullmatch(chunk):
+            out.append(_make_token(chunk, TokenKind.URL))
+            break
+        if chunk in emoticons:
+            out.append(_make_token(chunk, TokenKind.EMOTICON))
+            break
         # keep "@user" whole even with trailing punctuation, as in "RT @user:"
-        out.append(_make_token(mention.group(), TokenKind.MENTION))
-        _emit_chunk(chunk[mention.end():], emoticons, out)
-        return
-    hashtag = HASHTAG_RE.match(chunk)
-    if hashtag:
-        out.append(_make_token(hashtag.group(), TokenKind.HASHTAG))
-        _emit_chunk(chunk[hashtag.end():], emoticons, out)
-        return
-    if NUMBER_RE.fullmatch(chunk):
-        out.append(_make_token(chunk, TokenKind.NUMBER))
-        return
-    dots = DOTS_RUN_RE.match(chunk)
-    if dots:
-        out.append(_make_token(dots.group(), TokenKind.PUNCTUATION))
-        _emit_chunk(chunk[dots.end():], emoticons, out)
-        return
-    if _is_strippable(chunk[0]):
-        out.append(_make_token(chunk[0], TokenKind.PUNCTUATION))
-        _emit_chunk(chunk[1:], emoticons, out)
-        return
-    trailing_dots = DOTS_RUN_RE.search(chunk)
-    if trailing_dots and trailing_dots.end() == len(chunk):
-        _emit_chunk(chunk[:trailing_dots.start()], emoticons, out)
-        out.append(_make_token(trailing_dots.group(), TokenKind.PUNCTUATION))
-        return
-    if _is_strippable(chunk[-1]):
-        _emit_chunk(chunk[:-1], emoticons, out)
-        out.append(_make_token(chunk[-1], TokenKind.PUNCTUATION))
-        return
-    out.append(_make_token(chunk, TokenKind.WORD))
+        lead = MENTION_RE.match(chunk) or HASHTAG_RE.match(chunk)
+        if lead:
+            kind = TokenKind.MENTION if chunk[0] == "@" else TokenKind.HASHTAG
+            out.append(_make_token(lead.group(), kind))
+            chunk = chunk[lead.end():]
+            continue
+        if NUMBER_RE.fullmatch(chunk):
+            out.append(_make_token(chunk, TokenKind.NUMBER))
+            break
+        dots = DOTS_RUN_RE.match(chunk)
+        if dots or _is_strippable(chunk[0]):
+            end = dots.end() if dots else 1
+            out.append(_make_token(chunk[:end], TokenKind.PUNCTUATION))
+            chunk = chunk[end:]
+            continue
+        dots = DOTS_RUN_RE.search(chunk)
+        if dots and dots.end() == len(chunk):
+            start = dots.start()
+        elif _is_strippable(chunk[-1]):
+            start = -1
+        else:
+            out.append(_make_token(chunk, TokenKind.WORD))
+            break
+        trailing.append(_make_token(chunk[start:], TokenKind.PUNCTUATION))
+        chunk = chunk[:start]
+    out.extend(reversed(trailing))
 
 
-def tokenize(text: str, emoticons: frozenset = frozenset(),
-             chunks: Optional[dict] = None) -> list:
+def tokenize(text: str, emoticons: frozenset = frozenset()) -> list:
     """Split a tweet into tokens on Unicode whitespace.
 
     URLs, @mentions, #hashtags, and dictionary emoticons survive as single
     tokens; leading/trailing punctuation is split off into punctuation tokens,
-    with runs of three or more dots kept as one token. `chunks`, when given,
-    keeps each chunk's tokens for later texts split with the same emoticons.
+    with runs of three or more dots kept as one token.
     """
-    chunks = {} if chunks is None else chunks
     tokens: list = []
     for chunk in text.split():
-        cached = chunks.get(chunk)
-        if cached is None:
-            cached = chunks[chunk] = []
-            _emit_chunk(chunk, emoticons, cached)
-        tokens.extend(cached)
+        _emit_chunk(chunk, emoticons, tokens)
     return tokens
 
 
@@ -195,18 +184,10 @@ def _tag_word(word: str) -> PosTag:
     return PosTag.NOUN
 
 
-def pos_tag(tokens, words: Optional[dict] = None) -> list:
+def pos_tag(tokens) -> list:
     """One coarse tag per token: kind-driven tags, then a closed-class
-    lexicon, then suffix rules, defaulting to NOUN. `words`, when given,
-    keeps each word's tag (lowercase -> tag) for later calls."""
-    words = {} if words is None else words
-    tags = []
-    for token in tokens:
-        tag = _KIND_TAGS.get(token.kind) or words.get(token.lowercase)
-        if tag is None:
-            tag = words[token.lowercase] = _tag_word(token.lowercase)
-        tags.append(tag)
-    return tags
+    lexicon, then suffix rules, defaulting to NOUN."""
+    return [_KIND_TAGS.get(token.kind) or _tag_word(token.lowercase) for token in tokens]
 
 
 # --- named-entity heuristics --------------------------------------------------
@@ -269,18 +250,6 @@ def token_marks(tokens) -> int:
             marks |= _AMOUNT
         if _is_currency_marker(token):
             marks |= _MARKER
-    return marks
-
-
-def text_marks(text: str, chunks: dict, memo: dict) -> int:
-    """`token_marks` of a text that `tokenize` split with the chunk memo
-    `chunks`; each chunk's marks are found once and kept in `memo`."""
-    marks = 0
-    for chunk in text.split():
-        found = memo.get(chunk)
-        if found is None:
-            found = memo[chunk] = token_marks(chunks[chunk])
-        marks |= found
     return marks
 
 

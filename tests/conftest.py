@@ -73,7 +73,8 @@ def analysed_texts(monkeypatch):
 
 
 @pytest.fixture
-def tokenized_texts(monkeypatch):
-    """The texts `features.tokenize` splits from here to the end of the
-    test, in call order: every tokenization on the featurization path."""
+def tokenized_chunks(monkeypatch):
+    """The whitespace chunks `features.tokenize` splits from here to the
+    end of the test, in call order: every tokenization on the
+    featurization path."""
     return _recording(monkeypatch, "tokenize")

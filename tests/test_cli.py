@@ -315,10 +315,13 @@ def test_featurize_artifacts(out):
     ["train", "--classifier", "tree"],
     ["eval-loo", "--classifier", "knn"],
 ], ids=lambda argv: argv[0])
-def test_command_tokenizes_each_text_once(command, micro, out, tokenized_texts):
+def test_command_tokenizes_each_text_once(command, micro, out, analysed_texts,
+                                          tokenized_chunks):
+    # each text analysed once, each distinct chunk of them split once
     assert run([*command, "--dataset", micro_corpus_path(), "--out", out]) == 0
-    assert len(tokenized_texts) == len(micro.tweets)
-    assert sorted(tokenized_texts) == sorted(t.text for t in micro.tweets)
+    assert sorted(analysed_texts) == sorted(t.text for t in micro.tweets)
+    assert sorted(tokenized_chunks) == sorted({chunk for t in micro.tweets
+                                               for chunk in t.text.split()})
 
 
 def test_train_then_predict_round_trip(tmp_path, out):
@@ -349,6 +352,21 @@ def test_train_then_predict_round_trip(tmp_path, out):
         for v in parts.values():
             whole, frac = v.split(".")
             assert len(frac) == 6
+
+
+def test_commands_run_on_a_long_punctuation_run(tmp_path, out, capsys):
+    # a chunk of 3,000 punctuation marks splits without a call per mark
+    lines = micro_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    reply = next(i for i, line in enumerate(lines) if json.loads(line)["in_reply_to"])
+    lines[reply] = json.dumps({**json.loads(lines[reply]), "text": "!" * 3000 + "word"}) + "\n"
+    corpus = tmp_path / "longpunct.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    for command in (["featurize", "--dataset", corpus],
+                    ["train", "--dataset", corpus, "--classifier", "tree"],
+                    ["predict", "--model", out / "train" / "model.json", "--input", corpus]):
+        assert run([*command, "--out", out / command[0]]) == 0, command[0]
+        assert capsys.readouterr().err == "", command[0]
+    assert len((out / "predict" / "predictions.tsv").read_text().splitlines()) == len(lines)
 
 
 def test_predict_on_a_corpus_without_tweets_writes_nothing(tmp_path, out, capsys):

@@ -53,7 +53,7 @@ from rumourstance.features import (
 from rumourstance.learners import LEARNERS, predict_many
 from rumourstance.learners.base import CLASS_NAMES, to_dense
 from rumourstance.reports import ablation_report_text, eval_report_json
-from rumourstance.text import tokenize
+from rumourstance.text import pos_tag, tokenize
 
 
 # --------------------------------------------------------------------- folds
@@ -490,7 +490,7 @@ def oracle_dictionaries(tweets, bundle, provenance):
     for t in tweets:
         tokens = tokenize(t.text, bundle.lexicons.all_emoticons)
         bow.update(_bow_terms(tokens))
-        posng.update(_pos_ngrams(tokens))
+        posng.update(_pos_ngrams([tag.value for tag in pos_tag(tokens)]))
 
     def vocab(counts):
         return {w: i for i, w in enumerate(sorted(w for w, c in counts.items() if c >= 2))}
@@ -573,7 +573,7 @@ def test_loo_vectors_equal_fresh_per_fold_assembly(part_unlabelled, bundle,
 
     folds = make_loo_folds(dataset, scope)
     no_af = tuple(g for g in GROUPS if g not in AF_GROUPS)
-    runs = [(None, fold) for fold in folds] + [(no_af, fold) for fold in folds]
+    runs = [(groups, fold) for fold in folds for groups in (None, no_af)]
     assert len(seen) == len(runs)
     threads = thread_index(build_threads(dataset))
     now = resolve_now(None, dataset)
@@ -594,6 +594,20 @@ def test_loo_vectors_equal_fresh_per_fold_assembly(part_unlabelled, bundle,
         train = [t for r in fold.train_rumour_ids for t in dataset.rumour_tweets(r)
                  if t.label is not None]
         assert train_y.tolist() == [CLASS_NAMES.index(t.label.value) for t in train]
+
+
+def test_ablation_builds_each_fold_dictionaries_once(micro, bundle, monkeypatch):
+    # the baseline and the AF-removed rerun share each fold's dictionaries
+    built = []
+    build = evaluation.build_fold_dictionaries
+
+    def recording(dataset, fold, analyses):
+        built.append(fold)
+        return build(dataset, fold, analyses)
+
+    monkeypatch.setattr(evaluation, "build_fold_dictionaries", recording)
+    ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}), removals=("AF",))
+    assert built == make_loo_folds(micro, "by_event")
 
 
 def test_ablation_vectorizes_each_labelled_tweet_once(micro, part_unlabelled, bundle,
@@ -619,7 +633,9 @@ def test_ablation_vectorizes_each_labelled_tweet_once(micro, part_unlabelled, bu
 
 
 def test_ablation_analyses_each_tweet_once(micro, bundle, analysed_texts,
-                                           tokenized_texts):
+                                           tokenized_chunks):
     ablate(micro, bundle, RunConfig(classifier="knn", params={"k": 3}),
            removals=("AF",))
-    assert len(analysed_texts) == len(tokenized_texts) == len(micro.tweets)
+    assert sorted(analysed_texts) == sorted(t.text for t in micro.tweets)
+    assert sorted(tokenized_chunks) == sorted({chunk for t in micro.tweets
+                                               for chunk in t.text.split()})

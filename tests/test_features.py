@@ -34,7 +34,7 @@ from rumourstance.features import (
     resolve_now,
     vectorize,
 )
-from rumourstance.resources import Gazetteers, cosine
+from rumourstance.resources import Gazetteers, norm, normed_cosine
 from rumourstance.text import (
     _CURRENCY_AMOUNT_RE,
     _CURRENCY_CODES,
@@ -48,10 +48,8 @@ from rumourstance.text import (
     TokenKind,
     _tag_word,
     entity_flags,
-    gazetteer_hits,
     negation_stats,
     sentiment_score,
-    text_marks,
     tokenize,
 )
 
@@ -235,13 +233,15 @@ def test_cosine_matches_numpy():
     rng = np.random.default_rng(7)
     for _ in range(50):
         u, v = rng.normal(size=8), rng.normal(size=8)
-        assert cosine(u, v) == pytest.approx(plain_cosine(u, v), abs=1e-12)
-    assert cosine(np.zeros(4), np.ones(4)) == 0.0
+        assert normed_cosine(u, norm(u), v, norm(v)) == pytest.approx(plain_cosine(u, v),
+                                                                       abs=1e-12)
+    zero, ones = np.zeros(4), np.ones(4)
+    assert normed_cosine(zero, norm(zero), ones, norm(ones)) == 0.0
 
 
 def test_cosine_self_similarity(bundle):
     vec = bundle.embeddings.get("confirmed")
-    assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)
+    assert normed_cosine(vec, norm(vec), vec, norm(vec)) == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------------------- AF scores
@@ -396,7 +396,7 @@ def test_af_group_removal_only_drops_af(micro, bundle, dicts, schema, threads):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_featurize_equals_assemble_analysing_each_text_once(
-        micro, bundle, dicts, schema, threads, analysed_texts, tokenized_texts,
+        micro, bundle, dicts, schema, threads, analysed_texts, tokenized_chunks,
         reverse):
     # the featurization of every command: analyse_many, then vectorize;
     # reversed, replies come before their thread's source
@@ -404,18 +404,20 @@ def test_featurize_equals_assemble_analysing_each_text_once(
     expected = [assemble(t, threads[t.rumour_id], dicts, bundle, schema, now=0.0)
                 for t in tweets]
     analysed_texts.clear()
-    tokenized_texts.clear()
+    tokenized_chunks.clear()
     assert [vectorize(a, dicts, schema)
             for a in analyse_many(tweets, threads, bundle, now=0.0)] == expected
-    assert len(analysed_texts) == len(tokenized_texts) == len(tweets)
+    assert sorted(analysed_texts) == sorted(t.text for t in tweets)
+    assert sorted(tokenized_chunks) == sorted({chunk for t in tweets
+                                               for chunk in t.text.split()})
 
 
 # ------------------------------------------------ one-pass analysis oracle
 #
-# The per-text path as it was before `analyse_many` kept chunk tokens, word
-# tags, one gazetteer scan per text and the list norms: a fresh tokenize per
-# text, the POS rules per token, one scan per gazetteer at each of its two
-# call sites, and a full cosine per list.
+# The per-text path as it was before `analyse_many` kept chunk tokens, tags
+# and marks, one gazetteer scan per text and the list norms: a fresh tokenize
+# per text, the POS rules and the date and money tests per token, one scan
+# per gazetteer at each of its two call sites, and a full cosine per list.
 
 _WORDLIKE = (TokenKind.WORD, TokenKind.HASHTAG)
 
@@ -468,12 +470,11 @@ _DATE_AND_MONEY_TEXTS = (
 @pytest.mark.parametrize("corpus", ["micro", "ottawa"])
 def test_date_and_money_flags_equal_the_per_token_scan(corpus, bundle, request):
     texts = [t.text for t in request.getfixturevalue(corpus).tweets]
-    chunks, memo = {}, {}  # kept across texts, as one analyse_many run keeps them
+    run = features._Run()  # kept across texts, as one analyse_many call keeps it
     seen = set()
     for text in texts + list(_DATE_AND_MONEY_TEXTS) + texts[::-1]:
-        tokens = tokenize(text, bundle.lexicons.all_emoticons, chunks)
-        hits = gazetteer_hits(tokens, bundle.gazetteers)
-        flags = entity_flags(tokens, hits, text_marks(text, chunks, memo))
+        tokens, _, _, _, hits, marks = features._analyse_text(text, bundle, run)
+        flags = entity_flags(tokens, hits, marks)
         assert (flags[2], flags[4]) == (int(has_date(tokens)), int(has_money(tokens))), text
         seen.add((flags[2], flags[4]))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -534,15 +535,16 @@ def reference_analysis(t, thread, r, now):
     named["averageNegation"], named["hasNegation"] = negation_stats(tokens)
     named.update(extract_user(t, now))
     for mood in MOOD_NAMES:
-        named[f"mood_{mood}"] = cosine(vector, r.list_vectors[mood])
+        named[f"mood_{mood}"] = plain_cosine(vector, r.list_vectors[mood])
     for name, listed in (("surpriseScore", "surprise"), ("doubtScore", "doubt"),
                          ("noDoubtScore", "nodoubt"), ("supportScore", "support")):
-        named[name] = cosine(vector, r.list_vectors[listed])
+        named[name] = plain_cosine(vector, r.list_vectors[listed])
     source = thread.source
     if t.tweet_id == source.tweet_id or _is_retweet_of(t.text, source.text):
         named["initialTweetSim"] = 1.0
     else:
-        named["initialTweetSim"] = cosine(vector, reference_text(source.text, r)[1])
+        named["initialTweetSim"] = plain_cosine(vector,
+                                                 reference_text(source.text, r)[1])
     first = next((tok.lowercase for tok in tokens if tok.kind is TokenKind.WORD), None)
     named["isQuestion"] = int(first is not None and first in lex.interrogatives)
     tags = [(_KIND_TAGS.get(tok.kind) or _tag_word(tok.lowercase)).value for tok in tokens]

@@ -62,7 +62,6 @@ UNCALLED_API = {
     "assemble",           # evaluation binds it, and cli forwards it, for the benchmark tracer
     "__getattr__",        # cli's forward of `assemble`; Python calls it on attribute access
     "info_gain_ratio",    # the gain-ratio oracle that C1 checks the tree against
-    "cosine",             # the one-call cosine; the per-text reference analysis calls it
 }
 
 

@@ -8,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumourstance.text import (
+    DOTS_RUN_RE,
+    HASHTAG_RE,
+    MENTION_RE,
+    NUMBER_RE,
+    URL_RE,
     PosTag,
     TokenKind,
+    _emit_chunk,
+    _is_strippable,
+    _make_token,
     entity_flags,
     gazetteer_hits,
     negation_stats,
@@ -79,6 +87,72 @@ def test_tokenize_numbers():
 def test_token_lowercase_field():
     toks = tokenize("BREAKING News")
     assert [t.lowercase for t in toks] == ["breaking", "news"]
+
+
+def recursive_emit_chunk(chunk, emoticons, out):
+    """The chunk splitter as one recursive call per peeled piece: the
+    oracle of `_emit_chunk`, which peels in a loop."""
+    if not chunk:
+        return
+    if URL_RE.fullmatch(chunk):
+        out.append(_make_token(chunk, TokenKind.URL))
+        return
+    if chunk in emoticons:
+        out.append(_make_token(chunk, TokenKind.EMOTICON))
+        return
+    mention = MENTION_RE.match(chunk)
+    if mention:
+        out.append(_make_token(mention.group(), TokenKind.MENTION))
+        recursive_emit_chunk(chunk[mention.end():], emoticons, out)
+        return
+    hashtag = HASHTAG_RE.match(chunk)
+    if hashtag:
+        out.append(_make_token(hashtag.group(), TokenKind.HASHTAG))
+        recursive_emit_chunk(chunk[hashtag.end():], emoticons, out)
+        return
+    if NUMBER_RE.fullmatch(chunk):
+        out.append(_make_token(chunk, TokenKind.NUMBER))
+        return
+    dots = DOTS_RUN_RE.match(chunk)
+    if dots:
+        out.append(_make_token(dots.group(), TokenKind.PUNCTUATION))
+        recursive_emit_chunk(chunk[dots.end():], emoticons, out)
+        return
+    if _is_strippable(chunk[0]):
+        out.append(_make_token(chunk[0], TokenKind.PUNCTUATION))
+        recursive_emit_chunk(chunk[1:], emoticons, out)
+        return
+    trailing_dots = DOTS_RUN_RE.search(chunk)
+    if trailing_dots and trailing_dots.end() == len(chunk):
+        recursive_emit_chunk(chunk[:trailing_dots.start()], emoticons, out)
+        out.append(_make_token(trailing_dots.group(), TokenKind.PUNCTUATION))
+        return
+    if _is_strippable(chunk[-1]):
+        recursive_emit_chunk(chunk[:-1], emoticons, out)
+        out.append(_make_token(chunk[-1], TokenKind.PUNCTUATION))
+        return
+    out.append(_make_token(chunk, TokenKind.WORD))
+
+
+_CHUNK_PIECES = (*"aZ7@#.!?()$:,;'\"-_£€“”¿", "...", ":)", ":-)", "http://t.co/x", "www.a.b")
+
+
+@settings(max_examples=500, deadline=None)
+@given(chunk=st.lists(st.sampled_from(_CHUNK_PIECES), max_size=12).map("".join),
+       emoticons=st.sampled_from([frozenset(), frozenset({":)", ":-)"})]))
+def test_chunk_splitter_equals_the_recursive_oracle(chunk, emoticons):
+    got, want = [], []
+    _emit_chunk(chunk, emoticons, got)
+    recursive_emit_chunk(chunk, emoticons, want)
+    assert got == want
+
+
+def test_a_long_punctuation_run_splits_without_recursion():
+    run = "!?" * 3000
+    assert kinds(tokenize(run + "word" + run)) == (
+        [(ch, TokenKind.PUNCTUATION) for ch in run] + [("word", TokenKind.WORD)]
+        + [(ch, TokenKind.PUNCTUATION) for ch in run])
+    assert len(tokenize("@a" * 3000)) == 3000
 
 
 @settings(max_examples=200, deadline=None)
