@@ -12,7 +12,8 @@ anything but a `StanceError` gets exit code 1, as the `stance` script would,
 and the exception's type name in exception.txt. `featurize`, and `train`
 followed by `predict`, also run on a subset of the feature groups, and on
 micro-longpunct: micro with its first reply's text replaced by a
-3,000-character punctuation run and a word.
+3,000-character punctuation run and a word, and its second reply's by a
+word and a 3,000-character punctuation run.
 
 Outputs depend only on the program, so running this once with each of two
 checkouts' `src` on PYTHONPATH and comparing the results with `diff -r`
@@ -36,8 +37,9 @@ from rumourstance.bundled import micro_corpus_path, ottawa_path
 LEARNERS = ("tree", "forest", "knn")
 # a subset of feature groups, so that the commands drop columns
 SOME_GROUPS = "BOW,NE,MOOD,AF_ITS,AF_IQ"
-# the micro-longpunct reply: one chunk of 3,000 punctuation marks and a word
-LONGPUNCT = "!?" * 1500 + "word"
+# the micro-longpunct replies: one chunk of 3,000 punctuation marks and a
+# word, and one of a word and 3,000 punctuation marks
+LONGPUNCT = ("!?" * 1500 + "word", "word" + "!?" * 1500)
 
 
 def write_split(corpus: str) -> None:
@@ -52,10 +54,11 @@ def write_split(corpus: str) -> None:
 
 
 def write_longpunct() -> None:
-    """micro-longpunct.jsonl: micro with its first reply's text replaced."""
+    """micro-longpunct.jsonl: micro with its first two replies' texts replaced."""
     lines = Path("micro.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-    reply = next(i for i, line in enumerate(lines) if json.loads(line)["in_reply_to"])
-    lines[reply] = json.dumps({**json.loads(lines[reply]), "text": LONGPUNCT}) + "\n"
+    replies = [i for i, line in enumerate(lines) if json.loads(line)["in_reply_to"]]
+    for reply, text in zip(replies, LONGPUNCT):
+        lines[reply] = json.dumps({**json.loads(lines[reply]), "text": text}) + "\n"
     Path("micro-longpunct.jsonl").write_text("".join(lines), encoding="utf-8")
 
 

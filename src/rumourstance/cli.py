@@ -227,9 +227,9 @@ def cmd_featurize(settings: dict) -> int:
     from .features import featurize_corpus, resolve_now, write_schema_file, write_vectors
     config, _, resources, out, dataset = _start_run(settings)
     now = resolve_now(config.now, dataset)
-    dictionaries, schema, analyses = featurize_corpus(dataset, resources, config.groups, now)
+    _, schema, analyses = featurize_corpus(dataset, resources, config.groups, now)
     write_schema_file(schema, out / "schema.tsv")
-    write_vectors(analyses, dictionaries, schema, out / "vectors.tsv")
+    write_vectors(analyses, schema, out / "vectors.tsv")
     _write_config_echo(out, {
         "dataset": dataset.name,
         "bundle_hash": resources.content_hash,
@@ -403,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a failed run removes the --out directory, and each
-    parent of it, that it created and left empty."""
+    """Run one command; a failed run, whatever the exception, removes the
+    --out directory, and each parent of it, that it created and left empty.
+    A StanceError is then reported; anything else propagates as it was."""
     ns = build_parser().parse_args(argv)
     created = []
     try:
@@ -416,11 +417,13 @@ def main(argv=None) -> int:
             out = Path(settings["out"])
             created = [path for path in (out, *out.parents) if not os.path.lexists(path)]
         return ns.func(settings)
-    except StanceError as exc:
+    except BaseException as exc:
         for path in created:  # deepest first
             if not os.path.isdir(path) or os.listdir(path):
                 break
             os.rmdir(path)
+        if not isinstance(exc, StanceError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 

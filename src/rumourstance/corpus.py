@@ -103,7 +103,7 @@ class TweetRecord:
 @dataclass(frozen=True)
 class Thread:
     source: TweetRecord
-    replies: tuple  # TweetRecord, ascending created_at, ties by tweet_id
+    replies: tuple  # TweetRecord, in file order
 
     @property
     def rumour_id(self) -> str:
@@ -319,10 +319,8 @@ def build_dataset(numbered, path: Path) -> Dataset:
 
 
 def build_threads(dataset: Dataset) -> list:
-    """Group a dataset into one Thread per rumour.
-
-    Replies are ordered by created_at ascending, ties broken by tweet_id.
-    """
+    """Group a dataset into one Thread per rumour, its replies in file
+    order."""
     threads = []
     for rumour_id, tweet_ids in dataset.rumours.items():
         tweets = [dataset.get(tid) for tid in tweet_ids]
@@ -332,11 +330,8 @@ def build_threads(dataset: Dataset) -> list:
         if len(source_tweets) > 1:
             ids = ", ".join(t.tweet_id for t in source_tweets)
             raise CorpusError(f"rumour {rumour_id!r} has multiple source tweets: {ids}")
-        source = source_tweets[0]
-        replies = sorted(
-            (t for t in tweets if not t.is_source),
-            key=lambda t: (t.created_at, t.tweet_id))
-        threads.append(Thread(source=source, replies=tuple(replies)))
+        replies = tuple(t for t in tweets if not t.is_source)
+        threads.append(Thread(source=source_tweets[0], replies=replies))
     return threads
 
 

@@ -323,11 +323,11 @@ def _fold_result(fold_id: str, event_id: str, test_rumours, gold, scores) -> dic
     }
 
 
-def _labelled_rows(analyses, dictionaries, schema) -> tuple:
+def _labelled_rows(analyses, schema) -> tuple:
     """(X, class indices y, tweet ids) of the labelled analyses, in order:
-    only they are vectorized, under the dictionaries and the schema."""
+    only they are vectorized, under the schema."""
     labelled = [a for a in analyses if a.label is not None]
-    rows = [vectorize(a, dictionaries, schema) for a in labelled]
+    rows = [vectorize(a, schema) for a in labelled]
     return to_dense(rows, len(schema)), label_indices(labelled), [a.tweet_id for a in labelled]
 
 
@@ -409,8 +409,8 @@ def _run_loo(dataset: Dataset, resources: ResourceBundle, configs,
     so wrappers installed on it (by a tracer, say) see every fold."""
     folds = make_loo_folds(dataset, scope)
     now = resolve_now(configs[0].now, dataset)
-    dictionaries, schema, analyses = featurize_corpus(dataset, resources, None, now)
-    X, y, tweet_ids = _labelled_rows(analyses, dictionaries, schema)
+    _, schema, analyses = featurize_corpus(dataset, resources, None, now)
+    X, y, tweet_ids = _labelled_rows(analyses, schema)
     run_matrix = X, y, {t: i for i, t in enumerate(tweet_ids)}, schema.name_to_index
     analyses = {a.tweet_id: a for a in analyses}
     protocol = f"loo_{scope}"
@@ -436,7 +436,7 @@ def train_model(dataset: Dataset, resources: ResourceBundle, config: RunConfig,
     if not dataset.labelled():
         raise EvalError("no labelled tweets to train on")
     dictionaries, schema, analyses = featurize_corpus(dataset, resources, config.groups, now)
-    X, y, tweet_ids = _labelled_rows(analyses, dictionaries, schema)
+    X, y, tweet_ids = _labelled_rows(analyses, schema)
     model = fit_classifier(config, X, y, schema.fingerprint, seed)
     model.context.update({
         "bow_vocab": list(dictionaries.bow_vocab),
@@ -483,9 +483,8 @@ def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundl
             "model was trained against a different resource bundle "
             f"(stored hash {stored_hash}, loaded {resources.content_hash})")
     dictionaries = FeatureDictionaries(
-        bow_vocab={w: i for i, w in enumerate(context.get("bow_vocab") or ())},
-        posng_vocab={g: i for i, g in enumerate(context.get("posng_vocab") or ())},
-        provenance=tuple(context.get("provenance") or ()),
+        bow_vocab=tuple(context.get("bow_vocab") or ()),
+        posng_vocab=tuple(context.get("posng_vocab") or ()),
     )
     groups = context.get("feature_groups")
     schema = build_schema(dictionaries, resources, None if groups is None else tuple(groups))
@@ -500,7 +499,7 @@ def label_tweets(model: TrainedModel, dataset: Dataset, resources: ResourceBundl
     analyses = analyse_many(dataset.tweets, threads, resources, now)
     scores = [np.empty((0, N_CLASSES))]
     while chunk := list(islice(analyses, LABEL_CHUNK_ROWS)):
-        rows = [vectorize(a, dictionaries, schema) for a in chunk]
+        rows = [vectorize(a, schema) for a in chunk]
         scores.append(predict_many(model, to_dense(rows, len(schema))))
     return np.concatenate(scores)
 

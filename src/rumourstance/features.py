@@ -100,11 +100,11 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class FeatureDictionaries:
-    """Fold-local vocabularies. provenance records which rumours the
-    training tweets came from, so the leakage guard can audit folds."""
+    """Fold-local vocabularies, term tuples in column order. provenance records
+    which rumours the training tweets came from, so the leakage guard can audit folds."""
 
-    bow_vocab: dict
-    posng_vocab: dict
+    bow_vocab: tuple
+    posng_vocab: tuple
     provenance: tuple = ()
 
 
@@ -113,7 +113,7 @@ class TweetAnalysis:
     """What a tweet's vector needs that no fold changes: its nonzero
     columns outside the vocabularies, by name, and its BOW terms and POS
     n-grams in order, repeats kept. `vectorize` maps it onto a fold's
-    dictionaries and schema as a `{column index: value}` row."""
+    schema as a `{column index: value}` row."""
 
     tweet_id: str
     label: Optional[StanceLabel]
@@ -162,8 +162,8 @@ def build_dictionaries(analyses, provenance=()) -> FeatureDictionaries:
         raise SchemaError("cannot build feature dictionaries from an empty training set")
     bow_counts = Counter(term for a in analyses for term in a.bow)
     posng_counts = Counter(gram for a in analyses for gram in a.posng)
-    bow = {w: i for i, w in enumerate(sorted(w for w, c in bow_counts.items() if c >= 2))}
-    posng = {g: i for i, g in enumerate(sorted(g for g, c in posng_counts.items() if c >= 2))}
+    bow = tuple(sorted(w for w, c in bow_counts.items() if c >= 2))
+    posng = tuple(sorted(g for g, c in posng_counts.items() if c >= 2))
     return FeatureDictionaries(bow_vocab=bow, posng_vocab=posng,
                                provenance=tuple(sorted(provenance)))
 
@@ -184,12 +184,12 @@ def build_schema(dictionaries: FeatureDictionaries, resources: ResourceBundle,
     order: the vocabularies' and the bundle's groups computed, every other
     group's from `_FIXED_COLUMNS`."""
     enabled = set(GROUPS if groups is None else check_groups(groups, SchemaError))
-    bow, posng, lexicons = dictionaries.bow_vocab, dictionaries.posng_vocab, resources.lexicons
+    lexicons = resources.lexicons
     layout = {
         **_FIXED_COLUMNS,
-        "BOW": [f"bow={word}" for word in sorted(bow, key=bow.get)],
+        "BOW": [f"bow={word}" for word in dictionaries.bow_vocab],
         "BROWN": [f"brown={cluster:04d}" for cluster in range(BROWN_CLUSTER_COUNT)],
-        "POSNG": [f"posng={gram}" for gram in sorted(posng, key=posng.get)],
+        "POSNG": [f"posng={gram}" for gram in dictionaries.posng_vocab],
         "EMOT": [f"emot={category}" for category in sorted(lexicons.emoticons)],
         "REGEX": [f"regex_{i}" for i in range(len(lexicons.regex_pack))],
     }
@@ -397,17 +397,16 @@ def analyse_many(tweets, threads: dict, r: ResourceBundle, now: float):
         yield _analyse(t, threads[t.rumour_id], r, now, run)
 
 
-def vectorize(a: TweetAnalysis, d: FeatureDictionaries, schema: FeatureSchema) -> dict:
+def vectorize(a: TweetAnalysis, schema: FeatureSchema) -> dict:
     """The analysed tweet's sparse `{column index: value}` row under the
-    dictionaries and the schema. Terms outside the vocabularies and columns
-    the schema does not carry are silently dropped, which is exactly the
-    ablation contract."""
+    schema: each BOW term and POS n-gram adds 1 to its column. Terms outside
+    the vocabularies and columns the schema does not carry are silently
+    dropped, which is exactly the ablation contract."""
     index_of = schema.name_to_index
     values = {}
-    for prefix, items, vocab in (("bow=", a.bow, d.bow_vocab),
-                                 ("posng=", a.posng, d.posng_vocab)):
+    for prefix, items in (("bow=", a.bow), ("posng=", a.posng)):
         for item in items:
-            index = index_of.get(prefix + item) if item in vocab else None
+            index = index_of.get(prefix + item)
             if index is not None:
                 values[index] = values.get(index, 0.0) + 1.0
     for name, value in a.named:
@@ -417,11 +416,11 @@ def vectorize(a: TweetAnalysis, d: FeatureDictionaries, schema: FeatureSchema) -
     return values
 
 
-def assemble(t: TweetRecord, thread: Thread, d: FeatureDictionaries,
-             r: ResourceBundle, schema: FeatureSchema, now: float) -> dict:
+def assemble(t: TweetRecord, thread: Thread, r: ResourceBundle,
+             schema: FeatureSchema, now: float) -> dict:
     """One tweet's sparse row (see `vectorize`) under the schema, in the
     context of its thread."""
-    return vectorize(analyse(t, thread, r, now), d, schema)
+    return vectorize(analyse(t, thread, r, now), schema)
 
 
 def featurize_corpus(dataset: Dataset, r: ResourceBundle, groups,
@@ -450,7 +449,7 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def write_vectors(analyses, d: FeatureDictionaries, schema: FeatureSchema, path) -> None:
+def write_vectors(analyses, schema: FeatureSchema, path) -> None:
     """Sparse vector file, one line per analysis, each vectorized as it is
     written: tweet_id<TAB>label<TAB>idx:val idx:val ...
     Unlabelled tweets carry "-" in the label slot."""
@@ -458,5 +457,5 @@ def write_vectors(analyses, d: FeatureDictionaries, schema: FeatureSchema, path)
         for a in analyses:
             label = a.label.value if a.label is not None else "-"
             cells = " ".join(f"{i}:{_format_value(v)}"
-                             for i, v in sorted(vectorize(a, d, schema).items()))
+                             for i, v in sorted(vectorize(a, schema).items()))
             fh.write(f"{a.tweet_id}\t{label}\t{cells}\n")

@@ -6,8 +6,8 @@ import json
 
 from ..corpus import is_int
 from ..errors import ModelError
+from . import LEARNERS
 from .base import CLASS_NAMES, TrainedModel
-from .table import LEARNERS
 
 MODEL_MAGIC = "STANCEMODEL"
 MODEL_VERSION = 1

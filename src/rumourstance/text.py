@@ -88,7 +88,8 @@ def _emit_chunk(chunk: str, emoticons: frozenset, out: list) -> None:
             out.append(_make_token(chunk[:end], TokenKind.PUNCTUATION))
             chunk = chunk[end:]
             continue
-        dots = DOTS_RUN_RE.search(chunk)
+        # a dot run can end the chunk only if its last three characters are dots
+        dots = chunk.endswith("...") and DOTS_RUN_RE.search(chunk)
         if dots and dots.end() == len(chunk):
             start = dots.start()
         elif _is_strippable(chunk[-1]):

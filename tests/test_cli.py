@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import rumourstance.evaluation as evaluation
 from rumourstance.bundled import micro_corpus_path
 from rumourstance.cli import main
 from rumourstance.features import AF_GROUPS
@@ -146,6 +147,16 @@ def test_failed_run_leaves_no_out_directory(case, micro_split, tmp_path, out, ca
     assert run([*argv, "--out", out / "sub"]) == code
     assert problem in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unexpected_exception_removes_the_out_it_created(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(evaluation, "run_loo", broken)
+    with pytest.raises(RuntimeError, match="^broken$"):
+        run(["eval-loo", "--dataset", micro_corpus_path(), "--out", tmp_path / "a" / "b"])
+    assert not (tmp_path / "a").exists()
 
 
 def leaf_model(**changes):

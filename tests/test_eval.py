@@ -113,8 +113,8 @@ def test_fold_dictionaries_scoped_to_train(micro, micro_analyses):
 def test_check_leakage_raises_on_test_provenance(micro, bundle):
     fold = make_loo_folds(micro, scope="global")[0]
     leaky = FeatureDictionaries(
-        bow_vocab={},
-        posng_vocab={},
+        bow_vocab=(),
+        posng_vocab=(),
         provenance=tuple(sorted(fold.train_rumour_ids + fold.test_rumour_ids)),
     )
     with pytest.raises(LeakageError):
@@ -403,9 +403,9 @@ def test_label_tweets_scores_one_chunk_at_a_time(classifier, params, micro, bund
     config = RunConfig(classifier=classifier, params=params, seed=3)
     model, _, _ = evaluation.train_model(micro, bundle, config, now, 3)
     # the unchunked path: every tweet featurized, densified and scored at once
-    dictionaries, schema, _ = featurize_corpus(micro, bundle, None, now)
+    _, schema, _ = featurize_corpus(micro, bundle, None, now)
     threads = thread_index(build_threads(three_chunks))
-    rows = [vectorize(a, dictionaries, schema)
+    rows = [vectorize(a, schema)
             for a in analyse_many(three_chunks.tweets, threads, bundle, now)]
     unchunked = predict_many(model, to_dense(rows, len(schema)))
 
@@ -493,14 +493,14 @@ def oracle_dictionaries(tweets, bundle, provenance):
         posng.update(_pos_ngrams([tag.value for tag in pos_tag(tokens)]))
 
     def vocab(counts):
-        return {w: i for i, w in enumerate(sorted(w for w, c in counts.items() if c >= 2))}
+        return tuple(sorted(w for w, c in counts.items() if c >= 2))
 
     return FeatureDictionaries(bow_vocab=vocab(bow), posng_vocab=vocab(posng),
                                provenance=tuple(sorted(provenance)))
 
 
 def in_order(d):
-    return list(d.bow_vocab.items()), list(d.posng_vocab.items()), d.provenance
+    return d.bow_vocab, d.posng_vocab, d.provenance
 
 
 @pytest.mark.parametrize("scope", ["by_event", "global"])
@@ -587,7 +587,7 @@ def test_loo_vectors_equal_fresh_per_fold_assembly(part_unlabelled, bundle,
                            (fold.test_rumour_ids, test_X)):
             tweets = [t for r in rumours for t in dataset.rumour_tweets(r)
                       if t.label is not None]
-            want = to_dense([assemble(t, threads[t.rumour_id], dicts, bundle, schema, now)
+            want = to_dense([assemble(t, threads[t.rumour_id], bundle, schema, now)
                              for t in tweets], len(schema))
             assert X.shape == want.shape and (X == want).all()
             assert X.tobytes() == want.tobytes()

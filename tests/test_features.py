@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +30,7 @@ from rumourstance.features import (
     content_words,
     cumulative_vector,
     extract_user,
+    featurize_corpus,
     fingerprint64,
     resolve_now,
     vectorize,
@@ -98,7 +99,6 @@ def test_bow_vocab_frequency_threshold(micro, bundle, dicts):
                 counts[tok.lowercase] += 1
     expected = sorted(w for w, c in counts.items() if c >= 2)
     assert list(dicts.bow_vocab) == expected
-    assert [dicts.bow_vocab[w] for w in expected] == list(range(len(expected)))
 
 
 def test_singletons_stay_out(dicts):
@@ -166,7 +166,7 @@ def table_group(name):
 
 def assert_columns_of_their_groups(names, r):
     """Each name is a column of the all-groups schema, in its table group."""
-    group_of = dict(build_schema(FeatureDictionaries({}, {}), r).columns)
+    group_of = dict(build_schema(FeatureDictionaries((), ()), r).columns)
     for name in names:
         assert table_group(name) is not None and group_of.get(name) == table_group(name), name
 
@@ -178,7 +178,7 @@ def test_fixed_columns_are_unique():
 
 
 def test_empty_vocabularies_give_no_bow_or_posng_column(bundle, schema):
-    empty = build_schema(FeatureDictionaries({}, {}), bundle)
+    empty = build_schema(FeatureDictionaries((), ()), bundle)
     assert empty.columns == tuple((name, group) for name, group in schema.columns
                                   if group not in ("BOW", "POSNG"))
     groups = [group for _, group in empty.columns]
@@ -343,7 +343,7 @@ def test_mood_oracle(micro, bundle, threads):
 def test_assembled_vector_validates(micro, bundle, dicts, schema, threads):
     tweet = micro.tweets[0]
     thread = threads[tweet.rumour_id]
-    row = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
+    row = assemble(tweet, thread, bundle, schema, now=0.0)
     # the row holds values by column index; its label stays on the analysis
     assert analyse(tweet, thread, bundle, now=0.0).label is tweet.label
     assert row and all(0 <= i < len(schema) and isinstance(v, float) for i, v in row.items())
@@ -353,16 +353,30 @@ def test_bow_columns_are_incidence(micro, bundle, dicts, schema, threads):
     name_to_idx = {name: i for i, (name, _) in enumerate(schema.columns)}
     tweet = micro.tweets[1]
     thread = threads[tweet.rumour_id]
-    row = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
+    row = assemble(tweet, thread, bundle, schema, now=0.0)
     present = {
         t.lowercase
         for t in tokenize(tweet.text, bundle.lexicons.all_emoticons)
         if t.kind.name in ("WORD", "HASHTAG")
     }
-    for word, _ in dicts.bow_vocab.items():
+    for word in dicts.bow_vocab:
         idx = name_to_idx[f"bow={word}"]
         expected = 1.0 if word in present else None
         assert row.get(idx) == expected
+
+
+def test_bow_columns_count_each_occurrence(ottawa, bundle):
+    # a BOW column counts its term's occurrences in the tweet, not presence
+    _, schema, analyses = featurize_corpus(ottawa, bundle, None, now=0.0)
+    repeated = []
+    for tweet, a in zip(ottawa.tweets, analyses):
+        counts = Counter(t.lowercase for t in tokenize(tweet.text, bundle.lexicons.all_emoticons)
+                         if t.kind.name in ("WORD", "HASHTAG"))
+        repeated += [(a, word, n) for word, n in counts.items()
+                     if n > 1 and f"bow={word}" in schema.name_to_index]
+    assert repeated
+    for a, word, n in repeated:
+        assert vectorize(a, schema)[schema.name_to_index[f"bow={word}"]] == n
 
 
 def test_brown_columns_match_table(micro, bundle, dicts, schema, threads):
@@ -370,7 +384,7 @@ def test_brown_columns_match_table(micro, bundle, dicts, schema, threads):
     base = offsets[0]
     tweet = micro.tweets[2]
     thread = threads[tweet.rumour_id]
-    row = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
+    row = assemble(tweet, thread, bundle, schema, now=0.0)
     active = {i - base for i in row if base <= i < base + BROWN_CLUSTER_COUNT}
     expected = set()
     for tok in tokenize(tweet.text, bundle.lexicons.all_emoticons):
@@ -384,8 +398,8 @@ def test_af_group_removal_only_drops_af(micro, bundle, dicts, schema, threads):
     no_af = build_schema(dicts, bundle, groups=tuple(g for g in GROUPS if g not in AF_GROUPS))
     tweet = micro.tweets[3]
     thread = threads[tweet.rumour_id]
-    full = assemble(tweet, thread, dicts, bundle, schema, now=0.0)
-    trimmed = assemble(tweet, thread, dicts, bundle, no_af, now=0.0)
+    full = assemble(tweet, thread, bundle, schema, now=0.0)
+    trimmed = assemble(tweet, thread, bundle, no_af, now=0.0)
     full_named = {schema.columns[i][0]: v for i, v in full.items()}
     trimmed_named = {no_af.columns[i][0]: v for i, v in trimmed.items()}
     dropped = {n for n in full_named if n not in trimmed_named}
@@ -401,11 +415,11 @@ def test_featurize_equals_assemble_analysing_each_text_once(
     # the featurization of every command: analyse_many, then vectorize;
     # reversed, replies come before their thread's source
     tweets = micro.tweets[::-1] if reverse else micro.tweets
-    expected = [assemble(t, threads[t.rumour_id], dicts, bundle, schema, now=0.0)
+    expected = [assemble(t, threads[t.rumour_id], bundle, schema, now=0.0)
                 for t in tweets]
     analysed_texts.clear()
     tokenized_chunks.clear()
-    assert [vectorize(a, dicts, schema)
+    assert [vectorize(a, schema)
             for a in analyse_many(tweets, threads, bundle, now=0.0)] == expected
     assert sorted(analysed_texts) == sorted(t.text for t in tweets)
     assert sorted(tokenized_chunks) == sorted({chunk for t in tweets

@@ -257,10 +257,10 @@ def test_kept_matrix_scores_equal_the_dict_path(k, weighting):
 def micro_matrix(micro, bundle):
     """(X, y) of the labelled micro tweets and the matrix of every micro
     tweet, as `stance train` and `stance predict` build them."""
-    dictionaries, schema, analyses = featurize_corpus(micro, bundle, None,
+    _, schema, analyses = featurize_corpus(micro, bundle, None,
                                                       resolve_now(None, micro))
-    X, y, _ = _labelled_rows(analyses, dictionaries, schema)
-    return X, y, to_dense([vectorize(a, dictionaries, schema) for a in analyses], len(schema))
+    X, y, _ = _labelled_rows(analyses, schema)
+    return X, y, to_dense([vectorize(a, schema) for a in analyses], len(schema))
 
 
 @pytest.mark.parametrize("weighting", ["inverse_distance", "uniform"])

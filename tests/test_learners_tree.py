@@ -273,9 +273,9 @@ def recorded_searches(monkeypatch):
 @pytest.fixture(scope="module")
 def micro_matrix(micro, bundle):
     """(X, y) of the labelled micro tweets, as `stance train` fits them."""
-    dictionaries, schema, analyses = featurize_corpus(micro, bundle, None,
+    _, schema, analyses = featurize_corpus(micro, bundle, None,
                                                       resolve_now(None, micro))
-    return _labelled_rows(analyses, dictionaries, schema)[:2]
+    return _labelled_rows(analyses, schema)[:2]
 
 
 def test_fitted_trees_split_as_the_per_column_scan(monkeypatch, micro_matrix):

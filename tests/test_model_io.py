@@ -22,11 +22,10 @@ from rumourstance.learners import (
     ModelError,
     TreeParams,
     fit_model,
-    load_model,
     predict_many,
-    save_model,
 )
 from rumourstance.learners.base import to_dense
+from rumourstance.learners.io import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 
 
 @pytest.fixture()
@@ -106,8 +105,6 @@ def test_saved_file_is_json_with_header(sample, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     obj = json.loads(path.read_text())
-    from rumourstance.learners import MODEL_MAGIC, MODEL_VERSION
-
     assert obj["magic"] == MODEL_MAGIC
     assert obj["version"] == MODEL_VERSION
 
@@ -304,15 +301,15 @@ def test_tampered_model_is_a_one_line_runtime_error(kind, mutate, micro_models,
 def micro_saved(micro, bundle, tmp_path_factory):
     """(the micro matrix, a directory holding a model of each kind trained
     on it, each saved under the kind's name)."""
-    dictionaries, schema, analyses = featurize_corpus(micro, bundle, None,
+    _, schema, analyses = featurize_corpus(micro, bundle, None,
                                                       resolve_now(None, micro))
-    X, y, _ = _labelled_rows(analyses, dictionaries, schema)
+    X, y, _ = _labelled_rows(analyses, schema)
     root = tmp_path_factory.mktemp("saved")
     for kind, params in (("tree", TreeParams()), ("forest", ForestParams(n_trees=3, seed=1)),
                          ("knn", KnnParams())):
         model = fit_model(kind, X, y, params, schema.fingerprint)
         save_model(model, root / kind)
-    return to_dense([vectorize(a, dictionaries, schema) for a in analyses], len(schema)), root
+    return to_dense([vectorize(a, schema) for a in analyses], len(schema)), root
 
 
 # 10**400 is a JSON number that no float can hold; scalars are drawn as

@@ -1,6 +1,7 @@
 """Tokenizer, POS tagger, entity flags, sentiment buckets, negation stats."""
 from __future__ import annotations
 
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -153,6 +154,22 @@ def test_a_long_punctuation_run_splits_without_recursion():
         [(ch, TokenKind.PUNCTUATION) for ch in run] + [("word", TokenKind.WORD)]
         + [(ch, TokenKind.PUNCTUATION) for ch in run])
     assert len(tokenize("@a" * 3000)) == 3000
+
+
+def test_a_long_trailing_run_splits_as_fast_as_a_leading_one():
+    run = "!" * 20_000
+    leading, trailing = run + "word", "word" + run
+    assert len(tokenize(leading)) == len(tokenize(trailing)) == 20_001
+
+    def best_of_three(text):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            tokenize(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(trailing) <= 3 * best_of_three(leading)
 
 
 @settings(max_examples=200, deadline=None)
